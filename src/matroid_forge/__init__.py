@@ -1,7 +1,5 @@
 """matroid-forge: exact matroid erections, formality, and minor obstructions."""
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
 
 from .charpoly import IntPolynomial, characteristic_polynomial, splits_over_integers
@@ -42,19 +40,15 @@ from .linalg import (
 )
 from .matroid import (
     FlatLattice,
-    GroundSet,
     Matroid,
     PointedMap,
     are_isomorphic,
-    bases,
-    closure_of,
     contract,
     delete,
     flats_at,
     is_quotient,
     is_weak_map_image,
     matroid_from_flats,
-    rank_of,
     removal_map,
     simplify,
     truncation,

@@ -9,7 +9,6 @@ everywhere: subsets sort by (cardinality, sorted element tuple).
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator
 
 MAX_GROUND = 64
@@ -38,10 +37,6 @@ def iter_elements(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -53,26 +48,6 @@ def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
 
 def sort_masks(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(masks, key=canonical_key))
-
-
-def subset_masks_of_size(universe: Iterable[int] | int, k: int) -> Iterator[int]:
-    """All k-subsets of the universe, as masks, in canonical order.
-
-    The universe is either an iterable of elements or an int mask.
-    """
-    elems = elements_of(universe) if isinstance(universe, int) else tuple(sorted(universe))
-    for combo in combinations(elems, k):
-        yield mask_of(combo)
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """Every subset of ``mask`` (including 0 and mask itself), arbitrary order."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def coerce_mask(x: int | Iterable[int], n: int, *, what: str = "subset") -> int:

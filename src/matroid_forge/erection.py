@@ -58,9 +58,6 @@ class BlockFamily:
             masks.append(b if isinstance(b, int) else mask_of(b))
         return BlockFamily(n, sort_masks(set(masks)))
 
-    def as_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(elements_of(b) for b in self.blocks)
-
 
 @dataclass(frozen=True)
 class ErectionCheck:

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import GroundSetMismatch, ValidationError, ZeroFunctional
-from .matroid import Matroid, is_quotient
+from .matroid import Matroid
 
 
 class Rationals:
@@ -76,11 +76,42 @@ class Rationals:
         return hash("Q")
 
 
+# Miller-Rabin with the first thirteen primes as witnesses is exact below
+# this bound (Sorenson and Webster, 2015); larger moduli are rejected.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for 0 <= p < PRIME_LIMIT."""
+    if p < 2:
+        return False
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """GF(p) with elements stored as least non-negative residues."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p >= PRIME_LIMIT:
+            raise ValueError(f"modulus {p} exceeds the supported range (below {PRIME_LIMIT})")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"GF({p})"
@@ -204,16 +235,6 @@ class ExactMatrix:
 
     def rank(self) -> int:
         return len(self.rref()[1])
-
-    def mul_vector(self, vec: Sequence) -> tuple:
-        f = self.field
-        out = []
-        for row in self.entries:
-            acc = f.zero
-            for a, x in zip(row, vec):
-                acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return tuple(out)
 
     def __repr__(self):
         return f"ExactMatrix({self.field!r}, {self.rows}x{self.cols})"
@@ -355,19 +376,3 @@ def formalization(a: ExactMatrix) -> ExactMatrix:
         # would force column i of A to vanish
         raise ZeroFunctional("formalization produced a zero functional")
     return g
-
-
-def formalization_is_quotient(a: ExactMatrix) -> bool:
-    """Remark-style sanity bundle: M(A) is a quotient of M(A_F) sharing
-    all rank-1 and rank-2 flats."""
-    g = formalization(a)
-    ma = column_matroid(a)
-    mg = column_matroid(g)
-    if not is_quotient(ma, mg):
-        return False
-    for k in (1, 2):
-        if ma.rank < k or mg.rank < k:
-            return False
-        if ma.flats_at_masks(k) != mg.flats_at_masks(k):
-            return False
-    return True

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bitsets import elements_of, format_set, iter_elements, mask_of
+from .bitsets import elements_of, format_set, mask_of
 from .errors import SearchBudgetExceeded
 from .matroid import (
     Matroid,

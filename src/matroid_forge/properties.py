@@ -9,7 +9,6 @@ a fixed seed and are deterministic.
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 from .bitsets import format_set, full_mask, iter_elements
 from .erection import ErectionFamily
@@ -20,7 +19,7 @@ from .linalg import (
     kernel_basis,
     weight3_subspace,
 )
-from .matroid import Matroid, is_quotient, truncation
+from .matroid import Matroid, exchange_failure, is_quotient, truncation
 
 
 def closure_axiom_failures(m: Matroid, *, samples: int | None = None,
@@ -95,16 +94,8 @@ def rank_axiom_failures(m: Matroid, *, samples: int | None = None,
 
 def exchange_failures(m: Matroid) -> list[str]:
     """Basis exchange over every ordered pair of bases."""
-    basis_set = frozenset(m.basis_masks)
-    for b1 in m.basis_masks:
-        for b2 in m.basis_masks:
-            for f in iter_elements(b2 & ~b1):
-                fbit = 1 << f
-                if not any((b1 ^ (1 << e)) | fbit in basis_set
-                           for e in iter_elements(b1 & ~b2)):
-                    return [f"exchange fails for {format_set(b1)}, "
-                            f"{format_set(b2)}, f={f}"]
-    return []
+    failure = exchange_failure(m)
+    return [] if failure is None else [failure]
 
 
 def minor_commutation_failures(m: Matroid, *, samples: int = 30,

@@ -1,12 +1,15 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import shutil
+import time
 
 import pytest
 
 from matroid_forge.cli import main
-from matroid_forge.formats import parse_matroid_text
+from matroid_forge.formats import parse_matroid_text, serialize_matroid
+from matroid_forge.minors import fano_matroid
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +135,26 @@ def test_charpoly_text(capsys, paths):
     assert out == "t^3 - 13*t^2 + 63*t - 51\ninteger roots: none\n"
 
 
+def test_huge_prime_field_answers_fast(capsys, tmp_path):
+    big = tmp_path / "big.matrix"
+    big.write_text("field GF 2305843009213693951\nrows 2\ncols 3\n"
+                   "1 0 1\n0 1 1\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "formality", str(big))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.splitlines()[-1] == "verdict              formal"
+
+
+def test_prime_beyond_certified_range_exits_2(capsys, tmp_path):
+    big = tmp_path / "big.matrix"
+    big.write_text(f"field GF {2 ** 89 - 1}\nrows 1\ncols 1\n1\n")
+    code, _, err = run(capsys, "formality", str(big))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "exceeds" in err
+
+
 # -- minor / obstruction ------------------------------------------------------------
 
 def test_minor_found(capsys, paths):
@@ -234,3 +257,47 @@ def test_budget_env_generous(capsys, monkeypatch, paths):
     monkeypatch.setenv("MATROID_FORGE_BUDGET", "100000000")
     code, _, _ = run(capsys, "erect", paths["m"], "--all")
     assert code == 0
+
+
+# -- golden output ---------------------------------------------------------------
+
+# SHA-256 of the stdout of each bundled command, recorded when the output
+# was last declared correct; any change to default output must update these
+# deliberately.
+GOLDEN = {
+    "validate-M": (["validate", "{m}"],
+                   "d7a9f765b80675b655d30fbf1c4df00ccdf0b36c0db7a1b0e9d84f90ca542a89"),
+    "validate-N": (["validate", "{n}"],
+                   "9a7afdcd5d14fb3d59540776bf3c12398ccad2c8aaeec60bd6b2d225899b25f0"),
+    "flats-M": (["flats", "{m}", "--rank", "2"],
+                "0a803e5b70c8025a67b1277ace7d7f390fd3437ca473b636bafc424f2e5cd18e"),
+    "erect-all": (["erect", "{m}", "--all"],
+                  "bc63318884deff31ed83c591ceddbb34366328d54b476e1a58f03552f6226066"),
+    "erect-free": (["erect", "{m}", "--free"],
+                   "f0f67922fc23d314271967a5c119df3957a170bfa71d479aacd41e066ad0edf1"),
+    "formality-A": (["formality", "{a}"],
+                    "8fca1687a0ea7a85ec8d4c53633c0cb704b8646fa042ff39a3d6b798431bc41e"),
+    "formality-yuzvinsky": (["formality", "{a2}"],
+                            "3f857b50fc8b76832dcad60a1addab72386c19fe986253fb2443fe62d862fa9e"),
+    "charpoly-M": (["charpoly", "{m}"],
+                   "45f5422fafccb24c23449dec6c81e25cdbd55f8b6e2d1fedfff76af7ad612e5c"),
+    "minor-N-fano": (["minor", "{n}", "{fano}"],
+                     "6bbe3bfefb063a608628175cd743c1369f72091e4964ac63ba628c7a232b0f1c"),
+    "obstruction-N": (["obstruction", "{n}"],
+                      "94c1a748ac54880f9ab32c99ee8e35537a379579eb4a5930cf40ba020a118be3"),
+    "reproduce": (["reproduce"],
+                  "169c41bb20d22d45707ff0e75c0094b1919657644fb768cb9bf980e2840e1ba1"),
+}
+
+
+def test_golden_output(capsys, paths, tmp_path):
+    fano = tmp_path / "fano.matroid"
+    fano.write_text(serialize_matroid(fano_matroid()))
+    files = dict(paths, fano=str(fano))
+    changed = []
+    for label, (argv, digest) in GOLDEN.items():
+        code, out, _ = run(capsys, *(arg.format(**files) for arg in argv))
+        assert code == 0, label
+        if hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(label)
+    assert changed == []

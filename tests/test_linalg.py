@@ -55,6 +55,31 @@ def test_non_prime_field_rejected():
         PrimeField(1)
 
 
+def test_primality_matches_trial_division():
+    def prime(p):
+        return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+    for p in range(3000):
+        try:
+            PrimeField(p)
+        except ValueError:
+            assert not prime(p), p
+        else:
+            assert prime(p), p
+
+
+def test_primality_is_exact_for_large_moduli():
+    assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField((2 ** 31 - 1) ** 2)
+    # strong pseudoprime to every prime base up to 23
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(3825123056546413051)
+    # a prime, but beyond the range where the primality test is proven
+    with pytest.raises(ValueError, match="exceeds"):
+        PrimeField(2 ** 89 - 1)
+
+
 def test_field_equality():
     assert PrimeField(5) == PrimeField(5)
     assert PrimeField(5) != PrimeField(7)

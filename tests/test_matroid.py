@@ -13,15 +13,12 @@ from matroid_forge.matroid import (
     Matroid,
     PointedMap,
     are_isomorphic,
-    bases,
-    closure_of,
     contract,
     delete,
     flats_at,
     is_quotient,
     is_weak_map_image,
     matroid_from_flats,
-    rank_of,
     relabel,
     removal_map,
     simplify,
@@ -90,10 +87,10 @@ def test_from_bases_infers_rank():
 def test_fano_rank_and_closure():
     f = fano_matroid()
     assert f.rank == 3
-    assert rank_of(f, (0, 1)) == 2
-    assert closure_of(f, (0, 1)) == (0, 1, 5)
-    assert rank_of(f, range(7)) == 3
-    assert closure_of(f, ()) == ()
+    assert f.rank_of((0, 1)) == 2
+    assert f.closure_of((0, 1)) == (0, 1, 5)
+    assert f.rank_of(range(7)) == 3
+    assert f.closure_of(()) == ()
 
 
 def test_fano_flats():
@@ -108,7 +105,7 @@ def test_fano_flats():
 
 def test_bases_listing():
     f = fano_matroid()
-    bs = bases(f)
+    bs = f.bases()
     assert len(bs) == 28
     assert (0, 1, 2) in bs
     assert (0, 1, 5) not in bs
