@@ -27,10 +27,11 @@ class Rationals:
     """Field tag for exact rational arithmetic."""
 
     name = "Q"
-    characteristic = 0
 
     def parse(self, token: str) -> Fraction:
-        return Fraction(token)
+        """An integer or a/b; no decimals or exponents, which could be huge."""
+        num, slash, den = token.partition("/")
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
 
     def from_int(self, value: int) -> Fraction:
         return Fraction(value)
@@ -115,7 +116,6 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"GF({p})"
-        self.characteristic = p
         self.zero = 0
         self.one = 1 % p
 

@@ -46,8 +46,8 @@ from .errors import (
     ValidationError,
 )
 
-# Full 2^n rank tables are built below this ground-set size; above it the
-# rank function falls back to scanning bases.
+# Full 2^n rank tables are built up to this ground-set size; above it the
+# rank function greedily grows an independent subset of the query set.
 RANK_TABLE_LIMIT = 16
 
 
@@ -195,18 +195,24 @@ class Matroid:
             self._ranks = table
         return self._ranks
 
+    def _maximal_independent_mask(self, x: int) -> int:
+        """A basis of x, grown greedily in element order (exact for matroids)."""
+        indep = self.independent_masks
+        basis = 0
+        size = 0
+        while x and size < self.rank:
+            low = x & -x
+            if basis | low in indep:
+                basis |= low
+                size += 1
+            x ^= low
+        return basis
+
     def rank_of_mask(self, x: int) -> int:
         table = self._rank_table()
         if table is not None:
             return table[x]
-        best = 0
-        for b in self.basis_masks:
-            c = (x & b).bit_count()
-            if c > best:
-                best = c
-                if best == self.rank:
-                    break
-        return best
+        return self._maximal_independent_mask(x).bit_count()
 
     def rank_of(self, x: Iterable[int] | int) -> int:
         return self.rank_of_mask(coerce_mask(x, self.n))
@@ -214,12 +220,16 @@ class Matroid:
     # -- closure and flats ----------------------------------------------
 
     def closure_mask(self, x: int) -> int:
-        r = self.rank_of_mask(x)
+        """x plus every e whose addition to a basis of x is dependent."""
+        indep = self.independent_masks
+        basis = self._maximal_independent_mask(x)
         out = x
         rest = self.full & ~x
-        for e in iter_elements(rest):
-            if self.rank_of_mask(x | (1 << e)) == r:
-                out |= 1 << e
+        while rest:
+            low = rest & -rest
+            if basis | low not in indep:
+                out |= low
+            rest ^= low
         return out
 
     def closure_of(self, x: Iterable[int] | int) -> tuple[int, ...]:

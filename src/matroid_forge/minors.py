@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .bitsets import elements_of, format_set, mask_of
 from .errors import SearchBudgetExceeded
@@ -133,6 +134,9 @@ def find_minor(host: Matroid, target: Matroid, *,
     node_budget = DEFAULT_MINOR_BUDGET if budget is None else budget
     nodes = 0
     target_bases = len(target.basis_masks)
+    # every r-subset of a kept set is a basis or not, so a kept set holds
+    # the target's basis count iff it holds this many non-bases
+    target_nonbases = comb(target.n, target.rank) - target_bases
     for csize in range(host.rank - target.rank + 1):
         seen_closures: set[int] = set()
         for combo in combinations(range(host.n), csize):
@@ -151,6 +155,11 @@ def find_minor(host: Matroid, target: Matroid, *,
             classes_host = tuple(tuple(back(e) for e in cls)
                                  for cls in (pmap.classes or ()))
             loops_host = tuple(back(e) for e in elements_of(contracted.loops_mask))
+            if simple.rank == target.rank:
+                indep = simple.independent_masks
+                nonbases = [s for s in map(mask_of, combinations(range(simple.n),
+                                                                 simple.rank))
+                            if s not in indep]
             for keep in combinations(range(simple.n), target.n):
                 nodes += 1
                 if nodes > node_budget:
@@ -160,10 +169,9 @@ def find_minor(host: Matroid, target: Matroid, *,
                 if simple.rank_of_mask(kmask) != target.rank:
                     continue
                 if simple.rank == target.rank:
-                    # restriction keeps full rank, so its bases are exactly
-                    # the ambient bases inside the kept set — cheap prune
-                    bcount = sum(1 for b in simple.basis_masks if b & ~kmask == 0)
-                    if bcount != target_bases:
+                    # restriction keeps full rank, so its non-bases are
+                    # exactly the ambient non-bases inside the kept set
+                    if sum(1 for nb in nonbases if nb & ~kmask == 0) != target_nonbases:
                         continue
                 if len(keep) == simple.n:
                     restricted = simple

@@ -6,8 +6,6 @@ the headline facts directly through the library, so a silently weakened
 check cannot slip through.
 """
 
-import pytest
-
 from matroid_forge.bitsets import mask_of
 from matroid_forge.charpoly import characteristic_polynomial, splits_over_integers
 from matroid_forge.erection import check_erection_blocks, spanning_k_closed_sets

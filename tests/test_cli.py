@@ -155,6 +155,24 @@ def test_prime_beyond_certified_range_exits_2(capsys, tmp_path):
     assert "exceeds" in err
 
 
+def test_exponent_entry_exits_2_fast(capsys, tmp_path):
+    huge = tmp_path / "huge.matrix"
+    huge.write_text("field Q\nrows 1\ncols 3\n1/2 -3 1e100000000\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "formality", str(huge))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "1e100000000" in err
+
+
+def test_rational_entries_still_parse(capsys, tmp_path):
+    ok = tmp_path / "ok.matrix"
+    ok.write_text("field Q\nrows 2\ncols 3\n1/2 -3 2/4\n0 1 1\n")
+    code, out, _ = run(capsys, "formality", str(ok))
+    assert code == 0
+    assert out.splitlines()[-1] == "verdict              formal"
+
+
 # -- minor / obstruction ------------------------------------------------------------
 
 def test_minor_found(capsys, paths):

@@ -4,11 +4,13 @@ import pytest
 
 from itertools import combinations
 
+from matroid_forge.bitsets import format_set, mask_of, sort_masks
 from matroid_forge.erection import (
     check_erection_blocks,
     enumerate_erections,
     free_erection,
     is_k_closed,
+    spanning_k_closed_masks,
     spanning_k_closed_sets,
     tautness_witness,
 )
@@ -19,7 +21,7 @@ from matroid_forge.errors import (
     ValidationError,
 )
 from matroid_forge.matroid import Matroid, truncation
-from matroid_forge.minors import fano_matroid
+from matroid_forge.minors import fano_matroid, non_fano_matroid
 
 
 def uniform(rank, n):
@@ -43,6 +45,54 @@ def test_spanning_k_closed_on_four_point_line():
     assert (0, 1, 2, 3) not in sets
     with_full = spanning_k_closed_sets(u24, 1, proper_only=False)
     assert (0, 1, 2, 3) in with_full
+
+
+def census_by_scan(m, k):
+    """Spanning k-closed sets, full set included, by walking all 2^n subsets."""
+    table = [(s, m.closure_mask(s))
+             for s in map(mask_of, combinations(range(m.n), k))]
+    return sort_masks(x for x in range(m.full + 1)
+                      if m.rank_of_mask(x) == m.rank
+                      and all(cl & ~x == 0 for s, cl in table if s & ~x == 0))
+
+
+CENSUS_HOSTS = {
+    **{f"U({r},{n})": (lambda gf5, r=r, n=n: uniform(r, n))
+       for n in range(2, 9) for r in range(2, n + 1)},
+    "fano": lambda gf5: fano_matroid(),
+    "non-fano": lambda gf5: non_fano_matroid(),
+    **{f"gf5-{n}-{r}-{seed}": (lambda gf5, args=(n, r, seed): gf5(*args))
+       for n, r, seed in ((6, 3, 1), (8, 3, 2), (9, 4, 3), (10, 3, 4),
+                          (12, 3, 5), (12, 4, 6))},
+}
+
+
+def assert_same_masks(got, expected):
+    # pytest's sequence diff would take minutes on thousands of masks
+    if got != expected:
+        missing = [format_set(x) for x in sort_masks(set(expected) - set(got))]
+        extra = [format_set(x) for x in sort_masks(set(got) - set(expected))]
+        pytest.fail(f"{len(got)} sets vs {len(expected)} expected; "
+                    f"missing {missing[:5]}, extra {extra[:5]}")
+
+
+def assert_census_matches_scan(m):
+    for k in range(1, m.rank):
+        reference = census_by_scan(m, k)
+        assert_same_masks(spanning_k_closed_masks(m, k, proper_only=False),
+                          reference)
+        assert_same_masks(spanning_k_closed_masks(m, k),
+                          tuple(x for x in reference if x != m.full))
+
+
+@pytest.mark.parametrize("name", CENSUS_HOSTS)
+def test_census_matches_subset_scan(name, gf5_column_matroid):
+    assert_census_matches_scan(CENSUS_HOSTS[name](gf5_column_matroid))
+
+
+def test_census_matches_subset_scan_on_bundled(rank3_matroid):
+    assert_census_matches_scan(rank3_matroid)
+    assert len(spanning_k_closed_masks(rank3_matroid, 2)) == 52
 
 
 def test_exhaustive_scan_caps_ground_set():

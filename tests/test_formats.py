@@ -16,7 +16,7 @@ from matroid_forge.formats import (
     serialize_sets,
 )
 from matroid_forge.linalg import PrimeField, Rationals
-from matroid_forge.matroid import Matroid, contract
+from matroid_forge.matroid import contract
 from matroid_forge.minors import fano_matroid
 
 

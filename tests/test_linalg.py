@@ -40,6 +40,12 @@ def test_rationals_parse_and_reduce():
     assert q.add(q.parse("1/3"), q.parse("1/6")) == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("token", ["1e1000000", "0.5", "1/2e9", "1/", "/2", "inf"])
+def test_rationals_accept_only_integers_and_fractions(token):
+    with pytest.raises(ValueError):
+        Rationals().parse(token)
+
+
 def test_prime_field_arithmetic():
     gf5 = PrimeField(5)
     assert gf5.mul(2, 3) == 1

@@ -1,7 +1,10 @@
 """Core matroid structure: construction, rank, closure, minors, maps."""
 
+import random
+
 import pytest
 
+from matroid_forge.bitsets import mask_of
 from matroid_forge.errors import (
     EmptyGroundSet,
     FormatError,
@@ -10,6 +13,7 @@ from matroid_forge.errors import (
     ValidationError,
 )
 from matroid_forge.matroid import (
+    RANK_TABLE_LIMIT,
     Matroid,
     PointedMap,
     are_isomorphic,
@@ -91,6 +95,53 @@ def test_fano_rank_and_closure():
     assert f.closure_of((0, 1)) == (0, 1, 5)
     assert f.rank_of(range(7)) == 3
     assert f.closure_of(()) == ()
+
+
+def rank_and_closure_by_bases(m, x):
+    """rank(x) = max |x ∩ B| over bases; e ∉ x is in cl(x) iff rank(x + e) = rank(x).
+
+    rank(x + e) exceeds rank(x) exactly when e lies in a basis meeting x
+    in rank(x) elements, which evaluates the definition for every e at once.
+    """
+    r = max((x & b).bit_count() for b in m.basis_masks)
+    grows = 0
+    for b in m.basis_masks:
+        if (x & b).bit_count() == r:
+            grows |= b
+    return r, m.full & ~(grows & ~x)
+
+
+def loops_and_parallels():
+    # a three-point line on {0, 1, 2}, the loop 3, and 4 parallel to 0
+    return Matroid.from_bases(5, [(0, 1), (0, 2), (1, 2), (1, 4), (2, 4)])
+
+
+SMALL_HOSTS = {
+    "fano": lambda gf5: fano_matroid(),
+    "non-fano": lambda gf5: non_fano_matroid(),
+    "U(2,4)": lambda gf5: uniform(2, 4),
+    "U(4,9)": lambda gf5: uniform(4, 9),
+    "loops-and-parallels": lambda gf5: loops_and_parallels(),
+    "gf5-10-3-a": lambda gf5: gf5(10, 3, 4),
+    "gf5-10-3-b": lambda gf5: gf5(10, 3, 7),
+    "gf5-9-4": lambda gf5: gf5(9, 4, 8),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_HOSTS)
+def test_rank_and_closure_match_definitions_on_every_mask(name, gf5_column_matroid):
+    m = SMALL_HOSTS[name](gf5_column_matroid)
+    for x in range(m.full + 1):
+        assert (m.rank_of_mask(x), m.closure_mask(x)) == rank_and_closure_by_bases(m, x)
+
+
+def test_rank_and_closure_match_definitions_above_table_limit(gf5_column_matroid):
+    m = gf5_column_matroid(18, 3, 1)
+    assert m.n > RANK_TABLE_LIMIT
+    rng = random.Random(18)
+    for _ in range(2000):
+        x = mask_of(rng.sample(range(m.n), rng.randint(0, m.n)))
+        assert (m.rank_of_mask(x), m.closure_mask(x)) == rank_and_closure_by_bases(m, x)
 
 
 def test_fano_flats():

@@ -5,7 +5,7 @@ import pytest
 from itertools import combinations
 
 from matroid_forge.errors import SearchBudgetExceeded
-from matroid_forge.matroid import Matroid, PointedMap
+from matroid_forge.matroid import Matroid
 from matroid_forge.minors import (
     MinorWitness,
     fano_matroid,
