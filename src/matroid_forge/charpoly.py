@@ -9,6 +9,7 @@ is the freeness obstruction consumed downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -106,9 +107,10 @@ def characteristic_polynomial(m: Matroid) -> IntPolynomial:
 def splits_over_integers(p: IntPolynomial) -> tuple[int, ...] | None:
     """The sorted multiset of roots if p factors into integer linear terms.
 
-    Candidate roots are the (signed) divisors of the constant term, each
-    confirmed by exact synthetic division; any stage without an integer
-    root means no full split exists, and None is returned.
+    Candidate roots are the (signed) divisors of the constant term, found
+    in pairs (d, |c| / d) with d <= sqrt|c| and each confirmed by exact
+    synthetic division; any stage without an integer root means no full
+    split exists, and None is returned.
     """
     if not p.is_monic:
         raise ValidationError("splits_over_integers expects a monic polynomial")
@@ -120,7 +122,8 @@ def splits_over_integers(p: IntPolynomial) -> tuple[int, ...] | None:
             candidates = [0]
         else:
             mag = abs(constant)
-            divisors = [d for d in range(1, mag + 1) if mag % d == 0]
+            small = [d for d in range(1, math.isqrt(mag) + 1) if mag % d == 0]
+            divisors = small + [mag // d for d in reversed(small) if d * d != mag]
             candidates = [s * d for d in divisors for s in (1, -1)]
         for cand in candidates:
             quotient, remainder = work.divide_by_root(cand)

@@ -302,16 +302,29 @@ def exchange_failure(m: Matroid) -> str | None:
     basis systems, so passing it proves the input is a matroid.  Returns
     None on success, else a message naming the first failing (B, B', f).
 
-    For each B the swap mask of every outside f (the e in B with B - e + f
-    a basis) is computed once, so each pair costs one AND per f in B' - B.
+    For each B and outside f let S = {f} + {e in B : B - e + f a basis}.
+    A pair (B, B') fails at f exactly when S lies inside B', so B has a
+    failing partner iff S is a subset of some basis: one lookup in the
+    down-closure ``m.independent_masks`` (built here if not yet built).
+    That costs B·(n-r)·r basis lookups plus B·(n-r) down-closure lookups
+    instead of a walk over all B² pairs.  Only a B known to fail scans its
+    partners, in basis order, to name the same first (B, B', f) as the
+    pairwise loop.
     """
     basis_set = m._basis_set
+    indep = m.independent_masks
     for b1 in m.basis_masks:
+        drops = [(1 << e, b1 ^ (1 << e)) for e in iter_elements(b1)]
         swaps = {}
         for f in iter_elements(m.full & ~b1):
             fbit = 1 << f
-            swaps[fbit] = mask_of(e for e in iter_elements(b1)
-                                  if (b1 ^ (1 << e)) | fbit in basis_set)
+            swap = 0
+            for ebit, rest in drops:
+                if rest | fbit in basis_set:
+                    swap |= ebit
+            swaps[fbit] = swap
+        if all(fbit | swap not in indep for fbit, swap in swaps.items()):
+            continue
         for b2 in m.basis_masks:
             need = b2 & ~b1
             while need:

@@ -2,8 +2,9 @@
 
 import pytest
 
+import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from matroid_forge.charpoly import (
     IntPolynomial,
@@ -218,6 +219,55 @@ def test_charpoly_no_integer_split(rank3_matroid):
     assert str(chi) == "t^3 - 13*t^2 + 63*t - 51"
     assert splits_over_integers(chi) is None
     assert chi.evaluate(1) == 0
+
+
+def _polynomial_from_roots(roots):
+    p = IntPolynomial((1,))
+    for r in roots:  # multiply by (t - r)
+        shifted = (0,) + p.coeffs
+        scaled = tuple(-r * c for c in p.coeffs) + (0,)
+        p = IntPolynomial(tuple(a + b for a, b in zip(shifted, scaled)))
+    return p
+
+
+def _splits_by_full_divisor_walk(p):
+    """Reference: try every divisor 1..|c| of each constant term."""
+    roots, work = [], p
+    while work.degree > 0:
+        c = work.coeffs[0]
+        candidates = [0] if c == 0 else [
+            s * d for d in range(1, abs(c) + 1) if c % d == 0 for s in (1, -1)]
+        for cand in candidates:
+            quotient, remainder = work.divide_by_root(cand)
+            if remainder == 0:
+                roots.append(cand)
+                work = quotient
+                break
+        else:
+            return None
+    return tuple(sorted(roots))
+
+
+def test_split_matches_full_divisor_walk():
+    polys = [_polynomial_from_roots(r) for r in product(range(-6, 7), repeat=3)]
+    polys += [IntPolynomial((c, b, 1)) for c in range(-40, 41) for b in range(-9, 10)]
+    for p in polys:
+        assert splits_over_integers(p) == _splits_by_full_divisor_walk(p), p
+
+
+def test_split_with_large_roots_is_fast():
+    start = time.perf_counter()
+    p = _polynomial_from_roots((999983, 1000003))
+    assert splits_over_integers(p) == (999983, 1000003)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_no_split_with_large_constant_is_fast():
+    start = time.perf_counter()
+    # t^2 + t + 999983 * 1000003: discriminant negative, constant ~10^12
+    p = IntPolynomial((999983 * 1000003, 1, 1))
+    assert splits_over_integers(p) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_charpoly_requires_simple():

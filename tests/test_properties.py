@@ -1,11 +1,13 @@
 """Axiom batteries over the whole corpus, plus detection of broken inputs."""
 
-import pytest
+import random
+from itertools import chain, combinations
 
-from itertools import combinations
+import pytest
 
 from matroid_forge import properties
 from matroid_forge.bitsets import format_set, iter_elements, mask_of
+from matroid_forge.formats import bundled_data_dir, load_matroid
 from matroid_forge.matroid import (
     Matroid,
     contract,
@@ -69,30 +71,73 @@ def reference_exchange_failure(m):
 def _families(n, k):
     subsets = [mask_of(c) for c in combinations(range(n), k)]
     for choice in range(1, 1 << len(subsets)):
-        yield [s for i, s in enumerate(subsets) if (choice >> i) & 1]
+        yield n, k, [s for i, s in enumerate(subsets) if (choice >> i) & 1]
 
 
-def _one_basis_removals(m):
-    for b in m.basis_masks:
-        yield [c for c in m.basis_masks if c != b]
+def _random_families(count, seed):
+    """Seeded random k-subset families on n <= 8, cycling through every rank."""
+    rng = random.Random(seed)
+    shapes = [(n, k) for n in range(1, 9) for k in range(n + 1)]
+    for i in range(count):
+        n, k = shapes[i % len(shapes)]
+        subsets = [mask_of(c) for c in combinations(range(n), k)]
+        density = rng.random()
+        family = [s for s in subsets if rng.random() < density]
+        yield n, k, family or [rng.choice(subsets)]
 
 
-@pytest.mark.parametrize("n, rank, families", [
-    (5, 2, lambda: _families(5, 2)),
-    (5, 3, lambda: _families(5, 3)),
-    (7, 3, lambda: _one_basis_removals(fano_matroid())),
-    (7, 3, lambda: _one_basis_removals(non_fano_matroid())),
-], ids=["2-subsets-of-5", "3-subsets-of-5", "fano-less-one", "non-fano-less-one"])
-def test_exchange_certificate_matches_reference(n, rank, families):
+def _one_basis_removals(m, count=None, seed=0):
+    removed = m.basis_masks
+    if count is not None:
+        removed = random.Random(seed).sample(removed, count)
+    for b in removed:
+        yield m.n, m.rank, [c for c in m.basis_masks if c != b]
+
+
+def _one_triple_additions(m):
+    """m plus one dependent triple, for each dependent triple of m.
+
+    Every dependent triple of Fano and non-Fano is a circuit-hyperplane; adding
+    it as a basis relaxes it, which yields a matroid (Oxley, *Matroid
+    Theory*, Prop. 1.5.14): these families must all be accepted.
+    """
+    for t in combinations(range(m.n), m.rank):
+        tmask = mask_of(t)
+        if tmask not in m.basis_masks:
+            yield m.n, m.rank, list(m.basis_masks) + [tmask]
+
+
+def _bundled(name):
+    return load_matroid(bundled_data_dir() / name)
+
+
+@pytest.mark.parametrize("families, all_matroids", [
+    (lambda: _families(5, 2), False),
+    (lambda: _families(5, 3), False),
+    (lambda: _one_basis_removals(fano_matroid()), False),
+    (lambda: _one_basis_removals(non_fano_matroid()), False),
+    (lambda: _random_families(2000, seed=8), False),
+    (lambda: chain(_one_triple_additions(fano_matroid()),
+                   _one_triple_additions(non_fano_matroid())), True),
+    (lambda: chain(_one_basis_removals(_bundled("M.matroid"), 10, seed=3),
+                   _one_basis_removals(_bundled("N.matroid"), 4, seed=4)),
+     False),
+], ids=["2-subsets-of-5", "3-subsets-of-5", "fano-less-one", "non-fano-less-one",
+        "random-families-n-le-8", "fano-and-non-fano-plus-one",
+        "M-and-N-less-one"])
+def test_exchange_certificate_matches_reference(families, all_matroids):
     rejected = 0
-    for family in families():
+    for n, rank, family in families():
         m = Matroid(n, rank, family, _validated=True)
         expected = reference_exchange_failure(m)
         assert exchange_failure(m) == expected, family
         assert properties.exchange_failures(m) == (
             [] if expected is None else [expected])
         rejected += expected is not None
-    assert rejected > 0
+    if all_matroids:
+        assert rejected == 0
+    else:
+        assert rejected > 0
 
 
 def test_closure_detects_non_matroid():
