@@ -475,11 +475,12 @@ def delete(m: Matroid, x: Iterable[int] | int) -> Matroid:
     keep = m.full & ~xmask
     kept = elements_of(keep)
     pos = {e: i for i, e in enumerate(kept)}
-    new_rank = m.rank_of_mask(keep)
-    new_bases = set()
-    for ind in m.independent_masks:
-        if ind & ~keep == 0 and ind.bit_count() == new_rank:
-            new_bases.add(mask_of(pos[e] for e in iter_elements(ind)))
+    # the bases of m|keep are its largest independent sets, so one walk
+    # gives the rank too
+    inside = [ind for ind in m.independent_masks if ind & ~keep == 0]
+    new_rank = max(ind.bit_count() for ind in inside)
+    new_bases = {mask_of(pos[e] for e in iter_elements(ind))
+                 for ind in inside if ind.bit_count() == new_rank}
     return Matroid(len(kept), new_rank, new_bases, _validated=True)
 
 
@@ -562,18 +563,26 @@ def is_quotient(m: Matroid, other: Matroid) -> bool:
 # isomorphism
 
 
-def _element_signatures(m: Matroid) -> list[tuple]:
+def nontrivial_levels(m: Matroid) -> list[tuple[int, ...]]:
+    """The nontrivial flats of ranks 1..r-1, one tuple per rank."""
     lattice = m.flat_lattice()
-    sigs: list[tuple] = []
-    for e in range(m.n):
-        bit = 1 << e
-        sig = []
-        for k in range(1, m.rank):
-            sizes = sorted(f.bit_count() for f in lattice.nontrivial_at(k)
-                           if f & bit)
-            sig.append(tuple(sizes))
-        sigs.append(tuple(sig))
-    return sigs
+    return [lattice.nontrivial_at(k) for k in range(1, m.rank)]
+
+
+def flat_profile(elements: Iterable[int],
+                 levels: Sequence[Sequence[int]]) -> tuple[tuple, list[tuple]]:
+    """Isomorphism invariants read from nontrivial flats given by rank.
+
+    ``levels`` lists the flat masks of ranks 1..r-1 (as
+    :func:`nontrivial_levels` does).  Returns each rank's sorted flat sizes
+    and, for each of ``elements`` in order, its signature: per rank, the
+    sorted sizes of the flats containing it.
+    """
+    sizes = tuple(tuple(sorted(f.bit_count() for f in level)) for level in levels)
+    sigs = [tuple(tuple(sorted(f.bit_count() for f in level if f >> e & 1))
+                  for level in levels)
+            for e in elements]
+    return sizes, sigs
 
 
 def are_isomorphic(m1: Matroid, m2: Matroid) -> PointedMap | None:
@@ -589,13 +598,10 @@ def are_isomorphic(m1: Matroid, m2: Matroid) -> PointedMap | None:
         return None
     if len(m1.basis_masks) != len(m2.basis_masks):
         return None
-    lat1, lat2 = m1.flat_lattice(), m2.flat_lattice()
-    for k in range(1, m1.rank):
-        sizes1 = sorted(f.bit_count() for f in lat1.nontrivial_at(k))
-        sizes2 = sorted(f.bit_count() for f in lat2.nontrivial_at(k))
-        if sizes1 != sizes2:
-            return None
-    sig1, sig2 = _element_signatures(m1), _element_signatures(m2)
+    sizes1, sig1 = flat_profile(range(m1.n), nontrivial_levels(m1))
+    sizes2, sig2 = flat_profile(range(m2.n), nontrivial_levels(m2))
+    if sizes1 != sizes2:
+        return None
     candidates = [[t for t in range(m2.n) if sig2[t] == sig1[d]]
                   for d in range(m1.n)]
     if any(not c for c in candidates):

@@ -6,7 +6,16 @@ extra dependent elements only manufactures loops that simplification
 removes, so independent sets suffice), simplify, then keep a subset of the
 surviving points and match it against the target up to isomorphism.  The
 returned witness replays deterministically and is verified before it is
-handed back.
+handed back.  Since only points of a simplification are kept, the target
+must be simple; a target with loops or parallel elements is refused with
+:class:`ValidationError` rather than answered "not found".
+
+A kept set K is screened before its restriction is built.  The flats of
+M|K are the sets F ∩ K over the flats F of M, each of the rank of the
+lowest-rank F giving it, so the restriction's nontrivial flats, and the
+isomorphism invariants read from them, come from M's flat lattice alone.
+Only a K whose invariants equal the target's is restricted and handed to
+:func:`are_isomorphic`.
 
 The seven-point projective plane and its relaxation are built in: one is
 realizable only in characteristic two, the other only away from it, so
@@ -18,16 +27,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Sequence
 
-from .bitsets import elements_of, format_set, mask_of
-from .errors import SearchBudgetExceeded
+from .bitsets import elements_of, format_set, iter_elements, mask_of
+from .errors import SearchBudgetExceeded, ValidationError
 from .matroid import (
     Matroid,
     PointedMap,
     are_isomorphic,
     contract,
     delete,
+    flat_profile,
     matroid_from_flats,
+    nontrivial_levels,
     relabel,
     removal_map,
     simplify,
@@ -118,6 +130,41 @@ def replay_witness(host: Matroid, target: Matroid, w: MinorWitness) -> bool:
     return mapped == target
 
 
+def restriction_flats(levels: Sequence[Sequence[int]], kmask: int,
+                      rank: int) -> list[list[int]]:
+    """Nontrivial flats of M|K of ranks 1..rank-1, in M's labels, by rank.
+
+    ``levels`` holds M's nontrivial flats by rank (see
+    :func:`nontrivial_levels`) and ``rank`` is the rank of K.  Every flat X
+    of M|K is F ∩ K for a flat F of M, and cl(X) is the lowest-rank such F,
+    so X's rank is the least rank of an F giving it.  A nontrivial X has a
+    nontrivial closure, so M's nontrivial flats alone find it at its true
+    rank; a trivial X they give gets a rank no lower than its true one, so
+    it still has no more elements than that rank and is dropped.
+    """
+    first: dict[int, int] = {}
+    for k, level in enumerate(levels[:rank - 1], 1):
+        for f in level:
+            first.setdefault(f & kmask, k)
+    out: list[list[int]] = [[] for _ in range(rank - 1)]
+    for x, k in first.items():
+        if x.bit_count() > k:
+            out[k - 1].append(x)
+    return out
+
+
+def restriction_invariants(levels: Sequence[Sequence[int]], kmask: int,
+                           rank: int) -> tuple[tuple, list[tuple]]:
+    """Per-rank flat sizes and sorted element signatures of M|K.
+
+    Arguments as in :func:`restriction_flats`.  Isomorphic restrictions get
+    equal values, and K = E gives M's own.
+    """
+    sizes, sigs = flat_profile(iter_elements(kmask),
+                               restriction_flats(levels, kmask, rank))
+    return sizes, sorted(sigs)
+
+
 def find_minor(host: Matroid, target: Matroid, *,
                budget: int | None = None) -> MinorWitness | None:
     """First minor witness in canonical order, or None (search is exhaustive).
@@ -126,17 +173,30 @@ def find_minor(host: Matroid, target: Matroid, *,
     difference (deletions alone can also lower rank, so size 0 is always
     tried), deduplicated by closure: contracting sets with the same closure
     yields the same simplification.  For each contraction the survivors are
-    simplified and every point subset of the right size is compared against
-    the target, cheap invariants first.
+    simplified and every point subset K of the right size is compared
+    against the target, cheap invariants first: rank and non-basis count,
+    then the per-rank flat sizes and per-element flat signatures of the
+    restriction, read from the simplification's flat lattice by
+    :func:`restriction_invariants`.  Only a K passing all of them is
+    restricted and matched by :func:`are_isomorphic`.
+
+    The target must be simple: the search keeps points of a simplification
+    only, so a target with loops or parallel elements raises
+    :class:`ValidationError`.
     """
+    if not target.is_simple:
+        raise ValidationError(
+            "minor search supports only simple targets; "
+            "this target has loops or parallel elements")
     if target.rank > host.rank or target.n > host.n:
         return None
     node_budget = DEFAULT_MINOR_BUDGET if budget is None else budget
     nodes = 0
-    target_bases = len(target.basis_masks)
     # every r-subset of a kept set is a basis or not, so a kept set holds
     # the target's basis count iff it holds this many non-bases
-    target_nonbases = comb(target.n, target.rank) - target_bases
+    target_nonbases = comb(target.n, target.rank) - len(target.basis_masks)
+    target_invariants = restriction_invariants(
+        nontrivial_levels(target), target.full, target.rank)
     for csize in range(host.rank - target.rank + 1):
         seen_closures: set[int] = set()
         for combo in combinations(range(host.n), csize):
@@ -155,6 +215,7 @@ def find_minor(host: Matroid, target: Matroid, *,
             classes_host = tuple(tuple(back(e) for e in cls)
                                  for cls in (pmap.classes or ()))
             loops_host = tuple(back(e) for e in elements_of(contracted.loops_mask))
+            levels = nontrivial_levels(simple)
             if simple.rank == target.rank:
                 indep = simple.independent_masks
                 nonbases = [s for s in map(mask_of, combinations(range(simple.n),
@@ -166,19 +227,21 @@ def find_minor(host: Matroid, target: Matroid, *,
                     raise SearchBudgetExceeded(
                         f"minor search exceeded {node_budget} nodes")
                 kmask = mask_of(keep)
-                if simple.rank_of_mask(kmask) != target.rank:
-                    continue
                 if simple.rank == target.rank:
-                    # restriction keeps full rank, so its non-bases are
-                    # exactly the ambient non-bases inside the kept set
+                    # a K of full rank has the ambient non-bases inside it as
+                    # its own; a K of lower rank holds all C(t, r) r-subsets
+                    # as non-bases, so a match also proves K has full rank
                     if sum(1 for nb in nonbases if nb & ~kmask == 0) != target_nonbases:
                         continue
+                elif simple.rank_of_mask(kmask) != target.rank:
+                    continue
+                if restriction_invariants(levels, kmask,
+                                          target.rank) != target_invariants:
+                    continue
                 if len(keep) == simple.n:
                     restricted = simple
                 else:
                     restricted = delete(simple, simple.full & ~kmask)
-                if len(restricted.basis_masks) != target_bases:
-                    continue
                 iso = are_isomorphic(restricted, target)
                 if iso is None:
                     continue

@@ -1,6 +1,7 @@
 """Shared fixtures: bundled data objects, loaded once per session."""
 
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -11,39 +12,45 @@ from matroid_forge.matroid import Matroid
 from matroid_forge.reproduce import run_reproduce
 
 
-def _full_rank_mod5(rows) -> bool:
-    """Is the square integer matrix invertible over GF(5)?"""
-    rows = [[x % 5 for x in row] for row in rows]
+def _full_rank_mod(rows, p: int) -> bool:
+    """Is the square integer matrix invertible over GF(p)?"""
+    rows = [[x % p for x in row] for row in rows]
     for c in range(len(rows)):
         pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
         if pivot is None:
             return False
         rows[c], rows[pivot] = rows[pivot], rows[c]
-        inv = pow(rows[c][c], 3, 5)
+        inv = pow(rows[c][c], p - 2, p)
         for r in range(c + 1, len(rows)):
-            f = rows[r][c] * inv % 5
-            rows[r] = [(a - f * b) % 5 for a, b in zip(rows[r], rows[c])]
+            f = rows[r][c] * inv % p
+            rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[c])]
     return True
 
 
-def _gf5_column_matroid(n: int, rank: int, seed: int) -> Matroid:
-    """Column matroid of n seeded random vectors in GF(5)^rank.
+def _gfp_column_matroid(p: int, n: int, rank: int, seed: int) -> Matroid:
+    """Column matroid of n seeded random vectors in GF(p)^rank, p prime.
 
     Zero and repeated directions are allowed, so loops and parallel
     elements may occur.  Bases come from elimination written here, not from
     the library's linear algebra.
     """
-    rng = random.Random(f"gf5:{n}:{rank}:{seed}")
-    cols = [[rng.randrange(5) for _ in range(rank)] for _ in range(n)]
+    rng = random.Random(f"gf{p}:{n}:{rank}:{seed}")
+    cols = [[rng.randrange(p) for _ in range(rank)] for _ in range(n)]
     bases = [c for c in combinations(range(n), rank)
-             if _full_rank_mod5([cols[i] for i in c])]
+             if _full_rank_mod([cols[i] for i in c], p)]
     return Matroid.from_bases(n, bases)
+
+
+@pytest.fixture(scope="session")
+def gfp_column_matroid():
+    """Builder of seeded GF(p) column matroids: (p, n, rank, seed) -> Matroid."""
+    return _gfp_column_matroid
 
 
 @pytest.fixture(scope="session")
 def gf5_column_matroid():
     """Builder of seeded GF(5) column matroids: (n, rank, seed) -> Matroid."""
-    return _gf5_column_matroid
+    return partial(_gfp_column_matroid, 5)
 
 
 @pytest.fixture(scope="session")

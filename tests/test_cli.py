@@ -187,6 +187,20 @@ def test_minor_not_found_exits_1(capsys, paths):
     assert out == "no minor found\n"
 
 
+@pytest.mark.parametrize("host, target", [
+    ("n 3\nrank 2\n", "n 2\nrank 1\n"),
+    ("n 3\nrank 1\nbasis 1\nbasis 2\n", "n 2\nrank 1\nbasis 1\n"),
+], ids=["U(1,2)-in-U(2,3)", "loop+coloop"])
+def test_minor_non_simple_target_exits_2(capsys, tmp_path, host, target):
+    (tmp_path / "host.matroid").write_text(host)
+    (tmp_path / "target.matroid").write_text(target)
+    code, out, err = run(capsys, "minor", str(tmp_path / "host.matroid"),
+                         str(tmp_path / "target.matroid"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "simple targets" in err
+
+
 def test_minor_json(capsys, paths):
     code, out, _ = run(capsys, "minor", paths["n"], paths["m"], "--json")
     assert code == 1

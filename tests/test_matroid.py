@@ -144,6 +144,52 @@ def test_rank_and_closure_match_definitions_above_table_limit(gf5_column_matroid
         assert (m.rank_of_mask(x), m.closure_mask(x)) == rank_and_closure_by_bases(m, x)
 
 
+def independent_by_definition(m):
+    """Every set lying in a basis."""
+    return {mask_of(c) for b in m.bases() for k in range(m.rank + 1)
+            for c in combinations(b, k)}
+
+
+def restriction_by_definition(indep, keep):
+    """(rank, bases) of M|keep: its inclusion-maximal independent subsets.
+
+    ``indep`` is M's independent family; the bases are relabelled to the
+    kept elements' positions in increasing order, as delete does.
+    """
+    kept = [e for e in range(keep.bit_length()) if keep >> e & 1]
+    maximal = [i for i in indep if i & ~keep == 0
+               and not any(i | 1 << e in indep for e in kept if not i >> e & 1)]
+    ranks = {i.bit_count() for i in maximal}
+    assert len(ranks) == 1
+    pos = {e: j for j, e in enumerate(kept)}
+    bases = {mask_of(pos[e] for e in kept if i >> e & 1) for i in maximal}
+    return ranks.pop(), bases
+
+
+def assert_delete_matches_definition(m, indep, x):
+    d = delete(m, x)
+    keep = m.full & ~x
+    assert d.n == keep.bit_count()
+    assert (d.rank, set(d.basis_masks)) == restriction_by_definition(indep, keep)
+
+
+@pytest.mark.parametrize("name", SMALL_HOSTS)
+def test_delete_matches_definition_on_every_mask(name, gf5_column_matroid):
+    m = SMALL_HOSTS[name](gf5_column_matroid)
+    indep = independent_by_definition(m)
+    for x in range(m.full):
+        assert_delete_matches_definition(m, indep, x)
+
+
+def test_delete_matches_definition_above_table_limit(gf5_column_matroid):
+    m = gf5_column_matroid(18, 3, 1)
+    indep = independent_by_definition(m)
+    rng = random.Random(1818)
+    for _ in range(300):
+        x = mask_of(rng.sample(range(m.n), rng.randint(0, m.n - 1)))
+        assert_delete_matches_definition(m, indep, x)
+
+
 def test_fano_flats():
     f = fano_matroid()
     assert flats_at(f, 0) == ((),)

@@ -4,8 +4,17 @@ import pytest
 
 from itertools import combinations
 
-from matroid_forge.errors import SearchBudgetExceeded
-from matroid_forge.matroid import Matroid
+from matroid_forge.bitsets import iter_elements, mask_of
+from matroid_forge.errors import SearchBudgetExceeded, ValidationError
+from matroid_forge.matroid import (
+    Matroid,
+    are_isomorphic,
+    contract,
+    delete,
+    nontrivial_levels,
+    removal_map,
+    simplify,
+)
 from matroid_forge.minors import (
     MinorWitness,
     fano_matroid,
@@ -13,6 +22,8 @@ from matroid_forge.minors import (
     non_fano_matroid,
     realizability_obstruction,
     replay_witness,
+    restriction_flats,
+    restriction_invariants,
 )
 
 
@@ -111,3 +122,171 @@ def test_report_witnesses_replay(rank4_matroid):
     assert replay_witness(rank4_matroid, fano_matroid(), report.fano_witness)
     assert replay_witness(rank4_matroid, non_fano_matroid(),
                           report.nonfano_witness)
+
+
+# -- targets the search cannot match --------------------------------------------
+
+def loop_and_coloop():
+    return Matroid.from_bases(2, [(1,)])
+
+
+@pytest.mark.parametrize("host, target", [
+    # U(2,3)/0 = U(1,2), two parallel elements
+    (uniform(2, 3), uniform(1, 2)),
+    # a loop beside two parallel elements; deleting one leaves loop + coloop
+    (Matroid.from_bases(3, [(1,), (2,)]), loop_and_coloop()),
+], ids=["U(1,2)-in-U(2,3)", "loop+coloop"])
+def test_non_simple_target_is_refused(host, target):
+    # both targets are minors of their hosts, but the search keeps points
+    # of a simplification only and would answer None
+    with pytest.raises(ValidationError, match="simple targets"):
+        find_minor(host, target)
+
+
+# -- small seeded hosts: the restriction screen and pinned witnesses ----------
+
+# (p, n, rank, seed) of seeded GF(p) column matroids; all but gf5-9-3-1 and
+# gf5-9-4-5 carry a non-Fano minor
+GF_HOSTS = ((3, 9, 3, 4), (3, 9, 3, 5), (3, 9, 4, 3), (3, 9, 4, 14),
+            (5, 9, 3, 1), (5, 9, 3, 3), (5, 9, 4, 5), (5, 9, 4, 6))
+HOSTS = ["fano", "non-fano", "U(3,6)"] + ["gf%d-%d-%d-%d" % h for h in GF_HOSTS]
+TARGETS = {"fano": fano_matroid(), "non-fano": non_fano_matroid(),
+           "U(2,4)": uniform(2, 4), "U(3,6)": uniform(3, 6)}
+
+
+def build_host(name, gfp):
+    fixed = {"fano": fano_matroid, "non-fano": non_fano_matroid,
+             "U(3,6)": lambda: uniform(3, 6)}
+    if name in fixed:
+        return fixed[name]()
+    return gfp(*(int(x) for x in name[2:].split("-")))
+
+
+def screened_hosts(host):
+    """si(M) and si(M/e) for each non-loop e: where a search for a target of
+    M's rank, or one lower, screens kept sets."""
+    yield simplify(host)[0]
+    for e in iter_elements(host.full & ~host.loops_mask):
+        yield simplify(contract(host, 1 << e))[0]
+
+
+def lift_levels(levels, back):
+    """Flat masks of a deletion, relabelled to the host, sorted per rank."""
+    return [sorted(mask_of(back(e) for e in iter_elements(f)) for f in level)
+            for level in levels]
+
+
+@pytest.mark.parametrize("name", HOSTS)
+def test_restriction_flats_match_the_built_restriction(name, gfp_column_matroid):
+    host = build_host(name, gfp_column_matroid)
+    for m in (host, *screened_hosts(host)):
+        levels = nontrivial_levels(m)
+        for kmask in range(1, m.full + 1):
+            rank = m.rank_of_mask(kmask)
+            if rank == 0:
+                continue
+            drop = m.full & ~kmask
+            restricted = delete(m, drop) if drop else m
+            expected = lift_levels(nontrivial_levels(restricted),
+                                   removal_map(m.n, drop))
+            got = [sorted(level) for level in restriction_flats(levels, kmask, rank)]
+            assert got == expected, (name, m, bin(kmask))
+
+
+def test_screen_keeps_every_isomorphic_restriction(gfp_column_matroid):
+    isomorphic = rejected = 0
+    for name in HOSTS:
+        for m in screened_hosts(build_host(name, gfp_column_matroid)):
+            levels = nontrivial_levels(m)
+            for target in TARGETS.values():
+                wanted = restriction_invariants(nontrivial_levels(target),
+                                                target.full, target.rank)
+                for keep in combinations(range(m.n), target.n):
+                    kmask = mask_of(keep)
+                    if m.rank_of_mask(kmask) != target.rank:
+                        continue
+                    passes = restriction_invariants(levels, kmask, target.rank) == wanted
+                    restricted = delete(m, m.full & ~kmask) if kmask != m.full else m
+                    if are_isomorphic(restricted, target) is not None:
+                        assert passes, (name, m, keep, target)
+                        isomorphic += 1
+                    elif not passes:
+                        rejected += 1
+    assert isomorphic > 0 and rejected > 0
+
+
+def witness_literal(w):
+    if w is None:
+        return None
+    return (w.contract_set, w.delete_set, w.parallel_classes.classes, w.iso.images)
+
+
+# (host, target): (witness as (contract, delete, classes, images) or None,
+# the least node budget that does not raise), recorded before kept sets
+# were screened by the host's flat lattice
+PINNED = {
+    ("fano", "fano"): (
+        ((), (), ((0,), (1,), (2,), (3,), (4,), (5,), (6,)), (0, 1, 2, 3, 4, 5, 6)), 1),
+    ("fano", "non-fano"): (None, 1),
+    ("fano", "U(2,4)"): (None, 35),
+    ("fano", "U(3,6)"): (None, 7),
+    ("non-fano", "fano"): (None, 1),
+    ("non-fano", "non-fano"): (
+        ((), (), ((0,), (1,), (2,), (3,), (4,), (5,), (6,)), (0, 1, 2, 3, 4, 5, 6)), 1),
+    ("non-fano", "U(2,4)"): (((3,), (), ((0, 6), (1, 2), (4,), (5,)), (0, 1, 2, 3)), 36),
+    ("non-fano", "U(3,6)"): (None, 7),
+    ("U(3,6)", "fano"): (None, 0),
+    ("U(3,6)", "non-fano"): (None, 0),
+    ("U(3,6)", "U(2,4)"): (((0,), (5,), ((1,), (2,), (3,), (4,)), (0, 1, 2, 3)), 16),
+    ("U(3,6)", "U(3,6)"): (((), (), ((0,), (1,), (2,), (3,), (4,), (5,)), (0, 1, 2, 3, 4, 5)), 1),
+    ("gf3-9-3-4", "fano"): (None, 8),
+    ("gf3-9-3-4", "non-fano"): (
+        ((), (8,), ((0, 6), (1,), (2,), (3,), (4,), (5,), (7,)), (0, 3, 1, 4, 6, 5, 2)), 1),
+    ("gf3-9-3-4", "U(2,4)"): (((), (0, 3, 4, 5, 6), ((1,), (2,), (7,), (8,)), (0, 1, 2, 3)), 45),
+    ("gf3-9-3-4", "U(3,6)"): (None, 28),
+    ("gf3-9-3-5", "fano"): (None, 36),
+    ("gf3-9-3-5", "non-fano"): (
+        ((), (4, 5), ((0,), (1,), (2,), (3,), (6,), (7,), (8,)), (0, 1, 3, 4, 5, 2, 6)), 10),
+    ("gf3-9-3-5", "U(2,4)"): (((), (1, 2, 5, 6, 8), ((0,), (3,), (4,), (7,)), (0, 1, 2, 3)), 39),
+    ("gf3-9-3-5", "U(3,6)"): (None, 84),
+    ("gf3-9-4-3", "fano"): (None, 49),
+    ("gf3-9-4-3", "non-fano"): (
+        ((3,), (7,), ((0,), (1,), (2,), (4,), (5,), (6,), (8,)), (3, 0, 6, 1, 5, 2, 4)), 39),
+    ("gf3-9-4-3", "U(2,4)"): (((2,), (3, 4, 6), ((0, 1), (5,), (7,), (8,)), (0, 1, 2, 3)), 165),
+    ("gf3-9-4-3", "U(3,6)"): (None, 149),
+    ("gf3-9-4-14", "fano"): (None, 49),
+    ("gf3-9-4-14", "non-fano"): (
+        ((8,), (7,), ((0,), (1,), (2,), (3,), (4,), (5,), (6,)), (3, 0, 4, 1, 6, 2, 5)), 42),
+    ("gf3-9-4-14", "U(2,4)"): (((0,), (2, 5, 8), ((1, 4), (3,), (6,), (7,)), (0, 1, 2, 3)), 140),
+    ("gf3-9-4-14", "U(3,6)"): (None, 149),
+    ("gf5-9-3-1", "fano"): (None, 8),
+    ("gf5-9-3-1", "non-fano"): (None, 8),
+    ("gf5-9-3-1", "U(2,4)"): (((), (1, 2, 3, 5, 6), ((0,), (4,), (7,), (8,)), (0, 1, 2, 3)), 31),
+    ("gf5-9-3-1", "U(3,6)"): (None, 28),
+    ("gf5-9-3-3", "fano"): (None, 36),
+    ("gf5-9-3-3", "non-fano"): (
+        ((), (1, 4), ((0,), (2,), (3,), (5,), (6,), (7,), (8,)), (0, 1, 3, 5, 6, 4, 2)), 26),
+    ("gf5-9-3-3", "U(2,4)"): (((), (0, 5, 6, 7, 8), ((1,), (2,), (3,), (4,)), (0, 1, 2, 3)), 57),
+    ("gf5-9-3-3", "U(3,6)"): (None, 84),
+    ("gf5-9-4-5", "fano"): (None, 87),
+    ("gf5-9-4-5", "non-fano"): (None, 87),
+    ("gf5-9-4-5", "U(2,4)"): (((0,), (1, 3, 4, 7), ((2,), (5,), (6,), (8,)), (0, 1, 2, 3)), 179),
+    ("gf5-9-4-5", "U(3,6)"): (None, 273),
+    ("gf5-9-4-6", "fano"): (None, 87),
+    ("gf5-9-4-6", "non-fano"): (
+        ((3,), (), ((0,), (1,), (2,), (4,), (5,), (6, 7), (8,)), (0, 3, 1, 2, 4, 5, 6)), 61),
+    ("gf5-9-4-6", "U(2,4)"): (((0,), (1, 4, 5, 8), ((2,), (3,), (6,), (7,)), (0, 1, 2, 3)), 169),
+    ("gf5-9-4-6", "U(3,6)"): (None, 273),
+}
+
+
+@pytest.mark.parametrize("name", HOSTS)
+def test_pinned_witnesses_and_budgets(name, gfp_column_matroid):
+    host = build_host(name, gfp_column_matroid)
+    for tname, target in TARGETS.items():
+        expected, nodes = PINNED[name, tname]
+        for budget in (None, nodes):
+            assert witness_literal(find_minor(host, target, budget=budget)) == expected
+        if nodes:
+            with pytest.raises(SearchBudgetExceeded):
+                find_minor(host, target, budget=nodes - 1)
