@@ -278,14 +278,6 @@ class RelationSpace:
 
     def perp(self) -> "RelationSpace":
         """Orthogonal complement under the coordinate pairing."""
-        if self.dim == 0:
-            basis = []
-            f = self.field
-            for i in range(self.ambient):
-                v = [f.zero] * self.ambient
-                v[i] = f.one
-                basis.append(v)
-            return RelationSpace.from_vectors(self.field, self.ambient, basis)
         return kernel_basis(self.matrix())
 
 
@@ -308,8 +300,6 @@ def kernel_basis(a: ExactMatrix) -> RelationSpace:
 def column_matroid(a: ExactMatrix) -> Matroid:
     """The matroid of linear independence on the columns of A."""
     r = a.rank()
-    if r == 0:
-        return Matroid(a.cols, 0, [0], _validated=True)
     bases = []
     for combo in combinations(range(a.cols), r):
         if a.columns_submatrix(combo).rank() == r:
@@ -331,29 +321,39 @@ def realizes(a: ExactMatrix, m: Matroid) -> bool:
 def weight3_subspace(a: ExactMatrix) -> RelationSpace:
     """Span of the kernel vectors with at most three nonzero entries.
 
-    Generated by the kernels of every set of at most three columns (zero
-    columns, parallel pairs, dependent triples); enumerating supports of
-    size <= 3 is equivalent to collecting all kernel vectors of weight <= 3.
+    Such a relation lives on a line (rank-2 flat) of the columns, so this is
+    the sum of the lines' relation spaces, or the whole kernel if rank A <= 2.
+    Each line takes one elimination R, with two of its independent columns
+    i, j in front; every x zero in R below row 2 is on it (zero and parallel
+    columns too) and gives R[0][x] e_i + R[1][x] e_j - e_x.
     """
     f = a.field
+    if a.rank() <= 2:
+        return kernel_basis(a)
+    n = a.cols
+    covered: set[tuple[int, int]] = set()
     generators: list[list] = []
-    for k in (1, 2, 3):
-        if k > a.cols:
-            break
-        for combo in combinations(range(a.cols), k):
-            sub = a.columns_submatrix(combo)
-            local = kernel_basis(sub)
-            for v in local.vectors:
-                big = [f.zero] * a.cols
-                for idx, j in enumerate(combo):
-                    big[j] = v[idx]
-                generators.append(big)
-    return RelationSpace.from_vectors(f, a.cols, generators)
+    for i, j in combinations(range(n), 2):
+        if (i, j) in covered:
+            continue
+        order = [i, j] + [x for x in range(n) if x not in (i, j)]
+        reduced, pivots = _rref(f, [[row[c] for c in order] for row in a.entries], n)
+        if pivots[:2] != [0, 1]:
+            continue
+        line = [i, j]
+        for pos, x in enumerate(order[2:], 2):
+            if all(f.is_zero(row[pos]) for row in reduced[2:]):
+                v = [f.zero] * n
+                v[i], v[j], v[x] = reduced[0][pos], reduced[1][pos], f.neg(f.one)
+                generators.append(v)
+                line.append(x)
+        covered.update(combinations(sorted(line), 2))
+    return RelationSpace.from_vectors(f, n, generators)
 
 
 def is_formal(a: ExactMatrix) -> bool:
     """True iff the weight-<=3 relations already span the whole kernel."""
-    return weight3_subspace(a).dim == kernel_basis(a).dim
+    return weight3_subspace(a).dim == a.cols - a.rank()
 
 
 def formalization(a: ExactMatrix) -> ExactMatrix:

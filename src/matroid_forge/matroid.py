@@ -296,7 +296,7 @@ class Matroid:
 
 
 def exchange_failure(m: Matroid) -> str | None:
-    """Basis-exchange axiom over every ordered pair — a complete certificate.
+    """The basis-exchange axiom, by down-closure lookups — a complete certificate.
 
     For equal-cardinality set families this axiom *characterizes* matroid
     basis systems, so passing it proves the input is a matroid.  Returns
@@ -308,8 +308,8 @@ def exchange_failure(m: Matroid) -> str | None:
     down-closure ``m.independent_masks`` (built here if not yet built).
     That costs B·(n-r)·r basis lookups plus B·(n-r) down-closure lookups
     instead of a walk over all B² pairs.  Only a B known to fail scans its
-    partners, in basis order, to name the same first (B, B', f) as the
-    pairwise loop.
+    partners, in basis order, to name the same first (B, B', f) as a
+    pairwise walk would.
     """
     basis_set = m._basis_set
     indep = m.independent_masks
@@ -348,8 +348,8 @@ def matroid_from_flats(n: int, rank: int,
         rk(X) = min(|X|, rank, min{k : X is inside a listed rank-k flat}).
 
     Validation is complete, not heuristic: listed flats must be mutually
-    consistent, the resulting basis family must satisfy the exchange axiom
-    for every ordered pair (which certifies matroidness), and the derived
+    consistent, the resulting basis family must pass the constructor's
+    exchange certificate (which certifies matroidness), and the derived
     nontrivial flats must round-trip to exactly the listed ones.
     """
     if n < 1:
@@ -420,10 +420,7 @@ def matroid_from_flats(n: int, rank: int,
     if not bases:
         raise ValidationError("flat list admits no basis")
 
-    m = Matroid(n, rank, bases, _validated=True)
-    failure = exchange_failure(m)
-    if failure is not None:
-        raise ValidationError(failure)
+    m = Matroid(n, rank, bases)
 
     # Round-trip: derived nontrivial flats must equal the listed ones.
     for k in range(1, rank):

@@ -135,12 +135,14 @@ def restriction_flats(levels: Sequence[Sequence[int]], kmask: int,
     """Nontrivial flats of M|K of ranks 1..rank-1, in M's labels, by rank.
 
     ``levels`` holds M's nontrivial flats by rank (see
-    :func:`nontrivial_levels`) and ``rank`` is the rank of K.  Every flat X
-    of M|K is F ∩ K for a flat F of M, and cl(X) is the lowest-rank such F,
-    so X's rank is the least rank of an F giving it.  A nontrivial X has a
-    nontrivial closure, so M's nontrivial flats alone find it at its true
-    rank; a trivial X they give gets a rank no lower than its true one, so
-    it still has no more elements than that rank and is dropped.
+    :func:`nontrivial_levels`); ``rank``, the target's in the search, bounds
+    the ranks read, and the result is exact for any K of at least that
+    rank.  Every flat X of M|K is F ∩ K for a flat F of M, and cl(X) is the
+    lowest-rank such F, so X's rank is the least rank of an F giving it.  A
+    nontrivial X has a nontrivial closure, so M's nontrivial flats alone
+    find it at its true rank; a trivial X they give gets a rank no lower
+    than its true one, so it still has no more elements than that rank and
+    is dropped.
     """
     first: dict[int, int] = {}
     for k, level in enumerate(levels[:rank - 1], 1):
@@ -157,8 +159,8 @@ def restriction_invariants(levels: Sequence[Sequence[int]], kmask: int,
                            rank: int) -> tuple[tuple, list[tuple]]:
     """Per-rank flat sizes and sorted element signatures of M|K.
 
-    Arguments as in :func:`restriction_flats`.  Isomorphic restrictions get
-    equal values, and K = E gives M's own.
+    Arguments as in :func:`restriction_flats`.  Isomorphic restrictions of
+    rank ``rank`` get equal values, and K = E gives M's own when M has it.
     """
     sizes, sigs = flat_profile(iter_elements(kmask),
                                restriction_flats(levels, kmask, rank))
@@ -174,11 +176,12 @@ def find_minor(host: Matroid, target: Matroid, *,
     tried), deduplicated by closure: contracting sets with the same closure
     yields the same simplification.  For each contraction the survivors are
     simplified and every point subset K of the right size is compared
-    against the target, cheap invariants first: rank and non-basis count,
-    then the per-rank flat sizes and per-element flat signatures of the
-    restriction, read from the simplification's flat lattice by
-    :func:`restriction_invariants`.  Only a K passing all of them is
-    restricted and matched by :func:`are_isomorphic`.
+    against the target, cheap invariants first: the count of dependent
+    r-sets inside K (r the target's rank), then the per-rank flat sizes and
+    per-element flat signatures of the restriction, read from the
+    simplification's flat lattice by :func:`restriction_invariants`.  Only
+    a K passing all of them is restricted and matched by
+    :func:`are_isomorphic`.
 
     The target must be simple: the search keeps points of a simplification
     only, so a target with loops or parallel elements raises
@@ -216,24 +219,20 @@ def find_minor(host: Matroid, target: Matroid, *,
                                  for cls in (pmap.classes or ()))
             loops_host = tuple(back(e) for e in elements_of(contracted.loops_mask))
             levels = nontrivial_levels(simple)
-            if simple.rank == target.rank:
-                indep = simple.independent_masks
-                nonbases = [s for s in map(mask_of, combinations(range(simple.n),
-                                                                 simple.rank))
-                            if s not in indep]
+            indep = simple.independent_masks
+            dependent = [s for s in map(mask_of, combinations(range(simple.n),
+                                                              target.rank))
+                         if s not in indep]
             for keep in combinations(range(simple.n), target.n):
                 nodes += 1
                 if nodes > node_budget:
                     raise SearchBudgetExceeded(
                         f"minor search exceeded {node_budget} nodes")
                 kmask = mask_of(keep)
-                if simple.rank == target.rank:
-                    # a K of full rank has the ambient non-bases inside it as
-                    # its own; a K of lower rank holds all C(t, r) r-subsets
-                    # as non-bases, so a match also proves K has full rank
-                    if sum(1 for nb in nonbases if nb & ~kmask == 0) != target_nonbases:
-                        continue
-                elif simple.rank_of_mask(kmask) != target.rank:
+                # a K of rank r has the dependent r-sets inside it as its
+                # non-bases; lower rank makes all C(t, r) dependent, and a K of
+                # higher rank that matches fails are_isomorphic's rank test
+                if sum(1 for nb in dependent if nb & ~kmask == 0) != target_nonbases:
                     continue
                 if restriction_invariants(levels, kmask,
                                           target.rank) != target_invariants:

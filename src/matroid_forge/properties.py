@@ -93,7 +93,7 @@ def rank_axiom_failures(m: Matroid, *, samples: int | None = None,
 
 
 def exchange_failures(m: Matroid) -> list[str]:
-    """Basis exchange over every ordered pair of bases."""
+    """The basis-exchange certificate as a list: [] or its one message."""
     failure = exchange_failure(m)
     return [] if failure is None else [failure]
 

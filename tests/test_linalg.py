@@ -2,7 +2,9 @@
 
 import pytest
 
+import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -12,6 +14,7 @@ from matroid_forge.charpoly import (
     splits_over_integers,
 )
 from matroid_forge.errors import GroundSetMismatch, ValidationError, ZeroFunctional
+from matroid_forge.formats import load_matrix
 from matroid_forge.linalg import (
     ExactMatrix,
     PrimeField,
@@ -123,6 +126,14 @@ def test_zero_matrix_kernel_is_everything():
     assert kernel_basis(a).dim == 3
 
 
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(3)])
+def test_perp_of_zero_space_is_identity(field):
+    perp = RelationSpace.from_vectors(field, 4, []).perp()
+    assert perp.vectors == tuple(tuple(field.one if i == j else field.zero
+                                       for j in range(4)) for i in range(4))
+    assert perp.pivots == (0, 1, 2, 3)
+
+
 # -- column matroids -----------------------------------------------------------
 
 def test_fano_only_in_characteristic_two(fano_gf2, fano_gf3):
@@ -134,6 +145,11 @@ def test_rational_fano_columns_relax(fano_gf2):
     rational = ExactMatrix.build(
         Rationals(), [[int(x) for x in row] for row in fano_gf2.entries])
     assert column_matroid(rational) == non_fano_matroid()
+
+
+def test_zero_matrix_column_matroid_has_one_empty_basis():
+    m = column_matroid(ExactMatrix.build(Rationals(), [[0, 0, 0], [0, 0, 0]]))
+    assert (m.n, m.rank, m.basis_masks) == (3, 0, (0,))
 
 
 def test_realizes_bundled(realization, rank3_matroid):
@@ -171,6 +187,81 @@ def test_same_column_matroid_different_formality(
 
 def test_weight3_contained_in_kernel(realization):
     assert weight3_subspace(realization).is_subspace_of(kernel_basis(realization))
+
+
+def test_formalization_of_generic_four_planes_has_rank_four():
+    # four generic planes in 3-space: the one relation has weight 4
+    a = ExactMatrix.build(Rationals(), [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+    assert weight3_subspace(a).dim == 0
+    assert not is_formal(a)
+    assert formalization(a).rank() == 4
+
+
+def reference_weight3_subspace(a):
+    """Reference: the kernels of every set of at most three columns."""
+    f = a.field
+    generators = []
+    for k in (1, 2, 3):
+        for combo in combinations(range(a.cols), k):
+            for v in kernel_basis(a.columns_submatrix(combo)).vectors:
+                big = [f.zero] * a.cols
+                for idx, j in enumerate(combo):
+                    big[j] = v[idx]
+                generators.append(big)
+    return RelationSpace.from_vectors(f, a.cols, generators)
+
+
+WEIGHT3_FIELDS = (Rationals(), PrimeField(2), PrimeField(3), PrimeField(5),
+                  PrimeField(7))
+
+
+def seeded_matrix(seed):
+    """1-4 rows, 1-8 columns mixing zero, parallel, collinear and generic ones."""
+    rng = random.Random(f"weight3:{seed}")
+    field = WEIGHT3_FIELDS[seed % len(WEIGHT3_FIELDS)]
+    rows, cols = rng.choice((1, 2, 3, 3, 4, 4)), rng.randint(1, 8)
+    dim = rows if rng.random() < 0.7 else rng.randint(0, rows)
+    span = [[rng.randint(-3, 3) for _ in range(rows)] for _ in range(dim)]
+    columns = []
+    for _ in range(cols):
+        kind = rng.random()
+        nonzero = [c for c in columns if any(c)]
+        if kind < 0.1 or not span:
+            col = [0] * rows
+        elif kind < 0.25 and nonzero:
+            col = [rng.randint(1, 3) * x for x in rng.choice(nonzero)]
+        elif kind < 0.45 and len(nonzero) > 1:
+            u, w = rng.sample(nonzero, 2)
+            c = rng.randint(1, 3)
+            col = [x + c * y for x, y in zip(u, w)]
+        else:
+            coeffs = [rng.randint(-3, 3) for _ in span]
+            col = [sum(c * v[r] for c, v in zip(coeffs, span)) for r in range(rows)]
+        columns.append(col)
+    return ExactMatrix.build(field, [[col[r] for col in columns] for r in range(rows)])
+
+
+def test_weight3_matches_subset_kernels_on_seeded_matrices():
+    ranks = Counter()
+    line_relations = 0
+    for seed in range(1000):
+        a = seeded_matrix(seed)
+        got, want = weight3_subspace(a), reference_weight3_subspace(a)
+        assert (got.vectors, got.pivots) == (want.vectors, want.pivots), seed
+        rank = a.rank()
+        ranks[rank] += 1
+        line_relations += rank >= 3 and got.dim > 0
+    assert set(ranks) == {0, 1, 2, 3, 4}
+    assert ranks[3] + ranks[4] >= 150 and line_relations >= 100
+
+
+def test_weight3_matches_subset_kernels_on_bundled(data_dir):
+    paths = sorted(data_dir.glob("*.matrix"))
+    assert len(paths) == 5
+    for path in paths:
+        a = load_matrix(path)
+        got, want = weight3_subspace(a), reference_weight3_subspace(a)
+        assert (got.vectors, got.pivots) == (want.vectors, want.pivots), path.name
 
 
 def test_zero_column_rejected():
