@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals and prime fields.
 
 Matrices carry a field tag and immutable entries: `Fraction` values over Q,
-least non-negative residues over GF(p).  Elimination is plain Gauss-Jordan
-with the first nonzero entry in column order as pivot, which makes every
-reduced form — and hence every derived object — deterministic.  No floating
-point appears anywhere.
+least non-negative residues over GF(p).  Elimination is Gauss-Jordan on
+integers for both fields — rows kept primitive over Q, residues mod p —
+with one division by each pivot at the end; the reduced row-echelon form
+it returns is unique, so every derived object is deterministic.  Column
+matroids read each r-subset off one fraction-free (Bareiss) determinant of
+the echelon rows.  No floating point appears anywhere.
 
 The arrangement-flavoured operations live here too: kernels of the column
 functionals, the subspace of relations supported on at most three columns,
@@ -17,8 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from .bitsets import mask_of
 from .errors import GroundSetMismatch, ValidationError, ZeroFunctional
 from .matroid import Matroid
 
@@ -166,33 +170,96 @@ class PrimeField:
         return hash(("GF", self.p))
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
+
+
+def _integer_rows(field, rows, cols: int) -> tuple[list[list[int]], list[int], int]:
+    """Integer rows, column scales and modulus (0 over Q) for a matrix.
+
+    Over Q column j is multiplied by the lcm of its denominators, and each
+    row is then divided by its content: the column matroid stays, and the
+    row space changes only by the column scales.  Over GF(p) the rows are
+    least residues and every scale is 1.
+    """
+    if isinstance(field, PrimeField):
+        p = field.p
+        return [[v % p for v in row] for row in rows], [1] * cols, p
+    scales = [lcm(*(row[j].denominator for row in rows)) for j in range(cols)]
+    return [_primitive([v.numerator * (s // v.denominator)
+                        for v, s in zip(row, scales)]) for row in rows], scales, 0
+
+
 def _rref(field, rows: list[list], cols: int) -> tuple[list[list], list[int]]:
-    """Gauss-Jordan on a copy; returns (nonzero rows, pivot columns)."""
-    mat = [list(row) for row in rows]
+    """Gauss-Jordan on a copy; returns (nonzero rows, pivot columns).
+
+    The elimination runs on the integer rows of :func:`_integer_rows`,
+    taking the first nonzero entry in column order as pivot.  A row
+    update is the cross-multiplication ``pivot * row - a * lead``, then
+    divided by its content over Q (so every row stays the primitive
+    integer vector of its line, with entries bounded by the minors of the
+    matrix) or reduced mod p.  Each pivot row is divided by its pivot at
+    the end; the reduced row-echelon form is unique, so the result is the
+    same as for elimination in the field.
+    """
+    mat, scales, p = _integer_rows(field, rows, cols)
     pivots: list[int] = []
     pr = 0
     for c in range(cols):
         if pr == len(mat):
             break
-        pivot_row = None
         for r in range(pr, len(mat)):
-            if not field.is_zero(mat[r][c]):
-                pivot_row = r
+            if mat[r][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        mat[pr], mat[pivot_row] = mat[pivot_row], mat[pr]
-        inv = field.inv(mat[pr][c])
-        mat[pr] = [field.mul(inv, v) for v in mat[pr]]
+        mat[pr], mat[r] = mat[r], mat[pr]
         lead = mat[pr]
-        for r in range(len(mat)):
-            if r != pr and not field.is_zero(mat[r][c]):
-                factor = mat[r][c]
-                mat[r] = [field.sub(v, field.mul(factor, w))
-                          for v, w in zip(mat[r], lead)]
+        piv = lead[c]
+        for r, row in enumerate(mat):
+            a = row[c]
+            if a and r != pr:
+                if p:
+                    mat[r] = [(piv * v - a * w) % p for v, w in zip(row, lead)]
+                else:
+                    mat[r] = _primitive([piv * v - a * w for v, w in zip(row, lead)])
         pivots.append(c)
         pr += 1
-    return mat[:pr], pivots
+    if p:
+        invs = [pow(mat[i][c], p - 2, p) for i, c in enumerate(pivots)]
+        return [[v * inv % p for v in mat[i]] for i, inv in enumerate(invs)], pivots
+    return [[Fraction(v * scales[c], mat[i][c] * s) for v, s in zip(mat[i], scales)]
+            for i, c in enumerate(pivots)], pivots
+
+
+def _determinant(square: list[list[int]]) -> int:
+    """Bareiss's fraction-free determinant of an integer matrix (consumed).
+
+    After step k every entry below row k is a (k+1)-minor, so each
+    division by the previous pivot is exact and entries stay bounded by
+    the minors of the matrix.
+    """
+    n = len(square)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not square[k][k]:
+            for i in range(k + 1, n):
+                if square[i][k]:
+                    square[k], square[i] = square[i], square[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        lead = square[k]
+        piv = lead[k]
+        for row in square[k + 1:]:
+            a = row[k]
+            row[k + 1:] = [(piv * v - a * w) // prev
+                           for v, w in zip(row[k + 1:], lead[k + 1:])]
+        prev = piv
+    return sign * square[-1][-1] if n else 1
 
 
 @dataclass(frozen=True)
@@ -298,16 +365,21 @@ def kernel_basis(a: ExactMatrix) -> RelationSpace:
 
 
 def column_matroid(a: ExactMatrix) -> Matroid:
-    """The matroid of linear independence on the columns of A."""
-    r = a.rank()
+    """The matroid of linear independence on the columns of A.
+
+    Row operations keep column dependencies, so the r echelon rows of A,
+    scaled to integers, have A's column matroid; an r-subset of columns
+    is a basis exactly when its r x r minor there is nonzero (mod p over
+    GF(p): reduction mod p is a ring homomorphism).
+    """
+    reduced, pivots = _rref(a.field, list(a.entries), a.cols)
+    rows, _, p = _integer_rows(a.field, reduced, a.cols)
     bases = []
-    for combo in combinations(range(a.cols), r):
-        if a.columns_submatrix(combo).rank() == r:
-            mask = 0
-            for j in combo:
-                mask |= 1 << j
-            bases.append(mask)
-    return Matroid(a.cols, r, bases, _validated=True)
+    for combo in combinations(range(a.cols), len(pivots)):
+        det = _determinant([[row[j] for j in combo] for row in rows])
+        if det % p if p else det:
+            bases.append(mask_of(combo))
+    return Matroid(a.cols, len(pivots), bases, _validated=True)
 
 
 def realizes(a: ExactMatrix, m: Matroid) -> bool:

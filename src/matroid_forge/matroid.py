@@ -209,10 +209,12 @@ class Matroid:
         return basis
 
     def rank_of_mask(self, x: int) -> int:
-        table = self._rank_table()
-        if table is not None:
-            return table[x]
-        return self._maximal_independent_mask(x).bit_count()
+        table = self._ranks
+        if table is None:
+            table = self._rank_table()
+            if table is None:
+                return self._maximal_independent_mask(x).bit_count()
+        return table[x]
 
     def rank_of(self, x: Iterable[int] | int) -> int:
         return self.rank_of_mask(coerce_mask(x, self.n))
@@ -484,19 +486,20 @@ def delete(m: Matroid, x: Iterable[int] | int) -> Matroid:
 def contract(m: Matroid, x: Iterable[int] | int) -> Matroid:
     """Contract x; survivors re-indexed as in :func:`delete`.
 
-    Implemented through the rank function of the minor,
-    rk(Y) = rk(Y ∪ X) - rk(X); loops and parallel elements may appear.
+    With I a basis of X, Y is a basis of M/X exactly when Y ∪ I is a basis
+    of M (the minor's rank is rk(Y ∪ X) - rk(X)); loops and parallel
+    elements may appear.
     """
     xmask = coerce_mask(x, m.n)
     if xmask == m.full:
         raise EmptyGroundSet("cannot contract the whole ground set")
     kept = elements_of(m.full & ~xmask)
-    rk_x = m.rank_of_mask(xmask)
-    new_rank = m.rank - rk_x
+    imask = m._maximal_independent_mask(xmask)
+    new_rank = m.rank - imask.bit_count()
+    basis_set = m._basis_set
     new_bases = []
     for combo in combinations(range(len(kept)), new_rank):
-        ymask = mask_of(kept[i] for i in combo)
-        if m.rank_of_mask(ymask | xmask) == rk_x + new_rank:
+        if mask_of(kept[i] for i in combo) | imask in basis_set:
             new_bases.append(mask_of(combo))
     return Matroid(len(kept), new_rank, new_bases, _validated=True)
 

@@ -13,6 +13,7 @@ from matroid_forge.charpoly import (
     characteristic_polynomial,
     splits_over_integers,
 )
+from matroid_forge.cli import main
 from matroid_forge.errors import GroundSetMismatch, ValidationError, ZeroFunctional
 from matroid_forge.formats import load_matrix
 from matroid_forge.linalg import (
@@ -20,6 +21,8 @@ from matroid_forge.linalg import (
     PrimeField,
     Rationals,
     RelationSpace,
+    _determinant,
+    _rref,
     column_matroid,
     formalization,
     is_formal,
@@ -27,6 +30,7 @@ from matroid_forge.linalg import (
     realizes,
     weight3_subspace,
 )
+from matroid_forge.bitsets import mask_of
 from matroid_forge.matroid import Matroid, delete
 from matroid_forge.minors import fano_matroid, non_fano_matroid
 
@@ -262,6 +266,177 @@ def test_weight3_matches_subset_kernels_on_bundled(data_dir):
         a = load_matrix(path)
         got, want = weight3_subspace(a), reference_weight3_subspace(a)
         assert (got.vectors, got.pivots) == (want.vectors, want.pivots), path.name
+
+
+def reference_rref(field, rows, cols):
+    """Reference: Gauss-Jordan with one field operation per entry."""
+    mat = [list(row) for row in rows]
+    pivots = []
+    pr = 0
+    for c in range(cols):
+        if pr == len(mat):
+            break
+        pivot_row = next((r for r in range(pr, len(mat))
+                          if not field.is_zero(mat[r][c])), None)
+        if pivot_row is None:
+            continue
+        mat[pr], mat[pivot_row] = mat[pivot_row], mat[pr]
+        inv = field.inv(mat[pr][c])
+        mat[pr] = [field.mul(inv, v) for v in mat[pr]]
+        lead = mat[pr]
+        for r in range(len(mat)):
+            if r != pr and not field.is_zero(mat[r][c]):
+                factor = mat[r][c]
+                mat[r] = [field.sub(v, field.mul(factor, w))
+                          for v, w in zip(mat[r], lead)]
+        pivots.append(c)
+        pr += 1
+    return mat[:pr], pivots
+
+
+def reference_column_matroid(a):
+    """Reference: one reference rank per r-subset of columns."""
+    def rank(m):
+        return len(reference_rref(m.field, m.entries, m.cols)[1])
+
+    r = rank(a)
+    bases = [mask_of(combo) for combo in combinations(range(a.cols), r)
+             if rank(a.columns_submatrix(combo)) == r]
+    return Matroid(a.cols, r, bases, _validated=True)
+
+
+def seeded_fraction_matrix(seed):
+    """1-4 rows of small fractions, some rows repeated up to a factor or zero."""
+    rng = random.Random(f"fractions:{seed}")
+    rows, cols = rng.randint(1, 4), rng.randint(1, 7)
+    out = []
+    for _ in range(rows):
+        kind = rng.random()
+        if kind < 0.15:
+            out.append([0] * cols)
+        elif kind < 0.35 and out:
+            c = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 4))
+            out.append([c * v for v in rng.choice(out)])
+        else:
+            out.append([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                        for _ in range(cols)])
+    return ExactMatrix.build(Rationals(), out)
+
+
+def assert_matches_reference(a, label):
+    got = _rref(a.field, list(a.entries), a.cols)
+    want = reference_rref(a.field, a.entries, a.cols)
+    assert got == want, label
+    if a.field == Rationals():
+        assert all(type(v) is Fraction for row in got[0] for v in row), label
+    assert column_matroid(a).basis_masks == reference_column_matroid(a).basis_masks, label
+
+
+def test_rref_and_column_matroid_match_reference_on_seeded_matrices():
+    for seed in range(1000):
+        assert_matches_reference(seeded_matrix(seed), seed)
+    for seed in range(300):
+        assert_matches_reference(seeded_fraction_matrix(seed), f"fractions:{seed}")
+
+
+def test_rref_and_column_matroid_match_reference_on_bundled(data_dir):
+    paths = sorted(data_dir.glob("*.matrix"))
+    assert len(paths) == 5
+    for path in paths:
+        assert_matches_reference(load_matrix(path), path.name)
+
+
+def cofactor_determinant(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j]
+               * cofactor_determinant([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def seeded_square(seed):
+    """A size 0-5 integer matrix; a third are singular, many need a row swap."""
+    rng = random.Random(f"det:{seed}")
+    n = seed % 6
+    m = [[rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-10 ** 6, 10 ** 6)))
+          for _ in range(n)] for _ in range(n)]
+    if n >= 2 and seed % 3 == 0:
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        m[i] = [c * v for v in m[j]]
+    return m
+
+
+def test_determinant_matches_cofactor_expansion():
+    singular = 0
+    for seed in range(600):
+        m = seeded_square(seed)
+        want = cofactor_determinant(m)
+        assert _determinant([list(row) for row in m]) == want, seed
+        singular += want == 0
+        for p in (2, 3, 5, 7, 1_000_003):
+            residues = [[v % p for v in row] for row in m]
+            assert _determinant(residues) % p == want % p, (seed, p)
+    assert singular >= 200
+
+
+GIANT_BASE = [[1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 1, 2],
+              [0, 1, 0, 0, 1, -1, 0, 1, 0, 1, 2, -1],
+              [0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 3, 1],
+              [0, 0, 0, 1, 0, 0, 1, 0, 1, 1, 4, 3]]
+
+
+def giant_matrix():
+    """P * GIANT_BASE * D: P unit upper triangular with 100-digit entries, D a
+    diagonal of 300-digit fractions.  Both keep the kernel's dimension, the
+    weight-3 space's and the column matroid, so the answers are the base's."""
+    rng = random.Random("giant")
+
+    def digits(k):
+        return rng.randrange(10 ** (k - 1), 10 ** k)
+
+    p = [[0] * i + [1] + [digits(100) for _ in range(3 - i)] for i in range(4)]
+    d = [Fraction(digits(300), digits(300)) * rng.choice((1, -1)) for _ in range(12)]
+    return [[sum(p[i][k] * GIANT_BASE[k][j] for k in range(4)) * d[j]
+             for j in range(12)] for i in range(4)]
+
+
+def test_giant_rational_constants_answer_fast(capsys, tmp_path):
+    rows = giant_matrix()
+    assert min(len(str(v.denominator)) for row in rows for v in row if v) >= 290
+    path = tmp_path / "giant.matrix"
+    path.write_text("field Q\nrows 4\ncols 12\n"
+                    + "".join(" ".join(str(v) for v in row) + "\n" for row in rows))
+    start = time.perf_counter()
+    code = main(["formality", str(path)])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines() == [
+        "kernel dimension     8",
+        "weight-3 dimension   6",
+        "matrix rank          4",
+        "formalization rank   6",
+        "verdict              not formal",
+    ]
+    assert elapsed < 2.0
+    giant = load_matrix(path)
+    m = column_matroid(giant)
+    assert m == reference_column_matroid(giant)
+    assert m == column_matroid(ExactMatrix.build(Rationals(), GIANT_BASE))
+
+
+def test_elimination_entries_stay_bounded_on_dense_rows():
+    # without a division after each row update the entries double in length
+    # at each of the twelve steps, and this takes seconds instead of ~0.03 s
+    rng = random.Random("dense")
+    rows = [[Fraction(rng.randrange(-10 ** 20, 10 ** 20), rng.randrange(1, 10 ** 20))
+             for _ in range(14)] for _ in range(12)]
+    start = time.perf_counter()
+    got = _rref(Rationals(), rows, 14)
+    assert time.perf_counter() - start < 1.0
+    assert got == reference_rref(Rationals(), rows, 14)
+    assert got[1] == list(range(12))
 
 
 def test_zero_column_rejected():

@@ -190,6 +190,45 @@ def test_delete_matches_definition_above_table_limit(gf5_column_matroid):
         assert_delete_matches_definition(m, indep, x)
 
 
+def rank_by_bases(m):
+    """rank(x) = max |x ∩ B| over the bases, memoized per mask."""
+    ranks = {}
+
+    def rank(x):
+        if x not in ranks:
+            ranks[x] = max((x & b).bit_count() for b in m.basis_masks)
+        return ranks[x]
+    return rank
+
+
+def assert_contract_matches_definition(m, rank, x):
+    """M/x has rank rk(E) - rk(x); Y is a basis iff rk(Y ∪ x) - rk(x) = |Y| = that rank."""
+    c = contract(m, x)
+    kept = [e for e in range(m.n) if not x >> e & 1]
+    rx = rank(x)
+    new_rank = m.rank - rx
+    bases = {mask_of(combo) for combo in combinations(range(len(kept)), new_rank)
+             if rank(x | mask_of(kept[i] for i in combo)) - rx == new_rank}
+    assert (c.n, c.rank, set(c.basis_masks)) == (len(kept), new_rank, bases)
+
+
+@pytest.mark.parametrize("name", SMALL_HOSTS)
+def test_contract_matches_definition_on_every_mask(name, gf5_column_matroid):
+    m = SMALL_HOSTS[name](gf5_column_matroid)
+    rank = rank_by_bases(m)
+    for x in range(m.full):
+        assert_contract_matches_definition(m, rank, x)
+
+
+def test_contract_matches_definition_above_table_limit(gf5_column_matroid):
+    m = gf5_column_matroid(18, 3, 1)
+    rank = rank_by_bases(m)
+    rng = random.Random(1819)
+    for _ in range(300):
+        x = mask_of(rng.sample(range(m.n), rng.randint(0, m.n - 1)))
+        assert_contract_matches_definition(m, rank, x)
+
+
 def test_fano_flats():
     f = fano_matroid()
     assert flats_at(f, 0) == ((),)
