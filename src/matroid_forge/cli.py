@@ -22,7 +22,7 @@ from .charpoly import characteristic_polynomial, splits_over_integers
 from .erection import enumerate_erections
 from .errors import MatroidForgeError
 from .formats import load_matrix, load_matroid, serialize_matroid
-from .linalg import formalization, is_formal, kernel_basis, weight3_subspace
+from .linalg import _reject_zero_functionals, weight3_subspace
 from .matroid import flats_at
 from .minors import MinorWitness, find_minor, realizability_obstruction
 from .reproduce import run_reproduce
@@ -104,11 +104,15 @@ def _cmd_erect(args, budget) -> int:
 
 def _cmd_formality(args, budget) -> int:
     a = load_matrix(args.file)
-    kernel_dim = kernel_basis(a).dim
-    weight3_dim = weight3_subspace(a).dim
+    _reject_zero_functionals(a)
     rank_a = a.rank()
-    rank_f = formalization(a).rank()
-    formal = is_formal(a)
+    kernel_dim = a.cols - rank_a
+    # the formalization's rows are a basis of the relation space's
+    # complement, so rank-nullity gives its rank, and A is formal exactly
+    # when the relations fill the kernel (as in is_formal)
+    weight3_dim = weight3_subspace(a).dim
+    rank_f = a.cols - weight3_dim
+    formal = weight3_dim == kernel_dim
     if args.json:
         _print_json({"kernel_dim": kernel_dim, "weight3_dim": weight3_dim,
                      "rank": rank_a, "formalization_rank": rank_f,

@@ -437,9 +437,7 @@ def formalization(a: ExactMatrix) -> ExactMatrix:
     matroid is a quotient of G's with the same points and lines, and
     rank(G) >= rank(A) with equality exactly when A is formal.
     """
-    if a.zero_columns():
-        cols = ", ".join(str(c) for c in a.zero_columns())
-        raise ZeroFunctional(f"column(s) {cols} are zero functionals")
+    _reject_zero_functionals(a)
     relations = weight3_subspace(a)
     comp = relations.perp()
     g = ExactMatrix(a.field, comp.dim, a.cols, comp.vectors)
@@ -448,3 +446,10 @@ def formalization(a: ExactMatrix) -> ExactMatrix:
         # would force column i of A to vanish
         raise ZeroFunctional("formalization produced a zero functional")
     return g
+
+
+def _reject_zero_functionals(a: ExactMatrix) -> None:
+    """Raise :class:`ZeroFunctional` if a column of A is zero."""
+    if a.zero_columns():
+        cols = ", ".join(str(c) for c in a.zero_columns())
+        raise ZeroFunctional(f"column(s) {cols} are zero functionals")

@@ -10,12 +10,20 @@ handed back.  Since only points of a simplification are kept, the target
 must be simple; a target with loops or parallel elements is refused with
 :class:`ValidationError` rather than answered "not found".
 
-A kept set K is screened before its restriction is built.  The flats of
-M|K are the sets F ∩ K over the flats F of M, each of the rank of the
-lowest-rank F giving it, so the restriction's nontrivial flats, and the
-isomorphism invariants read from them, come from M's flat lattice alone.
-Only a K whose invariants equal the target's is restricted and handed to
-:func:`are_isomorphic`.
+Kept sets K are generated depth-first in increasing element order, the
+order of :func:`itertools.combinations`, and a prefix is cut as soon as
+no completion can match the target: too many dependent r-sets, too many
+points on one flat, too many pairs bound to be 2-point lines, or more
+pairs still needing a third point than the points to come can serve.  The
+search budget counts kept sets in that order, each cut charged with the
+kept sets below it, so a budget means the same as for a plain loop over
+every K.  A surviving K is screened before its restriction is built.  The
+flats of M|K are the sets F ∩ K over the flats F of M, each of the rank
+of the lowest-rank F giving it, so the restriction's nontrivial flats, and
+the isomorphism invariants read from them, come from M's flat lattice
+alone.  Only a K whose invariants equal the target's is restricted and
+handed to :func:`are_isomorphic`; every K a cut skips holds too many
+dependent r-sets or fails that screen.
 
 The seven-point projective plane and its relaxation are built in: one is
 realizable only in characteristic two, the other only away from it, so
@@ -27,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .bitsets import elements_of, format_set, iter_elements, mask_of
 from .errors import SearchBudgetExceeded, ValidationError
@@ -175,13 +183,22 @@ def find_minor(host: Matroid, target: Matroid, *,
     difference (deletions alone can also lower rank, so size 0 is always
     tried), deduplicated by closure: contracting sets with the same closure
     yields the same simplification.  For each contraction the survivors are
-    simplified and every point subset K of the right size is compared
-    against the target, cheap invariants first: the count of dependent
-    r-sets inside K (r the target's rank), then the per-rank flat sizes and
-    per-element flat signatures of the restriction, read from the
-    simplification's flat lattice by :func:`restriction_invariants`.  Only
-    a K passing all of them is restricted and matched by
-    :func:`are_isomorphic`.
+    simplified and the point subsets K of the target's size are walked
+    depth-first in combinations order (:func:`_kept_sets`), cutting every
+    prefix whose dependent r-sets (r the target's rank), flat sizes or
+    2-point lines already rule out the target.  A K that survives
+    the walk with the target's count of dependent r-sets is compared by the
+    per-rank flat sizes and per-element flat signatures of the
+    restriction, read from the simplification's flat lattice by
+    :func:`restriction_invariants`; only a K passing them is restricted and
+    matched by :func:`are_isomorphic`.
+
+    ``budget`` (default :data:`DEFAULT_MINOR_BUDGET`) bounds the kept sets
+    over all contraction classes: each K reached costs one node and each
+    cut costs the number of K below it, so the least budget that does not
+    raise :class:`SearchBudgetExceeded` is the position of the witness's K
+    in the full combinations order, or the total count when there is no
+    witness.
 
     The target must be simple: the search keeps points of a simplification
     only, so a target with loops or parallel elements raises
@@ -193,14 +210,19 @@ def find_minor(host: Matroid, target: Matroid, *,
             "this target has loops or parallel elements")
     if target.rank > host.rank or target.n > host.n:
         return None
+    t, r = target.n, target.rank
+    target_levels = nontrivial_levels(target)
+    target_invariants = restriction_invariants(target_levels, target.full, r)
     node_budget = DEFAULT_MINOR_BUDGET if budget is None else budget
     nodes = 0
-    # every r-subset of a kept set is a basis or not, so a kept set holds
-    # the target's basis count iff it holds this many non-bases
-    target_nonbases = comb(target.n, target.rank) - len(target.basis_masks)
-    target_invariants = restriction_invariants(
-        nontrivial_levels(target), target.full, target.rank)
-    for csize in range(host.rank - target.rank + 1):
+
+    def charge(count: int) -> None:
+        nonlocal nodes
+        nodes += count
+        if nodes > node_budget:
+            raise SearchBudgetExceeded(f"minor search exceeded {node_budget} nodes")
+
+    for csize in range(host.rank - r + 1):
         seen_closures: set[int] = set()
         for combo in combinations(range(host.n), csize):
             cmask = mask_of(combo)
@@ -213,42 +235,26 @@ def find_minor(host: Matroid, target: Matroid, *,
             contracted = contract(host, cmask) if csize else host
             back = removal_map(host.n, cmask)
             simple, pmap = simplify(contracted)
-            if simple.n < target.n or simple.rank < target.rank:
+            if simple.n < t or simple.rank < r:
                 continue
             classes_host = tuple(tuple(back(e) for e in cls)
                                  for cls in (pmap.classes or ()))
             loops_host = tuple(back(e) for e in elements_of(contracted.loops_mask))
             levels = nontrivial_levels(simple)
-            indep = simple.independent_masks
-            dependent = [s for s in map(mask_of, combinations(range(simple.n),
-                                                              target.rank))
-                         if s not in indep]
-            for keep in combinations(range(simple.n), target.n):
-                nodes += 1
-                if nodes > node_budget:
-                    raise SearchBudgetExceeded(
-                        f"minor search exceeded {node_budget} nodes")
-                kmask = mask_of(keep)
-                # a K of rank r has the dependent r-sets inside it as its
-                # non-bases; lower rank makes all C(t, r) dependent, and a K of
-                # higher rank that matches fails are_isomorphic's rank test
-                if sum(1 for nb in dependent if nb & ~kmask == 0) != target_nonbases:
+            for kmask in _kept_sets(simple, levels, target, target_levels, charge):
+                if restriction_invariants(levels, kmask, r) != target_invariants:
                     continue
-                if restriction_invariants(levels, kmask,
-                                          target.rank) != target_invariants:
-                    continue
-                if len(keep) == simple.n:
+                if kmask == simple.full:
                     restricted = simple
                 else:
                     restricted = delete(simple, simple.full & ~kmask)
                 iso = are_isomorphic(restricted, target)
                 if iso is None:
                     continue
-                kept_classes = tuple(classes_host[i] for i in keep)
+                kept_classes = tuple(classes_host[i] for i in iter_elements(kmask))
                 dropped = set(loops_host)
-                for i in range(simple.n):
-                    if i not in keep:
-                        dropped.update(classes_host[i])
+                for i in iter_elements(simple.full & ~kmask):
+                    dropped.update(classes_host[i])
                 witness = MinorWitness(
                     contract_set=tuple(combo),
                     delete_set=tuple(sorted(dropped)),
@@ -260,6 +266,136 @@ def find_minor(host: Matroid, target: Matroid, *,
                     raise AssertionError("minor witness failed to replay")
                 return witness
     return None
+
+
+def _kept_sets(simple: Matroid, levels: Sequence[Sequence[int]],
+               target: Matroid, target_levels: Sequence[Sequence[int]],
+               charge: Callable[[int], None]) -> Iterator[int]:
+    """Masks of the point sets K of ``simple`` that may restrict to the
+    target, in :func:`itertools.combinations` order.
+
+    ``levels`` and ``target_levels`` are the two matroids' nontrivial
+    flats by rank.  A K is yielded when it holds exactly the target's
+    number of dependent r-sets (r the target's rank); every K it skips
+    holds another number or fails :func:`restriction_invariants`.  The
+    walk grows a prefix P depth-first, one element e above max P at a
+    time, and cuts P + e, with all its completions, as soon as one of
+    these holds:
+
+    - P + e holds more dependent r-sets than the target.  Each is listed
+      under its largest element, so adding e counts only those listed
+      under e, and the count never falls.
+    - A flat F of rank k < r through e has more points of P + e than the
+      target's largest rank-k flat.  A subset of rank <= k of a copy of
+      the target has no more.
+    - (r > 2) More pairs of P + e are bound to be 2-point lines of K than
+      the target has.  A pair is bound when its host line has no third
+      point in P + e and none above e; it then stays bound in every
+      completion.  An open pair of P (no third point in P yet) is bound
+      by every e past its deadline, its largest third point.  With s more
+      bound pairs allowed, no e past the (s+1)-th smallest deadline is
+      tried.
+    - (r > 2) The open pairs of P + e that must not end up bound are more
+      than the points still to come can serve.  Such a pair needs a third
+      point among them, and the lines through one point partition the
+      others, so each can serve at most as many pairs of P + e as fit on
+      lines no longer than the target's longest.
+
+    ``charge`` gets 1 per K reached and the number of K below each cut, so
+    the charges up to any K sum to K's position in combinations order.
+    """
+    n, t, r = simple.n, target.n, target.rank
+    # every r-subset of a kept set is a basis or not, so a kept set holds
+    # the target's basis count iff it holds this many non-bases
+    nonbases = comb(t, r) - len(target.basis_masks)
+    indep = simple.independent_masks
+    dependent_under: list[set[int]] = [set() for _ in range(n)]
+    for s in map(mask_of, combinations(range(n), r)):
+        if s not in indep:
+            top = s.bit_length() - 1
+            dependent_under[top].add(s & ~(1 << top))
+    capped_under: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, (level, target_level) in enumerate(zip(levels, target_levels), 1):
+        cap = max((f.bit_count() for f in target_level), default=k)
+        for f in level:
+            if f.bit_count() > cap:
+                for e in iter_elements(f):
+                    capped_under[e].append((f, cap))
+    if r > 2:
+        # pairs of the target on no line of three or more points
+        lone_pairs = comb(t, 2) - sum(comb(f.bit_count(), 2) for f in target_levels[1])
+        # serve[s]: the most pairs of s points one more point can be on a
+        # line with, when no line holds more than the target's longest
+        per_line = max((f.bit_count() for f in target_levels[1]), default=2) - 1
+        serve = [s // per_line * comb(per_line, 2) + comb(s % per_line, 2)
+                 for s in range(t + 1)]
+        # third[e][a]: the points of the host line through a < e but a, e
+        third = [[0] * e for e in range(n)]
+        for f in levels[1]:
+            for a, e in combinations(elements_of(f), 2):
+                third[e][a] = f & ~(1 << a | 1 << e)
+
+    def walk(prefix: int, members: tuple[int, ...], count: int, full: int,
+             bound: int, open_pairs: list[int]) -> Iterator[int]:
+        # full: the flats holding their cap of the prefix, whose other points
+        # are cut; bound: the prefix's bound pairs; open_pairs: the
+        # third-point masks of its other pairs with no third point in it yet
+        size = len(members)
+        if size == t:
+            charge(1)
+            # a K of rank r has the dependent r-sets inside it as its
+            # non-bases; lower rank makes all C(t, r) dependent, and a K of
+            # higher rank that matches fails are_isomorphic's rank test
+            if count == nonbases:
+                yield prefix
+            return
+        start = members[-1] + 1 if members else 0
+        stop = n - t + size + 1
+        if r > 2 and lone_pairs - bound < len(open_pairs):
+            # masks sort by their top bit, the deadline
+            stop = min(stop, sorted(open_pairs)[lone_pairs - bound].bit_length())
+        faces = [sum(face) for face in combinations([1 << a for a in members], r - 1)]
+        skipped = 0
+        for e in range(start, stop):
+            below = comb(n - 1 - e, t - size - 1)
+            c = count + len(dependent_under[e].intersection(faces))
+            if full >> e & 1 or c > nonbases:
+                skipped += below
+                continue
+            b, still = bound, []
+            if r > 2:
+                for rest in open_pairs:
+                    if not rest >> e & 1:
+                        if rest >> e:
+                            still.append(rest)
+                        else:
+                            b += 1
+                for a in members:
+                    rest = third[e][a]
+                    if not rest & prefix:
+                        if rest >> e:
+                            still.append(rest)
+                        else:
+                            b += 1
+                if b > lone_pairs or (len(still) - (lone_pairs - b)
+                                      > (t - size - 1) * serve[size + 1]):
+                    skipped += below
+                    continue
+            grown = prefix | 1 << e
+            grown_full = full
+            for f, cap in capped_under[e]:
+                if (f & grown).bit_count() == cap:
+                    grown_full |= f
+            if skipped:
+                charge(skipped)
+                skipped = 0
+            yield from walk(grown, members + (e,), c, grown_full, b, still)
+        if stop < n - t + size + 1:
+            # past the deadline every child is cut
+            skipped += comb(n - max(start, stop), t - size)
+        if skipped:
+            charge(skipped)
+    return walk(0, (), 0, 0, 0, [])
 
 
 @dataclass(frozen=True)

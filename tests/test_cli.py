@@ -129,6 +129,33 @@ def test_formality_negative_json(capsys, paths):
     assert doc["formalization_rank"] == 4
 
 
+@pytest.mark.parametrize("key", ["a", "a2"])
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_formality_computes_one_relation_space(capsys, paths, monkeypatch, key, flags):
+    from matroid_forge import cli, linalg
+    calls = []
+
+    def counting(a, _original=linalg.weight3_subspace):
+        calls.append(a)
+        return _original(a)
+
+    # both names: the command's own and the one formalization and is_formal use
+    monkeypatch.setattr(linalg, "weight3_subspace", counting)
+    monkeypatch.setattr(cli, "weight3_subspace", counting)
+    code, _, _ = run(capsys, "formality", paths[key], *flags)
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_formality_zero_column_exits_2(capsys, tmp_path):
+    zero = tmp_path / "zero.matrix"
+    zero.write_text("field Q\nrows 2\ncols 3\n1 0 0\n0 1 0\n")
+    code, out, err = run(capsys, "formality", str(zero))
+    assert code == 2
+    assert out == ""
+    assert err == "error: column(s) 2 are zero functionals\n"
+
+
 def test_charpoly_text(capsys, paths):
     code, out, _ = run(capsys, "charpoly", paths["m"])
     assert code == 0

@@ -3,14 +3,18 @@
 import pytest
 
 from itertools import combinations
+from math import comb
 
-from matroid_forge.bitsets import iter_elements, mask_of
+from matroid_forge import minors
+from matroid_forge.bitsets import elements_of, iter_elements, mask_of
 from matroid_forge.errors import SearchBudgetExceeded, ValidationError
 from matroid_forge.matroid import (
     Matroid,
+    PointedMap,
     are_isomorphic,
     contract,
     delete,
+    matroid_from_flats,
     nontrivial_levels,
     removal_map,
     simplify,
@@ -154,9 +158,16 @@ TARGETS = {"fano": fano_matroid(), "non-fano": non_fano_matroid(),
            "U(2,4)": uniform(2, 4), "U(3,6)": uniform(3, 6)}
 
 
+def loops_and_parallels():
+    # a three-point line on {0, 1, 2}, the loop 3, and 4 parallel to 0
+    return Matroid.from_bases(5, [(0, 1), (0, 2), (1, 2), (1, 4), (2, 4)])
+
+
 def build_host(name, gfp):
     fixed = {"fano": fano_matroid, "non-fano": non_fano_matroid,
-             "U(3,6)": lambda: uniform(3, 6)}
+             "U(3,6)": lambda: uniform(3, 6), "U(2,4)": lambda: uniform(2, 4),
+             "U(4,9)": lambda: uniform(4, 9),
+             "loops-and-parallels": loops_and_parallels}
     if name in fixed:
         return fixed[name]()
     return gfp(*(int(x) for x in name[2:].split("-")))
@@ -290,3 +301,153 @@ def test_pinned_witnesses_and_budgets(name, gfp_column_matroid):
         if nodes:
             with pytest.raises(SearchBudgetExceeded):
                 find_minor(host, target, budget=nodes - 1)
+
+
+# -- the kept-set walk against the combinations loop it replaced -----------------
+
+def reference_find_minor(host, target):
+    """(witness, nodes): the search over every kept set by combinations.
+
+    Each kept set costs one node, whether it is screened out or not, so
+    ``nodes`` is the least budget that does not raise.
+    """
+    nodes = 0
+    if target.rank > host.rank or target.n > host.n:
+        return None, nodes
+    target_nonbases = comb(target.n, target.rank) - len(target.basis_masks)
+    target_invariants = restriction_invariants(
+        nontrivial_levels(target), target.full, target.rank)
+    for csize in range(host.rank - target.rank + 1):
+        seen_closures = set()
+        for combo in combinations(range(host.n), csize):
+            cmask = mask_of(combo)
+            if cmask not in host.independent_masks:
+                continue
+            cl = host.closure_mask(cmask)
+            if cl in seen_closures:
+                continue
+            seen_closures.add(cl)
+            contracted = contract(host, cmask) if csize else host
+            back = removal_map(host.n, cmask)
+            simple, pmap = simplify(contracted)
+            if simple.n < target.n or simple.rank < target.rank:
+                continue
+            classes_host = tuple(tuple(back(e) for e in cls)
+                                 for cls in (pmap.classes or ()))
+            loops_host = tuple(back(e) for e in elements_of(contracted.loops_mask))
+            levels = nontrivial_levels(simple)
+            indep = simple.independent_masks
+            dependent = [s for s in map(mask_of, combinations(range(simple.n),
+                                                              target.rank))
+                         if s not in indep]
+            for keep in combinations(range(simple.n), target.n):
+                nodes += 1
+                kmask = mask_of(keep)
+                if sum(1 for nb in dependent if nb & ~kmask == 0) != target_nonbases:
+                    continue
+                if restriction_invariants(levels, kmask,
+                                          target.rank) != target_invariants:
+                    continue
+                if len(keep) == simple.n:
+                    restricted = simple
+                else:
+                    restricted = delete(simple, simple.full & ~kmask)
+                iso = minors.are_isomorphic(restricted, target)
+                if iso is None:
+                    continue
+                kept_classes = tuple(classes_host[i] for i in keep)
+                dropped = set(loops_host)
+                for i in range(simple.n):
+                    if i not in keep:
+                        dropped.update(classes_host[i])
+                return MinorWitness(
+                    contract_set=tuple(combo),
+                    delete_set=tuple(sorted(dropped)),
+                    parallel_classes=PointedMap(
+                        tuple(min(c) for c in kept_classes), kept_classes),
+                    iso=iso,
+                ), nodes
+    return None, nodes
+
+
+# the pinned hosts, the hosts of test_matroid's SMALL_HOSTS, and seeded GF(3)
+# and GF(5) column matroids of rank 3 and 4 on 9 to 12 points
+ORACLE_HOSTS = HOSTS + [
+    "U(2,4)", "U(4,9)", "loops-and-parallels",
+    "gf5-10-3-4", "gf5-10-3-7", "gf5-9-4-8",
+    "gf3-10-3-1", "gf3-12-3-2", "gf3-11-4-3", "gf3-12-4-4",
+    "gf5-11-3-5", "gf5-12-3-6", "gf5-10-4-7", "gf5-12-4-8",
+]
+
+
+@pytest.mark.parametrize("name", ORACLE_HOSTS)
+def test_search_matches_the_combinations_loop(name, gfp_column_matroid, monkeypatch):
+    host = build_host(name, gfp_column_matroid)
+    screened = []
+
+    def recording(m1, m2):
+        screened.append(m1)
+        return are_isomorphic(m1, m2)
+
+    monkeypatch.setattr(minors, "are_isomorphic", recording)
+    for tname, target in TARGETS.items():
+        expected, nodes = reference_find_minor(host, target)
+        reference_screened = screened[:]
+        screened.clear()
+        assert witness_literal(find_minor(host, target)) == \
+            witness_literal(expected), (name, tname)
+        # the walk hands are_isomorphic the very kept sets the loop did
+        assert screened == reference_screened, (name, tname)
+        assert witness_literal(find_minor(host, target, budget=nodes)) == \
+            witness_literal(expected), (name, tname)
+        if nodes:
+            with pytest.raises(SearchBudgetExceeded):
+                find_minor(host, target, budget=nodes - 1)
+        screened.clear()
+
+
+@pytest.mark.parametrize("n, rank, seed", [(14, 3, 2), (11, 4, 9)])
+def test_exhaustive_search_charges_every_kept_set(n, rank, seed, gf5_column_matroid):
+    # the Fano plane is realizable only in characteristic 2, so no minor of
+    # a GF(5) point set is one and the search runs to the end
+    host = gf5_column_matroid(n, rank, seed)
+    fano = fano_matroid()
+    total, closures = 0, set()
+    for csize in range(host.rank - fano.rank + 1):
+        for combo in combinations(range(host.n), csize):
+            cmask = mask_of(combo)
+            if cmask in host.independent_masks and \
+                    host.closure_mask(cmask) not in closures:
+                closures.add(host.closure_mask(cmask))
+                simple = simplify(contract(host, cmask) if csize else host)[0]
+                if simple.rank >= fano.rank:
+                    total += comb(simple.n, fano.n)
+    assert total > 0
+    assert find_minor(host, fano, budget=total) is None
+    with pytest.raises(SearchBudgetExceeded):
+        find_minor(host, fano, budget=total - 1)
+
+
+# -- whole projective planes ----------------------------------------------------
+
+# Singer difference sets: the lines of PG(2, q) are the translates of D
+# modulo q^2 + q + 1
+SINGER = {2: (0, 1, 3), 3: (0, 1, 3, 9), 4: (0, 1, 4, 14, 16)}
+
+
+def projective_plane(q):
+    v = q * q + q + 1
+    return matroid_from_flats(
+        v, 3, [(2, tuple(sorted((d + i) % v for d in SINGER[q]))) for i in range(v)])
+
+
+@pytest.mark.parametrize("q, verdict", [
+    (2, "char-2-only"), (3, "char-not-2-only"), (4, "char-2-only")])
+def test_projective_plane_obstructions(q, verdict):
+    plane = projective_plane(q)
+    assert (plane.n, plane.rank) == (q * q + q + 1, 3)
+    report = realizability_obstruction(plane)
+    assert report.verdict == verdict
+    for target, w in ((fano_matroid(), report.fano_witness),
+                      (non_fano_matroid(), report.nonfano_witness)):
+        assert w is None or replay_witness(plane, target, w)
