@@ -438,7 +438,12 @@ def formalization(a: ExactMatrix) -> ExactMatrix:
     rank(G) >= rank(A) with equality exactly when A is formal.
     """
     _reject_zero_functionals(a)
-    relations = weight3_subspace(a)
+    return _complement_of_relations(a, weight3_subspace(a))
+
+
+def _complement_of_relations(a: ExactMatrix, relations: RelationSpace
+                             ) -> ExactMatrix:
+    """G of :func:`formalization`, from A's already computed weight-3 space."""
     comp = relations.perp()
     g = ExactMatrix(a.field, comp.dim, a.cols, comp.vectors)
     if g.zero_columns():

@@ -2,6 +2,7 @@
 
 import random
 from itertools import chain, combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,6 +37,79 @@ def test_closure_axioms_exhaustive(small_corpus):
 
 def test_rank_axioms_exhaustive(small_corpus):
     for m in small_corpus:
+        assert properties.rank_axiom_failures(m) == []
+        assert reference_rank_axiom_failures(m) == []
+
+
+def reference_rank_axiom_failures(m):
+    """The plain loop over all 4^n pairs (X, Y), kept as a test oracle."""
+    full = (1 << m.n) - 1
+    for x in range(full + 1):
+        for y in range(full + 1):
+            rx = m.rank_of_mask(x)
+            if not 0 <= rx <= min(x.bit_count(), m.rank):
+                return [f"rank out of bounds at {format_set(x)}"]
+            e = (y % m.n) if m.n else 0
+            if m.rank_of_mask(x | (1 << e)) - rx not in (0, 1):
+                return [f"rank not unit-increasing at {format_set(x)} + {e}"]
+            if (m.rank_of_mask(x | y) + m.rank_of_mask(x & y)
+                    > rx + m.rank_of_mask(y)):
+                return [f"rank not submodular at {format_set(x)}, "
+                        f"{format_set(y)}"]
+    return []
+
+
+class TableSetFunction:
+    """A duck-typed rank oracle: any integer set function given as a table."""
+
+    def __init__(self, n, rank, values):
+        self.n, self.rank, self.values = n, rank, values
+
+    def rank_of_mask(self, x):
+        return self.values[x]
+
+
+def _bumped_truncations(count, seed):
+    """min(|X|, k) on n <= 5 with one to three values moved by +-1."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        k = rng.randint(0, n)
+        values = [min(x.bit_count(), k) for x in range(1 << n)]
+        for _ in range(rng.randint(1, 3)):
+            values[rng.randrange(1 << n)] += rng.choice((-1, 1))
+        yield TableSetFunction(n, k, values)
+
+
+def test_rank_battery_matches_reference_on_bumped_functions():
+    verdicts = []
+    for f in _bumped_truncations(3000, seed=44):
+        failed = properties.rank_axiom_failures(f) != []
+        assert failed == (reference_rank_axiom_failures(f) != []), f.values
+        verdicts.append(failed)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_rank_detects_non_matroid():
+    fake = Matroid(4, 2, [0b0011, 0b1100], _validated=True)
+    # X = {0}, e = 2, f = 3: r({0,2}) + r({0,3}) = 1 + 1 < 2 + 1
+    assert properties.rank_axiom_failures(fake) == [
+        "rank not submodular at {0,2}, {0,3}"]
+
+
+def test_closure_battery_computes_each_closure_once(small_corpus):
+    for m in small_corpus:
+        calls = []
+        counting = SimpleNamespace(
+            n=m.n, rank=m.rank, rank_of_mask=m.rank_of_mask,
+            closure_mask=lambda x, m=m: calls.append(x) or m.closure_mask(x))
+        assert properties.closure_axiom_failures(counting) == []
+        assert len(calls) == len(set(calls)) <= 1 << m.n
+
+
+def test_axioms_exhaustive_on_bundled(rank3_matroid, rank4_matroid):
+    for m in (rank3_matroid, rank4_matroid):
+        assert properties.closure_axiom_failures(m) == []
         assert properties.rank_axiom_failures(m) == []
 
 
