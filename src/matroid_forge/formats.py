@@ -52,6 +52,17 @@ def _int_token(token: str, lineno: int, source: str, what: str) -> int:
                           line=lineno, source=source) from None
 
 
+def _header_value(tokens: list[str], previous: int | None, lineno: int,
+                  source: str) -> int:
+    """The one integer of a header line such as ``n 13``, declared once."""
+    directive = tokens[0]
+    if previous is not None:
+        raise FormatError(f"{directive} declared twice", line=lineno, source=source)
+    if len(tokens) != 2:
+        raise FormatError(f"{directive} takes one value", line=lineno, source=source)
+    return _int_token(tokens[1], lineno, source, directive)
+
+
 # ---------------------------------------------------------------------------
 # matroid files
 
@@ -64,17 +75,9 @@ def parse_matroid_text(text: str, *, source: str = "<string>") -> Matroid:
     for lineno, tokens in _logical_lines(text):
         directive, args = tokens[0], tokens[1:]
         if directive == "n":
-            if n is not None:
-                raise FormatError("n declared twice", line=lineno, source=source)
-            if len(args) != 1:
-                raise FormatError("n takes one value", line=lineno, source=source)
-            n = _int_token(args[0], lineno, source, "n")
+            n = _header_value(tokens, n, lineno, source)
         elif directive == "rank":
-            if rank is not None:
-                raise FormatError("rank declared twice", line=lineno, source=source)
-            if len(args) != 1:
-                raise FormatError("rank takes one value", line=lineno, source=source)
-            rank = _int_token(args[0], lineno, source, "rank")
+            rank = _header_value(tokens, rank, lineno, source)
         elif directive in ("flat", "basis"):
             if n is None or rank is None:
                 raise FormatError(f"{directive} before n and rank declarations",
@@ -170,9 +173,9 @@ def parse_matrix_text(text: str, *, source: str = "<string>") -> ExactMatrix:
                 raise FormatError("field must be 'Q' or 'GF <p>'",
                                   line=lineno, source=source)
         elif directive == "rows":
-            rows = _int_token(tokens[1], lineno, source, "rows")
+            rows = _header_value(tokens, rows, lineno, source)
         elif directive == "cols":
-            cols = _int_token(tokens[1], lineno, source, "cols")
+            cols = _header_value(tokens, cols, lineno, source)
         else:
             if field is None or rows is None or cols is None:
                 raise FormatError("matrix data before field/rows/cols header",
@@ -208,7 +211,7 @@ def serialize_matrix(a: ExactMatrix) -> str:
         header = f"field GF {a.field.p}"
     lines = [header, f"rows {a.rows}", f"cols {a.cols}"]
     for row in a.entries:
-        lines.append(" ".join(a.field.format(v) for v in row))
+        lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 

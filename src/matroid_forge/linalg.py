@@ -1,12 +1,15 @@
 """Exact linear algebra over the rationals and prime fields.
 
 Matrices carry a field tag and immutable entries: `Fraction` values over Q,
-least non-negative residues over GF(p).  Elimination is Gauss-Jordan on
-integers for both fields — rows kept primitive over Q, residues mod p —
-with one division by each pivot at the end; the reduced row-echelon form
-it returns is unique, so every derived object is deterministic.  Column
-matroids read each r-subset off one fraction-free (Bareiss) determinant of
-the echelon rows.  No floating point appears anywhere.
+least non-negative residues over GF(p).  The tags, `Rationals` and
+`PrimeField`, only parse and convert entries; they do no arithmetic.  All
+of it is one integer elimination, Gauss-Jordan for both fields — rows kept
+primitive over Q, residues mod p — with one division by each pivot at the
+end; the reduced row-echelon form it returns is unique, so every derived
+object is deterministic, and kernels, relation spaces and membership tests
+are all read off it.  Column matroids read each r-subset off one
+fraction-free (Bareiss) determinant of the echelon rows.  No floating
+point appears anywhere.
 
 The arrangement-flavoured operations live here too: kernels of the column
 functionals, the subspace of relations supported on at most three columns,
@@ -37,39 +40,8 @@ class Rationals:
         num, slash, den = token.partition("/")
         return Fraction(int(num), int(den)) if slash else Fraction(int(num))
 
-    def from_int(self, value: int) -> Fraction:
+    def from_int(self, value: int | Fraction) -> Fraction:
         return Fraction(value)
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        return 1 / a
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a == 0
-
-    @staticmethod
-    def format(a) -> str:
-        return str(a)
 
     def __repr__(self):
         return "Q"
@@ -110,6 +82,14 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _residue(num: int, den: int, p: int) -> int:
+    """num / den in GF(p); ValueError when p divides den."""
+    d = den % p
+    if d == 0:
+        raise ValueError(f"denominator divisible by {p}")
+    return num * pow(d, p - 2, p) % p
+
+
 class PrimeField:
     """GF(p) with elements stored as least non-negative residues."""
 
@@ -120,45 +100,19 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"GF({p})"
-        self.zero = 0
-        self.one = 1 % p
 
     def parse(self, token: str) -> int:
-        if "/" in token:
-            num, _, den = token.partition("/")
-            d = int(den) % self.p
-            if d == 0:
-                raise ValueError(f"denominator divisible by {self.p}")
-            return (int(num) * pow(d, self.p - 2, self.p)) % self.p
-        return int(token) % self.p
+        num, slash, den = token.partition("/")
+        if not slash:
+            return int(num) % self.p
+        d = int(den)
+        return _residue(int(num), d, self.p)
 
-    def from_int(self, value: int) -> int:
+    def from_int(self, value: int | Fraction) -> int:
+        """The residue of an integer, or of a fraction a/b as a * b^-1."""
+        if isinstance(value, Fraction):
+            return _residue(value.numerator, value.denominator, self.p)
         return value % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a == 0
-
-    @staticmethod
-    def format(a) -> str:
-        return str(a)
 
     def __repr__(self):
         return self.name
@@ -273,8 +227,10 @@ class ExactMatrix:
 
     @staticmethod
     def build(field, rows_data: Iterable[Iterable]) -> "ExactMatrix":
-        entries = tuple(tuple(field.from_int(v) if isinstance(v, int) else v
-                              for v in row)
+        """Integer and Fraction entries become field elements (over GF(p) a/b
+        is a * b^-1; ValueError when p divides b)."""
+        entries = tuple(tuple(field.from_int(v) if isinstance(v, (int, Fraction))
+                              else v for v in row)
                         for row in rows_data)
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
@@ -282,17 +238,13 @@ class ExactMatrix:
             raise ValidationError("matrix rows have uneven length")
         return ExactMatrix(field, rows, cols, entries)
 
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
-
     def columns_submatrix(self, indices: Sequence[int]) -> "ExactMatrix":
         ents = tuple(tuple(row[j] for j in indices) for row in self.entries)
         return ExactMatrix(self.field, self.rows, len(indices), ents)
 
     def zero_columns(self) -> tuple[int, ...]:
-        f = self.field
         return tuple(j for j in range(self.cols)
-                     if all(f.is_zero(row[j]) for row in self.entries))
+                     if not any(row[j] for row in self.entries))
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
         reduced, pivots = _rref(self.field, list(self.entries), self.cols)
@@ -329,16 +281,12 @@ class RelationSpace:
         return len(self.vectors)
 
     def contains(self, vec: Sequence) -> bool:
-        f = self.field
-        work = list(vec)
-        for row, p in zip(self.vectors, self.pivots):
-            c = work[p]
-            if not f.is_zero(c):
-                work = [f.sub(v, f.mul(c, w)) for v, w in zip(work, row)]
-        return all(f.is_zero(v) for v in work)
+        stacked = self.vectors + (tuple(vec),)
+        return RelationSpace.from_vectors(self.field, self.ambient, stacked).dim == self.dim
 
     def is_subspace_of(self, other: "RelationSpace") -> bool:
-        return all(other.contains(v) for v in self.vectors)
+        stacked = other.vectors + self.vectors
+        return RelationSpace.from_vectors(self.field, self.ambient, stacked).dim == other.dim
 
     def matrix(self) -> ExactMatrix:
         return ExactMatrix(self.field, self.dim, self.ambient, self.vectors)
@@ -356,10 +304,10 @@ def kernel_basis(a: ExactMatrix) -> RelationSpace:
     free_cols = [c for c in range(a.cols) if c not in pivot_set]
     vectors = []
     for fc in free_cols:
-        v = [f.zero] * a.cols
-        v[fc] = f.one
+        v = [0] * a.cols
+        v[fc] = 1
         for i, p in enumerate(pivots):
-            v[p] = f.neg(reduced[i][fc])
+            v[p] = -reduced[i][fc]
         vectors.append(v)
     return RelationSpace.from_vectors(f, a.cols, vectors)
 
@@ -414,9 +362,9 @@ def weight3_subspace(a: ExactMatrix) -> RelationSpace:
             continue
         line = [i, j]
         for pos, x in enumerate(order[2:], 2):
-            if all(f.is_zero(row[pos]) for row in reduced[2:]):
-                v = [f.zero] * n
-                v[i], v[j], v[x] = reduced[0][pos], reduced[1][pos], f.neg(f.one)
+            if not any(row[pos] for row in reduced[2:]):
+                v = [0] * n
+                v[i], v[j], v[x] = reduced[0][pos], reduced[1][pos], -1
                 generators.append(v)
                 line.append(x)
         covered.update(combinations(sorted(line), 2))
@@ -455,6 +403,7 @@ def _complement_of_relations(a: ExactMatrix, relations: RelationSpace
 
 def _reject_zero_functionals(a: ExactMatrix) -> None:
     """Raise :class:`ZeroFunctional` if a column of A is zero."""
-    if a.zero_columns():
-        cols = ", ".join(str(c) for c in a.zero_columns())
+    zero = a.zero_columns()
+    if zero:
+        cols = ", ".join(str(c) for c in zero)
         raise ZeroFunctional(f"column(s) {cols} are zero functionals")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from functools import cache
 
-from .bitsets import format_set, full_mask, iter_elements
+from .bitsets import format_set, full_mask, iter_elements, mask_of
 from .erection import ErectionFamily
 from .linalg import (
     ExactMatrix,
@@ -25,7 +25,15 @@ from .linalg import (
     kernel_basis,
     weight3_subspace,
 )
-from .matroid import Matroid, exchange_failure, is_quotient, truncation
+from .matroid import (
+    Matroid,
+    contract,
+    delete,
+    exchange_failure,
+    is_quotient,
+    removal_map,
+    truncation,
+)
 
 
 def closure_axiom_failures(m: Matroid, *, samples: int | None = None,
@@ -136,7 +144,6 @@ def minor_commutation_failures(m: Matroid, *, samples: int = 30,
     Both orders remove the same elements, so after the order-preserving
     re-indexings the two results must be canonically equal.
     """
-    from .matroid import contract, delete  # local to avoid cycle at import
     failures = []
     rng = random.Random(seed)
     full = full_mask(m.n)
@@ -147,28 +154,18 @@ def minor_commutation_failures(m: Matroid, *, samples: int = 30,
             continue
         # translate the second operation's set into post-removal labels
         via_contract = contract(m, x)
-        y_after = _relabel_into_complement(m.n, x, y)
+        y_after = mask_of(i for i, e in enumerate(removal_map(m.n, x).images)
+                          if y >> e & 1)
         a = delete(via_contract, y_after) if y_after else via_contract
         via_delete = delete(m, y) if y else m
-        x_after = _relabel_into_complement(m.n, y, x)
+        x_after = mask_of(i for i, e in enumerate(removal_map(m.n, y).images)
+                          if x >> e & 1)
         b = contract(via_delete, x_after) if x_after else via_delete
         if a != b:
             failures.append(
                 f"contract/delete disagree for X={format_set(x)}, Y={format_set(y)}")
             break
     return failures
-
-
-def _relabel_into_complement(n: int, removed: int, subset: int) -> int:
-    out = 0
-    idx = 0
-    for e in range(n):
-        if (removed >> e) & 1:
-            continue
-        if (subset >> e) & 1:
-            out |= 1 << idx
-        idx += 1
-    return out
 
 
 def erection_family_failures(family: ErectionFamily) -> list[str]:

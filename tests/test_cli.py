@@ -156,6 +156,15 @@ def test_formality_zero_column_exits_2(capsys, tmp_path):
     assert err == "error: column(s) 2 are zero functionals\n"
 
 
+def test_formality_bare_rows_line_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.matrix"
+    bad.write_text("field Q\nrows\ncols 1\n1\n")
+    code, out, err = run(capsys, "formality", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}:2: rows takes one value\n"
+
+
 def test_charpoly_text(capsys, paths):
     code, out, _ = run(capsys, "charpoly", paths["m"])
     assert code == 0

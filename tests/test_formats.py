@@ -125,6 +125,20 @@ def test_wrong_entry_count_rejected():
         parse_matrix_text("field Q\nrows 2\ncols 1\n1\n")
 
 
+@pytest.mark.parametrize("header, line, message", [
+    ("field Q\nrows\ncols 1\n", 2, "rows takes one value"),
+    ("field Q\nrows 1\ncols\n", 3, "cols takes one value"),
+    ("field Q\nrows 1 7\ncols 1\n", 2, "rows takes one value"),
+    ("field Q\nrows 1\ncols 1 1\n", 3, "cols takes one value"),
+    ("field Q\nrows 1\nrows 1\ncols 1\n", 3, "rows declared twice"),
+    ("field Q\nrows 1\ncols 1\ncols 1\n", 4, "cols declared twice"),
+])
+def test_matrix_size_lines_take_one_value_once(header, line, message):
+    with pytest.raises(FormatError) as err:
+        parse_matrix_text(header + "1\n", source="f.matrix")
+    assert str(err.value) == f"f.matrix:{line}: {message}"
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(FormatError):
         parse_matrix_text("field Q\nrows 1\ncols 1\n1/0\n")

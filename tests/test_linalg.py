@@ -45,7 +45,6 @@ def test_rationals_parse_and_reduce():
     q = Rationals()
     assert q.parse("3/6") == Fraction(1, 2)
     assert q.parse("-4") == Fraction(-4)
-    assert q.add(q.parse("1/3"), q.parse("1/6")) == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("token", ["1e1000000", "0.5", "1/2e9", "1/", "/2", "inf"])
@@ -56,8 +55,6 @@ def test_rationals_accept_only_integers_and_fractions(token):
 
 def test_prime_field_arithmetic():
     gf5 = PrimeField(5)
-    assert gf5.mul(2, 3) == 1
-    assert gf5.inv(2) == 3
     assert gf5.parse("-1") == 4
     assert gf5.parse("1/2") == 3
 
@@ -110,6 +107,14 @@ def test_rref_and_rank():
     assert reduced.entries[0][0] == 1
 
 
+def test_build_reduces_fractions_over_prime_fields():
+    a = ExactMatrix.build(PrimeField(5), [[1, Fraction(1, 2)], [Fraction(4), 1]])
+    assert a.entries == ((1, 3), (4, 1))
+    assert a.rank() == 2
+    with pytest.raises(ValueError, match="divisible by 5"):
+        ExactMatrix.build(PrimeField(5), [[1, Fraction(3, 10)]])
+
+
 def test_kernel_basis_small():
     a = ExactMatrix.build(Rationals(), [[1, 0, 1], [0, 1, 1]])
     ker = kernel_basis(a)
@@ -133,8 +138,8 @@ def test_zero_matrix_kernel_is_everything():
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(3)])
 def test_perp_of_zero_space_is_identity(field):
     perp = RelationSpace.from_vectors(field, 4, []).perp()
-    assert perp.vectors == tuple(tuple(field.one if i == j else field.zero
-                                       for j in range(4)) for i in range(4))
+    assert perp.vectors == tuple(tuple(1 if i == j else 0 for j in range(4))
+                                 for i in range(4))
     assert perp.pivots == (0, 1, 2, 3)
 
 
@@ -208,7 +213,7 @@ def reference_weight3_subspace(a):
     for k in (1, 2, 3):
         for combo in combinations(range(a.cols), k):
             for v in kernel_basis(a.columns_submatrix(combo)).vectors:
-                big = [f.zero] * a.cols
+                big = [0] * a.cols
                 for idx, j in enumerate(combo):
                     big[j] = v[idx]
                 generators.append(big)
@@ -270,25 +275,31 @@ def test_weight3_matches_subset_kernels_on_bundled(data_dir):
 
 def reference_rref(field, rows, cols):
     """Reference: Gauss-Jordan with one field operation per entry."""
+    p = getattr(field, "p", 0)
+
+    def inv(a):
+        return pow(a, p - 2, p) if p else 1 / a
+
+    def reduce(a):
+        return a % p if p else a
+
     mat = [list(row) for row in rows]
     pivots = []
     pr = 0
     for c in range(cols):
         if pr == len(mat):
             break
-        pivot_row = next((r for r in range(pr, len(mat))
-                          if not field.is_zero(mat[r][c])), None)
+        pivot_row = next((r for r in range(pr, len(mat)) if mat[r][c]), None)
         if pivot_row is None:
             continue
         mat[pr], mat[pivot_row] = mat[pivot_row], mat[pr]
-        inv = field.inv(mat[pr][c])
-        mat[pr] = [field.mul(inv, v) for v in mat[pr]]
+        scale = inv(mat[pr][c])
+        mat[pr] = [reduce(scale * v) for v in mat[pr]]
         lead = mat[pr]
         for r in range(len(mat)):
-            if r != pr and not field.is_zero(mat[r][c]):
+            if r != pr and mat[r][c]:
                 factor = mat[r][c]
-                mat[r] = [field.sub(v, field.mul(factor, w))
-                          for v, w in zip(mat[r], lead)]
+                mat[r] = [reduce(v - factor * w) for v, w in zip(mat[r], lead)]
         pivots.append(c)
         pr += 1
     return mat[:pr], pivots
@@ -344,6 +355,73 @@ def test_rref_and_column_matroid_match_reference_on_bundled(data_dir):
     assert len(paths) == 5
     for path in paths:
         assert_matches_reference(load_matrix(path), path.name)
+
+
+# -- subspace membership -------------------------------------------------------
+
+def seeded_generators(field, n, seed):
+    """Three seeded vectors of K^n; the spaces are spanned by their prefixes."""
+    rng = random.Random(f"span:{field}:{n}:{seed}")
+    if field == Rationals():
+        return [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(3)]
+    return [[rng.randrange(field.p) for _ in range(n)] for _ in range(3)]
+
+
+def seeded_spaces(field, n):
+    """(generators, space) for prefixes of length 0-3 of four seeded triples."""
+    out = []
+    for seed in range(4):
+        gens = seeded_generators(field, n, seed)
+        for k in range(4):
+            out.append((gens[:k], RelationSpace.from_vectors(field, n, gens[:k])))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_membership_matches_span_enumeration_over_prime_fields(p):
+    field = PrimeField(p)
+    outcomes = Counter()
+    for n in range(1, 5):
+        spaces = []
+        for gens, space in seeded_spaces(field, n):
+            span = {tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) % p
+                          for i in range(n))
+                    for coeffs in product(range(p), repeat=len(gens))}
+            assert len(span) == p ** space.dim
+            for v in product(range(p), repeat=n):
+                assert space.contains(v) == (v in span), (p, n, gens, v)
+            spaces.append((space, span))
+        for s, s_span in spaces:
+            for t, t_span in spaces:
+                got = s.is_subspace_of(t)
+                assert got == all(t.contains(v) for v in s.vectors)
+                assert got == (s_span <= t_span), (p, n, s, t)
+                outcomes[got, s_span == t_span] += 1
+    assert min(outcomes[True, False], outcomes[False, False]) >= 20
+
+
+def test_membership_matches_reference_rank_over_rationals():
+    q = Rationals()
+
+    def rank(vectors, n):
+        return len(reference_rref(q, vectors, n)[1])
+
+    rng = random.Random("span:Q")
+    for n in range(1, 5):
+        spaces = seeded_spaces(q, n)
+        for gens, space in spaces:
+            coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in gens]
+            inside = [sum((c * g[i] for c, g in zip(coeffs, gens)), Fraction(0))
+                      for i in range(n)]
+            assert space.contains(inside)
+            for _ in range(5):
+                v = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                assert space.contains(v) == (rank(gens + [v], n) == rank(gens, n))
+        for s_gens, s in spaces:
+            for t_gens, t in spaces:
+                want = rank(t_gens + s_gens, n) == rank(t_gens, n)
+                assert s.is_subspace_of(t) == want, (n, s_gens, t_gens)
 
 
 def cofactor_determinant(m):

@@ -224,6 +224,13 @@ def test_minor_commutation(rank3_matroid):
     assert properties.minor_commutation_failures(rank3_matroid) == []
 
 
+def test_minor_commutation_detects_a_broken_delete(monkeypatch):
+    monkeypatch.setattr(properties, "delete", lambda m, x: m)
+    failures = properties.minor_commutation_failures(fano_matroid())
+    assert len(failures) == 1
+    assert failures[0].startswith("contract/delete disagree for X=")
+
+
 def test_erection_family_properties(erection_family):
     assert properties.erection_family_failures(erection_family) == []
 
