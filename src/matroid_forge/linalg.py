@@ -228,10 +228,15 @@ class ExactMatrix:
     @staticmethod
     def build(field, rows_data: Iterable[Iterable]) -> "ExactMatrix":
         """Integer and Fraction entries become field elements (over GF(p) a/b
-        is a * b^-1; ValueError when p divides b)."""
-        entries = tuple(tuple(field.from_int(v) if isinstance(v, (int, Fraction))
-                              else v for v in row)
-                        for row in rows_data)
+        is a * b^-1; ValueError when p divides b); any other entry is a
+        ValidationError."""
+        entries = tuple(tuple(row) for row in rows_data)
+        for row in entries:
+            for v in row:
+                if not isinstance(v, (int, Fraction)):
+                    raise ValidationError(
+                        f"matrix entry {v!r} is neither an integer nor a Fraction")
+        entries = tuple(tuple(field.from_int(v) for v in row) for row in entries)
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
         if any(len(r) != cols for r in entries):
@@ -272,6 +277,8 @@ class RelationSpace:
     def from_vectors(field, ambient: int, vectors: Iterable[Sequence]
                      ) -> "RelationSpace":
         rows = [list(v) for v in vectors]
+        if any(len(row) != ambient for row in rows):
+            raise ValidationError(f"a vector's length is not the ambient dimension {ambient}")
         reduced, pivots = _rref(field, rows, ambient)
         return RelationSpace(field, ambient,
                              tuple(tuple(r) for r in reduced), tuple(pivots))

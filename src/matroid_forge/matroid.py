@@ -508,7 +508,10 @@ def simplify(m: Matroid) -> tuple[Matroid, PointedMap]:
     """Drop loops, collapse parallel classes onto least representatives.
 
     Returns the simple matroid together with a PointedMap whose classes
-    record, for each new point, the original elements it absorbs.
+    record, for each new point, the original elements it absorbs.  A
+    matroid that is already simple is returned itself, with the identity
+    map and singleton classes, so it keeps its memoized flats and
+    independent sets.
     """
     loops = m.loops_mask
     nonloops = m.full & ~loops
@@ -522,6 +525,8 @@ def simplify(m: Matroid) -> tuple[Matroid, PointedMap]:
         cls = m.closure_mask(1 << e) & nonloops
         class_masks.append(cls)
         seen |= cls
+    if len(class_masks) == m.n:
+        return m, PointedMap(tuple(range(m.n)), tuple((e,) for e in range(m.n)))
     # order classes by least representative, so point order follows labels
     class_masks.sort(key=lambda c: c & -c)
     index_of = {}

@@ -27,7 +27,18 @@ dependent r-sets or fails that screen.
 
 The seven-point projective plane and its relaxation are built in: one is
 realizable only in characteristic two, the other only away from it, so
-finding them as minors yields field obstructions.
+finding them as minors yields field obstructions.  Both are found in one
+pass by Fano's axiom on complete quadrangles (Hartshorne, *Foundations of
+Projective Geometry*, 1967): in a simple matroid a 7-point set K
+restricts to F7 or F7⁻ exactly when K = Q ∪ D, where Q = {a, b, c, d}
+has no three points collinear and D holds its three diagonal points
+ab ∩ cd, ac ∩ bd and ad ∩ bc, all of which must exist; M|K is F7
+exactly when D is collinear.  Two lines meeting in a diagonal point span
+a plane, so Q ∪ D has rank 3 in a host of any rank.  So
+:func:`realizability_obstruction` scans the 4-point sets of each
+contraction class once instead of walking 7-point sets per target, and
+its budget counts C(s, 4) per class visited, s the points of the class's
+simplification.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .bitsets import elements_of, format_set, iter_elements, mask_of
 from .errors import SearchBudgetExceeded, ValidationError
@@ -104,31 +115,94 @@ class MinorWitness:
         return ", ".join(parts)
 
 
-def replay_witness(host: Matroid, target: Matroid, w: MinorWitness) -> bool:
-    """Re-run a witness from scratch and compare canonically with the target."""
-    cmask = mask_of(w.contract_set)
-    contracted = contract(host, cmask) if w.contract_set else host
+class _Contraction(NamedTuple):
+    """si(M/C) for one contraction set C, its classes and loops in M's labels."""
+
+    contract_set: tuple[int, ...]
+    simple: Matroid
+    classes: tuple[tuple[int, ...], ...]
+    loops: tuple[int, ...]
+
+
+def _contraction(host: Matroid, contract_set: Sequence[int]) -> _Contraction:
+    cmask = mask_of(contract_set)
+    contracted = contract(host, cmask) if contract_set else host
     back = removal_map(host.n, cmask)
     simple, pmap = simplify(contracted)
-    classes_host = tuple(tuple(back(e) for e in cls)
-                         for cls in (pmap.classes or ()))
-    loops_host = tuple(back(e) for e in elements_of(contracted.loops_mask))
+    return _Contraction(
+        tuple(contract_set), simple,
+        tuple(tuple(back(e) for e in cls) for cls in (pmap.classes or ())),
+        tuple(back(e) for e in elements_of(contracted.loops_mask)))
+
+
+def _contraction_classes(host: Matroid, target: Matroid) -> Iterator[_Contraction]:
+    """One contraction per closure of an independent set of size 0 up to
+    the rank difference, least set first by size and then in combinations
+    order, when its simplification has room for the target.
+
+    Deletions alone can also lower rank, so size 0 is always tried.
+    Contracting sets with the same closure yields the same simplification,
+    so only the first set of each closure is contracted.
+    """
+    for csize in range(host.rank - target.rank + 1):
+        seen_closures: set[int] = set()
+        for combo in combinations(range(host.n), csize):
+            cmask = mask_of(combo)
+            if cmask not in host.independent_masks:
+                continue
+            cl = host.closure_mask(cmask)
+            if cl in seen_closures:
+                continue
+            seen_closures.add(cl)
+            c = _contraction(host, combo)
+            if c.simple.n >= target.n and c.simple.rank >= target.rank:
+                yield c
+
+
+def _witness(host: Matroid, target: Matroid, c: _Contraction,
+             kmask: int) -> MinorWitness | None:
+    """The witness keeping the points ``kmask`` of ``c.simple``, when that
+    restriction is isomorphic to the target, replayed before it is returned."""
+    simple = c.simple
+    restricted = simple if kmask == simple.full else delete(simple, simple.full & ~kmask)
+    iso = are_isomorphic(restricted, target)
+    if iso is None:
+        return None
+    kept_classes = tuple(c.classes[i] for i in iter_elements(kmask))
+    dropped = set(c.loops)
+    for i in iter_elements(simple.full & ~kmask):
+        dropped.update(c.classes[i])
+    witness = MinorWitness(
+        contract_set=c.contract_set,
+        delete_set=tuple(sorted(dropped)),
+        parallel_classes=PointedMap(tuple(min(k) for k in kept_classes), kept_classes),
+        iso=iso,
+    )
+    if not replay_witness(host, target, witness):
+        raise AssertionError("minor witness failed to replay")
+    return witness
+
+
+def replay_witness(host: Matroid, target: Matroid, w: MinorWitness) -> bool:
+    """Re-run a witness from scratch and compare canonically with the target."""
+    c = _contraction(host, w.contract_set)
     dset = set(w.delete_set)
-    kept = [i for i, cls in enumerate(classes_host)
+    kept = [i for i, cls in enumerate(c.classes)
             if not any(e in dset for e in cls)]
     # the delete set must be exactly the loops plus the dropped classes
-    removed = set(loops_host)
-    for i, cls in enumerate(classes_host):
+    removed = set(c.loops)
+    for i, cls in enumerate(c.classes):
         if i not in kept:
             if not all(e in dset for e in cls):
                 return False
             removed.update(cls)
     if removed != dset:
         return False
-    if tuple(classes_host[i] for i in kept) != (w.parallel_classes.classes or ()):
+    if tuple(c.classes[i] for i in kept) != (w.parallel_classes.classes or ()):
         return False
     if len(kept) != target.n:
         return False
+    simple = c.simple
     if len(kept) == simple.n:
         restricted = simple
     else:
@@ -175,23 +249,36 @@ def restriction_invariants(levels: Sequence[Sequence[int]], kmask: int,
     return sizes, sorted(sigs)
 
 
+def _charger(budget: int | None) -> Callable[[int], None]:
+    """A charge function over ``budget`` nodes (default
+    :data:`DEFAULT_MINOR_BUDGET`) that raises :class:`SearchBudgetExceeded`
+    once the nodes charged exceed it."""
+    limit = DEFAULT_MINOR_BUDGET if budget is None else budget
+    nodes = 0
+
+    def charge(count: int) -> None:
+        nonlocal nodes
+        nodes += count
+        if nodes > limit:
+            raise SearchBudgetExceeded(f"minor search exceeded {limit} nodes")
+    return charge
+
+
 def find_minor(host: Matroid, target: Matroid, *,
                budget: int | None = None) -> MinorWitness | None:
     """First minor witness in canonical order, or None (search is exhaustive).
 
     Contraction sets run over independent sets of size 0 up to the rank
-    difference (deletions alone can also lower rank, so size 0 is always
-    tried), deduplicated by closure: contracting sets with the same closure
-    yields the same simplification.  For each contraction the survivors are
-    simplified and the point subsets K of the target's size are walked
-    depth-first in combinations order (:func:`_kept_sets`), cutting every
-    prefix whose dependent r-sets (r the target's rank), flat sizes or
-    2-point lines already rule out the target.  A K that survives
-    the walk with the target's count of dependent r-sets is compared by the
-    per-rank flat sizes and per-element flat signatures of the
-    restriction, read from the simplification's flat lattice by
-    :func:`restriction_invariants`; only a K passing them is restricted and
-    matched by :func:`are_isomorphic`.
+    difference, one per closure (:func:`_contraction_classes`).  For each
+    contraction the survivors are simplified and the point subsets K of
+    the target's size are walked depth-first in combinations order
+    (:func:`_kept_sets`), cutting every prefix whose dependent r-sets (r
+    the target's rank), flat sizes or 2-point lines already rule out the
+    target.  A K that survives the walk with the target's count of
+    dependent r-sets is compared by the per-rank flat sizes and
+    per-element flat signatures of the restriction, read from the
+    simplification's flat lattice by :func:`restriction_invariants`; only
+    a K passing them is restricted and matched by :func:`are_isomorphic`.
 
     ``budget`` (default :data:`DEFAULT_MINOR_BUDGET`) bounds the kept sets
     over all contraction classes: each K reached costs one node and each
@@ -210,60 +297,17 @@ def find_minor(host: Matroid, target: Matroid, *,
             "this target has loops or parallel elements")
     if target.rank > host.rank or target.n > host.n:
         return None
-    t, r = target.n, target.rank
+    r = target.rank
     target_levels = nontrivial_levels(target)
     target_invariants = restriction_invariants(target_levels, target.full, r)
-    node_budget = DEFAULT_MINOR_BUDGET if budget is None else budget
-    nodes = 0
-
-    def charge(count: int) -> None:
-        nonlocal nodes
-        nodes += count
-        if nodes > node_budget:
-            raise SearchBudgetExceeded(f"minor search exceeded {node_budget} nodes")
-
-    for csize in range(host.rank - r + 1):
-        seen_closures: set[int] = set()
-        for combo in combinations(range(host.n), csize):
-            cmask = mask_of(combo)
-            if cmask not in host.independent_masks:
+    charge = _charger(budget)
+    for c in _contraction_classes(host, target):
+        levels = nontrivial_levels(c.simple)
+        for kmask in _kept_sets(c.simple, levels, target, target_levels, charge):
+            if restriction_invariants(levels, kmask, r) != target_invariants:
                 continue
-            cl = host.closure_mask(cmask)
-            if cl in seen_closures:
-                continue
-            seen_closures.add(cl)
-            contracted = contract(host, cmask) if csize else host
-            back = removal_map(host.n, cmask)
-            simple, pmap = simplify(contracted)
-            if simple.n < t or simple.rank < r:
-                continue
-            classes_host = tuple(tuple(back(e) for e in cls)
-                                 for cls in (pmap.classes or ()))
-            loops_host = tuple(back(e) for e in elements_of(contracted.loops_mask))
-            levels = nontrivial_levels(simple)
-            for kmask in _kept_sets(simple, levels, target, target_levels, charge):
-                if restriction_invariants(levels, kmask, r) != target_invariants:
-                    continue
-                if kmask == simple.full:
-                    restricted = simple
-                else:
-                    restricted = delete(simple, simple.full & ~kmask)
-                iso = are_isomorphic(restricted, target)
-                if iso is None:
-                    continue
-                kept_classes = tuple(classes_host[i] for i in iter_elements(kmask))
-                dropped = set(loops_host)
-                for i in iter_elements(simple.full & ~kmask):
-                    dropped.update(classes_host[i])
-                witness = MinorWitness(
-                    contract_set=tuple(combo),
-                    delete_set=tuple(sorted(dropped)),
-                    parallel_classes=PointedMap(
-                        tuple(min(c) for c in kept_classes), kept_classes),
-                    iso=iso,
-                )
-                if not replay_witness(host, target, witness):
-                    raise AssertionError("minor witness failed to replay")
+            witness = _witness(host, target, c, kmask)
+            if witness is not None:
                 return witness
     return None
 
@@ -428,11 +472,71 @@ def _verdict(has_fano: bool, has_nonfano: bool) -> str:
     return "no-obstruction-found"
 
 
+def _quadrangle_sets(n: int, lines: Sequence[int]) -> tuple[int, int]:
+    """The least K = Q ∪ D in combinations order whose diagonal points D are
+    collinear, and the least whose D are not (0 when there is none).
+
+    ``lines`` holds the lines of three or more points of a simple matroid
+    on n points; every other pair spans a 2-point line.  Q runs over the
+    4-point sets with no three points collinear, and D holds the meets of
+    Q's three pairs of opposite sides, so Q counts only when each of its
+    six sides has a third point and each pair of opposite sides meets.
+    """
+    line = [[0] * n for _ in range(n)]
+    joined = [0] * n
+    for f in lines:
+        for a, b in combinations(elements_of(f), 2):
+            line[a][b] = line[b][a] = f
+        for a in iter_elements(f):
+            joined[a] |= f
+    best = [0, 0]  # by whether D is collinear
+    for a in range(n):
+        la = line[a]
+        for b in iter_elements(joined[a] >> a + 1 << a + 1):
+            lb, ab = line[b], la[b]
+            for c in iter_elements((joined[a] & joined[b] & ~ab) >> b + 1 << b + 1):
+                lc, ac, bc = line[c], la[c], lb[c]
+                rest = joined[a] & joined[b] & joined[c] & ~(ab | ac | bc)
+                for d in iter_elements(rest >> c + 1 << c + 1):
+                    x, y, z = ab & lc[d], ac & lb[d], la[d] & bc
+                    if not (x and y and z):
+                        continue
+                    k = 1 << a | 1 << b | 1 << c | 1 << d | x | y | z
+                    collinear = bool(line[x.bit_length() - 1][y.bit_length() - 1] & z)
+                    old = best[collinear]
+                    # K comes first when the least element it does not
+                    # share with the other is its own
+                    if not old or (k ^ old) & -(k ^ old) & k:
+                        best[collinear] = k
+    return best[1], best[0]
+
+
 def realizability_obstruction(m: Matroid, *,
                               budget: int | None = None) -> ObstructionReport:
-    """Search for both seven-point minors and report the field verdict."""
-    fano_w = find_minor(m, fano_matroid(), budget=budget)
-    nonfano_w = find_minor(m, non_fano_matroid(), budget=budget)
+    """Search for both seven-point minors and report the field verdict.
+
+    The rank-3 contraction classes are walked once, in the order of
+    :func:`find_minor`, and the quadrangles of each class's simplification
+    answer both targets (see the module notes).  For each target the
+    witness keeps the least K in combinations order of the first class
+    that has one, so it equals :func:`find_minor`'s.  ``budget`` bounds the
+    sum of C(s, 4) over the classes visited, s the points of a class's
+    simplification; a class is charged before it is scanned.
+    """
+    targets = (fano_matroid(), non_fano_matroid())
+    found: list[MinorWitness | None] = [None, None]
+    charge = _charger(budget)
+    for c in _contraction_classes(m, targets[0]):
+        charge(comb(c.simple.n, 4))
+        kept = _quadrangle_sets(c.simple.n, nontrivial_levels(c.simple)[1])
+        for i, kmask in enumerate(kept):
+            if kmask and found[i] is None:
+                found[i] = _witness(m, targets[i], c, kmask)
+                if found[i] is None:
+                    raise AssertionError("quadrangle set does not restrict to the target")
+        if all(found):
+            break
+    fano_w, nonfano_w = found
     return ObstructionReport(
         has_fano=fano_w is not None,
         fano_witness=fano_w,

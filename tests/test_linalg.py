@@ -115,6 +115,25 @@ def test_build_reduces_fractions_over_prime_fields():
         ExactMatrix.build(PrimeField(5), [[1, Fraction(3, 10)]])
 
 
+@pytest.mark.parametrize("entry", [0.5, "1", None])
+def test_build_rejects_entries_that_are_not_exact(entry):
+    for field in (Rationals(), PrimeField(5)):
+        with pytest.raises(ValidationError, match="neither an integer nor a Fraction"):
+            ExactMatrix.build(field, [[entry, 1]])
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(3)])
+def test_relation_vectors_must_have_the_ambient_length(field):
+    space = RelationSpace.from_vectors(field, 2, [(1, 0)])
+    assert space.contains((2, 0)) and not space.contains((0, 1))
+    # an extra coordinate was once dropped, and a short vector raised IndexError
+    for vec in ((1, 0, 2), (1,)):
+        with pytest.raises(ValidationError, match="ambient dimension 2"):
+            space.contains(vec)
+        with pytest.raises(ValidationError, match="ambient dimension 2"):
+            RelationSpace.from_vectors(field, 2, [(0, 1), vec])
+
+
 def test_kernel_basis_small():
     a = ExactMatrix.build(Rationals(), [[1, 0, 1], [0, 1, 1]])
     ker = kernel_basis(a)

@@ -1,5 +1,7 @@
 """Minor search, witness replay, and the field-obstruction verdicts."""
 
+import time
+
 import pytest
 
 from itertools import combinations
@@ -412,20 +414,27 @@ def test_exhaustive_search_charges_every_kept_set(n, rank, seed, gf5_column_matr
     # a GF(5) point set is one and the search runs to the end
     host = gf5_column_matroid(n, rank, seed)
     fano = fano_matroid()
-    total, closures = 0, set()
-    for csize in range(host.rank - fano.rank + 1):
+    total = sum(comb(simple.n, fano.n)
+                for _, simple in contraction_classes(host, fano.rank)
+                if simple.rank >= fano.rank)
+    assert total > 0
+    assert find_minor(host, fano, budget=total) is None
+    with pytest.raises(SearchBudgetExceeded):
+        find_minor(host, fano, budget=total - 1)
+
+
+def contraction_classes(host, rank):
+    """(contraction set, simplification) for the first independent set of
+    each closure, by size and then in combinations order, for a target of
+    the given rank."""
+    for csize in range(host.rank - rank + 1):
+        closures = set()
         for combo in combinations(range(host.n), csize):
             cmask = mask_of(combo)
             if cmask in host.independent_masks and \
                     host.closure_mask(cmask) not in closures:
                 closures.add(host.closure_mask(cmask))
-                simple = simplify(contract(host, cmask) if csize else host)[0]
-                if simple.rank >= fano.rank:
-                    total += comb(simple.n, fano.n)
-    assert total > 0
-    assert find_minor(host, fano, budget=total) is None
-    with pytest.raises(SearchBudgetExceeded):
-        find_minor(host, fano, budget=total - 1)
+                yield combo, simplify(contract(host, cmask) if csize else host)[0]
 
 
 # -- whole projective planes ----------------------------------------------------
@@ -451,3 +460,93 @@ def test_projective_plane_obstructions(q, verdict):
     for target, w in ((fano_matroid(), report.fano_witness),
                       (non_fano_matroid(), report.nonfano_witness)):
         assert w is None or replay_witness(plane, target, w)
+
+
+# -- the quadrangle search against find_minor -----------------------------------
+
+OBSTRUCTION_HOSTS = ORACLE_HOSTS + ["PG(2,2)", "PG(2,3)", "PG(2,4)", "M", "N"]
+
+
+@pytest.mark.parametrize("name", OBSTRUCTION_HOSTS)
+def test_obstruction_witnesses_equal_find_minor(name, gfp_column_matroid,
+                                                rank3_matroid, rank4_matroid):
+    extra = {"PG(2,2)": lambda: projective_plane(2),
+             "PG(2,3)": lambda: projective_plane(3),
+             "PG(2,4)": lambda: projective_plane(4),
+             "M": lambda: rank3_matroid, "N": lambda: rank4_matroid}
+    host = extra[name]() if name in extra else build_host(name, gfp_column_matroid)
+    report = realizability_obstruction(host)
+    for target, w in ((fano_matroid(), report.fano_witness),
+                      (non_fano_matroid(), report.nonfano_witness)):
+        assert witness_literal(w) == witness_literal(find_minor(host, target)), name
+
+
+def visited_class_sizes(host, report):
+    """Point counts of the simplified rank-3 contraction classes with at
+    least seven points, in search order, up to the class where the later of
+    two found witnesses was found."""
+    both = report.has_fano and report.has_nonfano
+    wanted = {report.fano_witness.contract_set,
+              report.nonfano_witness.contract_set} if both else None
+    sizes = []
+    for combo, simple in contraction_classes(host, 3):
+        if simple.n >= 7:
+            sizes.append(simple.n)
+        if both:
+            wanted.discard(combo)
+            if not wanted:
+                break
+    return sizes
+
+
+@pytest.mark.parametrize("host_name", ["N", "gf5-14-3-2", "gf5-11-4-9"])
+def test_obstruction_budget_counts_quadrangle_sets(host_name, rank4_matroid,
+                                                   gfp_column_matroid):
+    host = rank4_matroid if host_name == "N" else build_host(host_name, gfp_column_matroid)
+    report = realizability_obstruction(host)
+    # a GF(5) host has no Fano minor, so its search visits every class
+    assert report.has_fano == (host_name == "N")
+    total = sum(comb(s, 4) for s in visited_class_sizes(host, report))
+    assert total > 0
+    assert realizability_obstruction(host, budget=total) == report
+    with pytest.raises(SearchBudgetExceeded,
+                       match=f"^minor search exceeded {total - 1} nodes$"):
+        realizability_obstruction(host, budget=total - 1)
+
+
+def test_whole_pg27_obstruction_under_the_default_budget():
+    v = 57
+    plane = matroid_from_flats(v, 3, [
+        (2, tuple(sorted((d + i) % v for d in (0, 1, 3, 13, 32, 36, 43, 52))))
+        for i in range(v)])
+    start = time.perf_counter()
+    report = realizability_obstruction(plane)
+    assert time.perf_counter() - start < 2
+    assert report.verdict == "char-not-2-only"
+    kept = set(range(v)) - set(report.nonfano_witness.delete_set)
+    assert report.nonfano_witness.contract_set == ()
+    assert kept == {0, 1, 2, 3, 4, 6, 38}
+
+
+# -- simplification of a simple matroid ------------------------------------------
+
+def test_simplify_returns_a_simple_matroid_itself():
+    f = fano_matroid()
+    simple, pmap = simplify(f)
+    assert simple is f
+    assert pmap.images == tuple(range(7))
+    assert pmap.classes == tuple((e,) for e in range(7))
+
+
+@pytest.mark.parametrize("host, classes", [
+    (loops_and_parallels(), ((0, 4), (1,), (2,))),
+    # 1 and 2 parallel, no loop
+    (Matroid.from_bases(3, [(0, 1), (0, 2)]), ((0,), (1, 2))),
+    # 2 a loop, no parallel pair
+    (Matroid.from_bases(3, [(0, 1)]), ((0,), (1,))),
+], ids=["loops-and-parallels", "parallel-pair", "loop"])
+def test_simplify_builds_a_new_matroid_otherwise(host, classes):
+    simple, pmap = simplify(host)
+    assert simple is not host and simple.n == len(classes) < host.n
+    assert pmap.classes == classes
+    assert simple.is_simple
