@@ -2,11 +2,15 @@
 
 A matroid here is an immutable value: a ground-set size ``n``, a rank, and
 the canonically sorted tuple of basis bitmasks.  Everything else — rank
-function, closure, flats, minors — is derived on demand and memoized.  The
-representation is deliberately explicit: desk-scale instances (n <= 13 in
-the bundled data, n <= 64 as a hard cap) make enumeration the simplest
-correct tool, and every validation step is a complete axiom check rather
-than a heuristic.
+function, closure, flats, minors — is derived on demand and memoized.  One
+lazily built table carries most of it: each independent set I maps to
+ext(I), the mask of the elements e outside I with I + e independent.  Its
+keys are the independent sets, a closure is one lookup at a greedy basis,
+the flat lattice is one pass over it, and the exchange certificate reads
+its swap sets from it.  The representation is deliberately explicit:
+desk-scale instances (n <= 13 in the bundled data, n <= 64 as a hard cap)
+make enumeration the simplest correct tool, and every validation step is a
+complete axiom check rather than a heuristic.
 
 Construction goes through two doors:
 
@@ -23,6 +27,7 @@ the property test suite.
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -115,8 +120,7 @@ class Matroid:
     exactly when ground size, rank and canonical basis list coincide.
     """
 
-    __slots__ = ("n", "rank", "basis_masks", "_basis_set", "_indep", "_ranks",
-                 "_lattice")
+    __slots__ = ("n", "rank", "basis_masks", "_ext", "_ranks", "_lattice")
 
     def __init__(self, n: int, rank: int, basis_masks: Sequence[int], *,
                  _validated: bool = False):
@@ -134,8 +138,7 @@ class Matroid:
         self.n = n
         self.rank = rank
         self.basis_masks = masks
-        self._basis_set = frozenset(masks)
-        self._indep = None
+        self._ext = None
         self._ranks = None
         self._lattice = None
         if not _validated:
@@ -159,20 +162,36 @@ class Matroid:
 
     # -- independence and rank ------------------------------------------
 
+    def _extensions(self) -> dict[int, int]:
+        """The single-element-extension table I -> ext(I) on every independent I.
+
+        ext(I) is the mask of the elements e outside I with I + e
+        independent.  The table is built top-down from the bases: for each
+        independent J and each e in J, e joins ext(J - e), so level k - 1
+        comes from level k at Σ|J| bit operations over the down-closure.
+        """
+        if self._ext is None:
+            ext = dict.fromkeys(self.basis_masks, 0)
+            level = self.basis_masks
+            for _ in range(self.rank):
+                below: dict[int, int] = {}
+                get = below.get
+                for j in level:
+                    rest = j
+                    while rest:
+                        low = rest & -rest
+                        i = j ^ low
+                        below[i] = get(i, 0) | low
+                        rest ^= low
+                ext.update(below)
+                level = below
+            self._ext = ext
+        return self._ext
+
     @property
-    def independent_masks(self) -> frozenset[int]:
-        """Every independent set, as masks (all subsets of bases)."""
-        if self._indep is None:
-            indep = set()
-            for b in self.basis_masks:
-                sub = b
-                while True:
-                    indep.add(sub)
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & b
-            self._indep = frozenset(indep)
-        return self._indep
+    def independent_masks(self) -> KeysView[int]:
+        """Every independent set, as masks: the keys of the extension table."""
+        return self._extensions().keys()
 
     def _rank_table(self) -> bytearray | None:
         if self.n > RANK_TABLE_LIMIT:
@@ -196,16 +215,18 @@ class Matroid:
         return self._ranks
 
     def _maximal_independent_mask(self, x: int) -> int:
-        """A basis of x, grown greedily in element order (exact for matroids)."""
-        indep = self.independent_masks
+        """A basis of x, grown greedily in element order (exact for matroids).
+
+        Each step adds the least element of x that extends the basis so far.
+        In any down-closed family ext only shrinks as the basis grows, so an
+        element passed over once is never a candidate again.
+        """
+        ext = self._extensions()
         basis = 0
-        size = 0
-        while x and size < self.rank:
-            low = x & -x
-            if basis | low in indep:
-                basis |= low
-                size += 1
-            x ^= low
+        grow = x & ext[0]
+        while grow:
+            basis |= grow & -grow
+            grow = x & ext[basis]
         return basis
 
     def rank_of_mask(self, x: int) -> int:
@@ -222,29 +243,31 @@ class Matroid:
     # -- closure and flats ----------------------------------------------
 
     def closure_mask(self, x: int) -> int:
-        """x plus every e whose addition to a basis of x is dependent."""
-        indep = self.independent_masks
-        basis = self._maximal_independent_mask(x)
-        out = x
-        rest = self.full & ~x
-        while rest:
-            low = rest & -rest
-            if basis | low not in indep:
-                out |= low
-            rest ^= low
-        return out
+        """x plus every e whose addition to a basis of x is dependent.
+
+        One table lookup: outside the greedy basis of x, the elements that
+        keep it independent are exactly those outside the closure.  On any
+        down-closed family none of them lies in x, so this is also the
+        per-element definition on families that are not matroids.
+        """
+        return self.full & ~self._extensions()[self._maximal_independent_mask(x)]
 
     def closure_of(self, x: Iterable[int] | int) -> tuple[int, ...]:
         return elements_of(self.closure_mask(coerce_mask(x, self.n)))
 
     def flat_lattice(self) -> FlatLattice:
+        """Every flat, as the closure of an independent set of its rank.
+
+        An independent set is its own greedy basis, so its closure is read
+        straight from the extension table in one pass.
+        """
         if self._lattice is None:
-            by_rank = []
-            for k in range(self.rank + 1):
-                seen = {self.closure_mask(m)
-                        for m in self.independent_masks if m.bit_count() == k}
-                by_rank.append(sort_masks(seen))
-            self._lattice = FlatLattice(self.n, self.rank, tuple(by_rank))
+            full = self.full
+            by_rank: list[set[int]] = [set() for _ in range(self.rank + 1)]
+            for i, grow in self._extensions().items():
+                by_rank[i.bit_count()].add(full & ~grow)
+            self._lattice = FlatLattice(self.n, self.rank,
+                                        tuple(map(sort_masks, by_rank)))
         return self._lattice
 
     def flats_at_masks(self, k: int) -> tuple[int, ...]:
@@ -298,35 +321,47 @@ class Matroid:
 
 
 def exchange_failure(m: Matroid) -> str | None:
-    """The basis-exchange axiom, by down-closure lookups — a complete certificate.
+    """The basis-exchange axiom on the extension table: a complete certificate.
 
     For equal-cardinality set families this axiom *characterizes* matroid
     basis systems, so passing it proves the input is a matroid.  Returns
     None on success, else a message naming the first failing (B, B', f).
 
-    For each B and outside f let S = {f} + {e in B : B - e + f a basis}.
-    A pair (B, B') fails at f exactly when S lies inside B', so B has a
-    failing partner iff S is a subset of some basis: one lookup in the
-    down-closure ``m.independent_masks`` (built here if not yet built).
-    That costs B·(n-r)·r basis lookups plus B·(n-r) down-closure lookups
-    instead of a walk over all B² pairs.  Only a B known to fail scans its
-    partners, in basis order, to name the same first (B, B', f) as a
-    pairwise walk would.
+    For each B and outside f let T_f = {e in B : B - e + f a basis}, that
+    is, f in ext(B - e).  A pair (B, B') fails at f exactly when T_f + f
+    lies inside B', so B has a failing partner iff T_f + f is independent:
+    iff f is in ext(T_f).  The r masks ext(B - e) split the outside
+    elements into parts (T, F_T) of equal T_f, and B fails iff some part
+    has F_T meeting ext(T).  That costs B·r splits of at most n - r parts
+    plus one lookup per part, all on the table ``m._extensions()`` (built
+    here if not yet built), instead of a walk over all B² pairs.  Only a B
+    known to fail expands its per-f swap sets and scans its partners, in
+    basis order, to name the same first (B, B', f) as a pairwise walk
+    would.
     """
-    basis_set = m._basis_set
-    indep = m.independent_masks
+    ext = m._extensions()
+    full = m.full
     for b1 in m.basis_masks:
-        drops = [(1 << e, b1 ^ (1 << e)) for e in iter_elements(b1)]
-        swaps = {}
-        for f in iter_elements(m.full & ~b1):
-            fbit = 1 << f
-            swap = 0
-            for ebit, rest in drops:
-                if rest | fbit in basis_set:
-                    swap |= ebit
-            swaps[fbit] = swap
-        if all(fbit | swap not in indep for fbit, swap in swaps.items()):
+        parts = [(0, full & ~b1)]
+        rest = b1
+        while rest:
+            ebit = rest & -rest
+            onto = ext[b1 ^ ebit]
+            split = []
+            for t, fs in parts:
+                on = fs & onto
+                if on:
+                    split.append((t | ebit, on))
+                if on != fs:
+                    split.append((t, fs ^ on))
+            parts = split
+            rest ^= ebit
+        for t, fs in parts:
+            if fs & ext[t]:
+                break
+        else:
             continue
+        swaps = {1 << f: t for t, fs in parts for f in iter_elements(fs)}
         for b2 in m.basis_masks:
             need = b2 & ~b1
             while need:
@@ -412,13 +447,18 @@ def matroid_from_flats(n: int, rank: int,
                         f"rank-{k} flats {format_set(f)} and {format_set(g)} "
                         f"share the rank-{k} set {format_set(shared)}")
 
-    # Candidate bases: rank-subsets inside no listed flat of lower rank.
-    low_flats = [f for k in ks for f in listed[k] if k < rank]
-    bases = []
-    for combo in combinations(range(n), rank):
-        bmask = mask_of(combo)
-        if all((bmask & ~f) != 0 for f in low_flats):
-            bases.append(bmask)
+    # Candidate bases: the rank-subsets inside no listed flat (every listed
+    # flat has lower rank).  The non-bases are thus the rank-subsets of the
+    # listed flats with at least rank elements.  A sum of distinct bits is
+    # their mask.
+    nonbases = set()
+    for flats_k in listed.values():
+        for f in flats_k:
+            if f.bit_count() >= rank:
+                bits = [1 << e for e in iter_elements(f)]
+                nonbases.update(map(sum, combinations(bits, rank)))
+    bits = [1 << e for e in range(n)]
+    bases = [b for b in map(sum, combinations(bits, rank)) if b not in nonbases]
     if not bases:
         raise ValidationError("flat list admits no basis")
 
@@ -496,10 +536,11 @@ def contract(m: Matroid, x: Iterable[int] | int) -> Matroid:
     kept = elements_of(m.full & ~xmask)
     imask = m._maximal_independent_mask(xmask)
     new_rank = m.rank - imask.bit_count()
-    basis_set = m._basis_set
+    # each candidate has rank elements, so it is a basis iff independent
+    indep = m.independent_masks
     new_bases = []
     for combo in combinations(range(len(kept)), new_rank):
-        if mask_of(kept[i] for i in combo) | imask in basis_set:
+        if mask_of(kept[i] for i in combo) | imask in indep:
             new_bases.append(mask_of(combo))
     return Matroid(len(kept), new_rank, new_bases, _validated=True)
 
@@ -550,11 +591,16 @@ def truncation(m: Matroid) -> Matroid:
 
 
 def is_weak_map_image(m: Matroid, other: Matroid) -> bool:
-    """True iff every independent set of ``m`` is independent in ``other``."""
+    """True iff every independent set of ``m`` is independent in ``other``.
+
+    Independent sets are closed under subsets, so checking the bases of
+    ``m`` suffices.
+    """
     if m.n != other.n:
         raise GroundSetMismatch(
             f"ground sets differ: {m.n} vs {other.n}")
-    return m.independent_masks <= other.independent_masks
+    indep = other.independent_masks
+    return all(b in indep for b in m.basis_masks)
 
 
 def is_quotient(m: Matroid, other: Matroid) -> bool:

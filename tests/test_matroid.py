@@ -12,6 +12,7 @@ from matroid_forge.errors import (
     RankTooLow,
     ValidationError,
 )
+from matroid_forge.formats import bundled_data_dir, load_matroid
 from matroid_forge.matroid import (
     RANK_TABLE_LIMIT,
     Matroid,
@@ -142,6 +143,34 @@ def test_rank_and_closure_match_definitions_above_table_limit(gf5_column_matroid
     for _ in range(2000):
         x = mask_of(rng.sample(range(m.n), rng.randint(0, m.n)))
         assert (m.rank_of_mask(x), m.closure_mask(x)) == rank_and_closure_by_bases(m, x)
+
+
+def _bundled(name):
+    return load_matroid(bundled_data_dir() / f"{name}.matroid")
+
+
+# the small hosts, the rest of the properties suite's small corpus, bundled
+# M and N, and one column matroid above RANK_TABLE_LIMIT (n = 17)
+LATTICE_HOSTS = {
+    **SMALL_HOSTS,
+    "U(3,3)": lambda gf5: uniform(3, 3),
+    "N-contract-6-simple": lambda gf5: simplify(contract(_bundled("N"), (6,)))[0],
+    "M": lambda gf5: _bundled("M"),
+    "N": lambda gf5: _bundled("N"),
+    "gf5-17-2": lambda gf5: gf5(17, 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", LATTICE_HOSTS)
+def test_flat_lattice_matches_definitions_on_every_mask(name, gf5_column_matroid):
+    """X is a rank-k flat of the lattice iff by the bases cl(X) = X and r(X) = k."""
+    m = LATTICE_HOSTS[name](gf5_column_matroid)
+    levels = m.flat_lattice().by_rank
+    rank_of_flat = {f: k for k, level in enumerate(levels) for f in level}
+    assert len(rank_of_flat) == sum(map(len, levels))
+    for x in range(m.full + 1):
+        rank, closure = rank_and_closure_by_bases(m, x)
+        assert rank_of_flat.get(x) == (rank if closure == x else None), x
 
 
 def independent_by_definition(m):
@@ -295,6 +324,26 @@ def test_weak_map_and_quotient(rank3_matroid, rank4_matroid):
     assert is_quotient(rank3_matroid, rank4_matroid)
     assert not is_weak_map_image(rank4_matroid, rank3_matroid)
     assert truncation(rank4_matroid) == rank3_matroid
+
+
+def test_weak_map_matches_definition(gf5_column_matroid):
+    """Every independent set of the first is independent in the second."""
+    fano = fano_matroid()
+    # Fano without its first or its last basis: only that basis tells
+    # Fano apart from them
+    hosts = [fano, non_fano_matroid(), uniform(2, 7), uniform(3, 7),
+             truncation(non_fano_matroid()), gf5_column_matroid(7, 3, 2),
+             gf5_column_matroid(7, 2, 3), loops_and_parallels(),
+             Matroid(7, 3, fano.basis_masks[1:], _validated=True),
+             Matroid(7, 3, fano.basis_masks[:-1], _validated=True)]
+    verdicts = set()
+    for a in hosts:
+        for b in hosts:
+            if a.n == b.n:
+                expected = independent_by_definition(a) <= independent_by_definition(b)
+                assert is_weak_map_image(a, b) == expected, (a, b)
+                verdicts.add(expected)
+    assert verdicts == {False, True}
 
 
 def test_mismatched_ground_sets_rejected():

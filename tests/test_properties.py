@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from matroid_forge import properties
-from matroid_forge.bitsets import format_set, iter_elements, mask_of
+from matroid_forge.bitsets import format_set, iter_elements, mask_of, sort_masks
 from matroid_forge.formats import bundled_data_dir, load_matroid
 from matroid_forge.matroid import (
     Matroid,
@@ -186,22 +186,26 @@ def _bundled(name):
 
 
 @pytest.mark.parametrize("families, all_matroids", [
-    (lambda: _families(5, 2), False),
-    (lambda: _families(5, 3), False),
-    (lambda: _one_basis_removals(fano_matroid()), False),
-    (lambda: _one_basis_removals(non_fano_matroid()), False),
-    (lambda: _random_families(2000, seed=8), False),
-    (lambda: chain(_one_triple_additions(fano_matroid()),
-                   _one_triple_additions(non_fano_matroid())), True),
-    (lambda: chain(_one_basis_removals(_bundled("M.matroid"), 10, seed=3),
-                   _one_basis_removals(_bundled("N.matroid"), 4, seed=4)),
+    (lambda gfp: _families(5, 2), False),
+    (lambda gfp: _families(5, 3), False),
+    (lambda gfp: _one_basis_removals(fano_matroid()), False),
+    (lambda gfp: _one_basis_removals(non_fano_matroid()), False),
+    (lambda gfp: _random_families(2000, seed=8), False),
+    (lambda gfp: chain(_one_triple_additions(fano_matroid()),
+                       _one_triple_additions(non_fano_matroid())), True),
+    (lambda gfp: chain(_one_basis_removals(_bundled("M.matroid"), 10, seed=3),
+                       _one_basis_removals(_bundled("N.matroid"), 4, seed=4)),
      False),
+    # rank 5 on 10 points: each basis's five outside elements can fall into
+    # five different parts of the swap-set split
+    (lambda gfp: _one_basis_removals(gfp(3, 10, 5, 1), 40, seed=6), False),
 ], ids=["2-subsets-of-5", "3-subsets-of-5", "fano-less-one", "non-fano-less-one",
         "random-families-n-le-8", "fano-and-non-fano-plus-one",
-        "M-and-N-less-one"])
-def test_exchange_certificate_matches_reference(families, all_matroids):
+        "M-and-N-less-one", "gf3-10-5-less-one"])
+def test_exchange_certificate_matches_reference(families, all_matroids,
+                                                gfp_column_matroid):
     rejected = 0
-    for n, rank, family in families():
+    for n, rank, family in families(gfp_column_matroid):
         m = Matroid(n, rank, family, _validated=True)
         expected = reference_exchange_failure(m)
         assert exchange_failure(m) == expected, family
@@ -212,6 +216,42 @@ def test_exchange_certificate_matches_reference(families, all_matroids):
         assert rejected == 0
     else:
         assert rejected > 0
+
+
+def down_closure(m):
+    """Every subset of a basis."""
+    return {mask_of(c) for b in m.bases() for k in range(m.rank + 1)
+            for c in combinations(b, k)}
+
+
+def reference_closure_mask(indep, n, x):
+    """The per-element closure loop, kept as a test oracle.
+
+    x plus every e outside x whose addition to the greedy basis of x, grown
+    in element order inside the family ``indep``, is dependent.
+    """
+    basis = 0
+    for e in iter_elements(x):
+        if basis | 1 << e in indep:
+            basis |= 1 << e
+    return x | mask_of(e for e in range(n)
+                       if not x >> e & 1 and basis | 1 << e not in indep)
+
+
+def test_closure_and_lattice_match_the_loop_on_down_closed_families():
+    rejected = 0
+    for n, rank, family in _random_families(400, seed=21):
+        m = Matroid(n, rank, family, _validated=True)
+        indep = down_closure(m)
+        assert m.independent_masks == indep, family
+        for x in range(1 << n):
+            assert m.closure_mask(x) == reference_closure_mask(indep, n, x), (family, x)
+        assert m.flat_lattice().by_rank == tuple(
+            sort_masks({reference_closure_mask(indep, n, i)
+                        for i in indep if i.bit_count() == k})
+            for k in range(rank + 1)), family
+        rejected += exchange_failure(m) is not None
+    assert rejected > 0
 
 
 def test_closure_detects_non_matroid():
