@@ -41,13 +41,21 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    """Sort key giving the canonical subset order: size first, then elements."""
-    return (mask.bit_count(), elements_of(mask))
+def _descending_key(mask: int) -> tuple[int, str]:
+    """Sort key whose descending order is the canonical subset order.
+
+    Among masks of one size, the element tuples order as the binary digits
+    read from bit 0 upward, descending: at the lowest bit where two masks
+    differ, the one holding it comes first.  The digit strings need no
+    padding, since neither of two same-size masks' strings is a prefix of
+    the other's.
+    """
+    return (-mask.bit_count(), bin(mask)[:1:-1])
 
 
 def sort_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(masks, key=canonical_key))
+    """The masks in canonical order: size first, then sorted element tuple."""
+    return tuple(sorted(masks, key=_descending_key, reverse=True))
 
 
 def coerce_mask(x: int | Iterable[int], n: int, *, what: str = "subset") -> int:

@@ -120,16 +120,37 @@ def _closure_table(m: Matroid, k: int) -> list[tuple[int, int]]:
     return table
 
 
-def _k_closed_hull(table: list[tuple[int, int]], x: int) -> int:
-    """Least k-closed superset of x: add cl(S) for each tabled S inside x."""
-    while True:
-        grown = x
-        for s, cl in table:
-            if s & ~grown == 0:
-                grown |= cl
-        if grown == x:
-            return x
-        x = grown
+def _closure_index(n: int, table: list[tuple[int, int]]
+                   ) -> list[list[tuple[int, int]]]:
+    """For each element e, the tabled (subset, closure) pairs with e in subset."""
+    index: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for s, cl in table:
+        for e in iter_elements(s):
+            index[e].append((s, cl))
+    return index
+
+
+def _k_closed_hull(index: list[list[tuple[int, int]]], x: int, forbid: int = 0
+                   ) -> int | None:
+    """Least k-closed superset of x, or None once it would meet ``forbid``.
+
+    LinClosure (Beeri & Bernstein 1979): each element of the growing set
+    is processed once, against only the tabled subsets S that contain it.
+    When the last element of S is processed, S lies inside the set, so
+    every pair fires whose subset the hull comes to contain.
+    """
+    todo = x
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        for s, cl in index[low.bit_length() - 1]:
+            if s | x == x and cl | x != x:  # S lies inside x, cl(S) does not
+                gained = cl & ~x
+                if gained & forbid:
+                    return None
+                x |= gained
+                todo |= gained
+    return x
 
 
 def spanning_k_closed_masks(m: Matroid, k: int, *, proper_only: bool = True) -> tuple[int, ...]:
@@ -138,11 +159,12 @@ def spanning_k_closed_masks(m: Matroid, k: int, *, proper_only: bool = True) -> 
     if m.n > EXHAUSTIVE_LIMIT:
         raise GroundSetTooLarge(
             f"exhaustive scan caps at {EXHAUSTIVE_LIMIT} elements, got {m.n}")
-    table = _closure_table(m, k)
+    index = _closure_index(m.n, _closure_table(m, k))
     full = full_mask(m.n)
     out = []
     # NextClosure (Ganter 1984): each k-closed set once, in lectic order.
-    x = _k_closed_hull(table, 0)
+    # A candidate is canonical when its hull adds no element below i.
+    x = _k_closed_hull(index, 0)
     while True:
         if (x != full or not proper_only) and m.closure_mask(x) == full:
             out.append(x)
@@ -153,11 +175,11 @@ def spanning_k_closed_masks(m: Matroid, k: int, *, proper_only: bool = True) -> 
             if x & bit:
                 continue
             below = x & (bit - 1)
-            y = _k_closed_hull(table, below | bit)
-            if y & (bit - 1) == below:
+            y = _k_closed_hull(index, below | bit, (bit - 1) ^ below)
+            if y is not None:
                 x = y
                 break
-    return tuple(sort_masks(out))
+    return sort_masks(out)
 
 
 def spanning_k_closed_sets(m: Matroid, k: int, *, proper_only: bool = True
@@ -165,11 +187,13 @@ def spanning_k_closed_sets(m: Matroid, k: int, *, proper_only: bool = True
     """All spanning k-closed subsets of the ground set, canonically sorted.
 
     The k-closed sets are the closed sets of a closure operator (the
-    least k-closed superset), so NextClosure lists each of them once with
-    O(n) hull computations apiece, never visiting the other subsets.  The
-    output itself can have 2^n sets (every subset of U(2, n) is 1-closed),
-    so n stays capped at 20.  With ``proper_only`` the full ground set
-    itself is excluded.
+    least k-closed superset), so NextClosure lists each of them once,
+    never visiting the other subsets.  Each hull processes each added
+    element once, against only the k-subsets through it, and stops at the
+    first element it adds below the one NextClosure tried, which marks a
+    non-canonical set.  The output itself can have 2^n sets (every subset
+    of U(2, n) is 1-closed), so n stays capped at 20.  With ``proper_only``
+    the full ground set itself is excluded.
     """
     return tuple(elements_of(x)
                  for x in spanning_k_closed_masks(m, k, proper_only=proper_only))

@@ -1,11 +1,16 @@
 """Erection enumeration: block conditions, exact covers, the weak order."""
 
+import random
+
 import pytest
 
 from itertools import combinations
 
 from matroid_forge.bitsets import format_set, mask_of, sort_masks
 from matroid_forge.erection import (
+    _closure_index,
+    _closure_table,
+    _k_closed_hull,
     check_erection_blocks,
     enumerate_erections,
     free_erection,
@@ -20,7 +25,7 @@ from matroid_forge.errors import (
     SearchBudgetExceeded,
     ValidationError,
 )
-from matroid_forge.matroid import Matroid, truncation
+from matroid_forge.matroid import Matroid, matroid_from_flats, truncation
 from matroid_forge.minors import fano_matroid, non_fano_matroid
 
 
@@ -47,6 +52,50 @@ def test_spanning_k_closed_on_four_point_line():
     assert (0, 1, 2, 3) in with_full
 
 
+def with_loop(m):
+    """m plus a loop as element n."""
+    return Matroid.from_bases(m.n + 1, m.basis_masks)
+
+
+def with_parallel(m, e):
+    """m plus an element n parallel to e."""
+    swapped = [b ^ (1 << e | 1 << m.n) for b in m.basis_masks if b >> e & 1]
+    return Matroid.from_bases(m.n + 1, [*m.basis_masks, *swapped])
+
+
+def reference_k_closed_hull(table, x):
+    """Least k-closed superset of x by sweeping the whole table to a fixpoint."""
+    while True:
+        grown = x
+        for s, cl in table:
+            if s & ~grown == 0:
+                grown |= cl
+        if grown == x:
+            return x
+        x = grown
+
+
+def reference_census(m, k, *, proper_only=True):
+    """Spanning k-closed sets by NextClosure over full-table fixpoint hulls."""
+    table = _closure_table(m, k)
+    out = []
+    x = reference_k_closed_hull(table, 0)
+    while True:
+        if (x != m.full or not proper_only) and m.closure_mask(x) == m.full:
+            out.append(x)
+        if x == m.full:
+            return sort_masks(out)
+        for i in range(m.n - 1, -1, -1):
+            bit = 1 << i
+            if x & bit:
+                continue
+            below = x & (bit - 1)
+            y = reference_k_closed_hull(table, below | bit)
+            if y & (bit - 1) == below:
+                x = y
+                break
+
+
 def census_by_scan(m, k):
     """Spanning k-closed sets, full set included, by walking all 2^n subsets."""
     table = [(s, m.closure_mask(s))
@@ -64,6 +113,10 @@ CENSUS_HOSTS = {
     **{f"gf5-{n}-{r}-{seed}": (lambda gf5, args=(n, r, seed): gf5(*args))
        for n, r, seed in ((6, 3, 1), (8, 3, 2), (9, 4, 3), (10, 3, 4),
                           (12, 3, 5), (12, 4, 6))},
+    # hosts whose tabled k-subsets can be dependent
+    "fano+loop": lambda gf5: with_loop(fano_matroid()),
+    "U(3,6)+parallel": lambda gf5: with_parallel(uniform(3, 6), 0),
+    "U(2,5)+loop+parallel": lambda gf5: with_loop(with_parallel(uniform(2, 5), 4)),
 }
 
 
@@ -90,9 +143,58 @@ def test_census_matches_subset_scan(name, gf5_column_matroid):
     assert_census_matches_scan(CENSUS_HOSTS[name](gf5_column_matroid))
 
 
-def test_census_matches_subset_scan_on_bundled(rank3_matroid):
+def test_census_matches_subset_scan_on_bundled(rank3_matroid, rank4_matroid):
     assert_census_matches_scan(rank3_matroid)
     assert len(spanning_k_closed_masks(rank3_matroid, 2)) == 52
+    assert_census_matches_scan(rank4_matroid)
+    assert spanning_k_closed_masks(rank4_matroid, 3) == ()
+
+
+def test_host_builders_add_loops_and_parallels():
+    loop = CENSUS_HOSTS["fano+loop"](None)
+    assert (loop.n, loop.rank, loop.loops_mask) == (8, 3, 1 << 7)
+    par = CENSUS_HOSTS["U(3,6)+parallel"](None)
+    assert (par.n, par.rank, par.loops_mask) == (7, 3, 0)
+    assert par.closure_mask(1) == par.closure_mask(1 << 6) == 1 | 1 << 6
+
+
+@pytest.mark.parametrize("name", CENSUS_HOSTS)
+def test_hull_fixes_exactly_the_k_closed_sets(name, gf5_column_matroid):
+    m = CENSUS_HOSTS[name](gf5_column_matroid)
+    rng = random.Random(name)
+    for k in range(1, m.rank + 1):
+        table = _closure_table(m, k)
+        index = _closure_index(m.n, table)
+        for x in range(m.full + 1):
+            hull = _k_closed_hull(index, x)
+            assert hull == reference_k_closed_hull(table, x)
+            assert (hull == x) == is_k_closed(m, x, k)
+            # stopping early: None exactly when the hull meets forbid
+            forbid = rng.getrandbits(m.n) & ~x
+            stopped = _k_closed_hull(index, x, forbid)
+            assert stopped == (None if hull & forbid else hull)
+
+
+# Singer difference set of PG(2, 5): its lines are the translates mod 31
+PG25_LINES = [sorted((d + i) % 31 for d in (1, 5, 11, 24, 25, 27)) for i in range(31)]
+
+
+def pg25_point_set(n, seed):
+    """The restriction of PG(2,5) to a seeded n-point subset, relabelled 0..n-1."""
+    points = sorted(random.Random(f"pg25:{n}:{seed}").sample(range(31), n))
+    pos = {p: i for i, p in enumerate(points)}
+    lines = [[pos[p] for p in line if p in pos] for line in PG25_LINES]
+    return matroid_from_flats(n, 3, [(2, line) for line in lines if len(line) > 2])
+
+
+@pytest.mark.parametrize("n", [16, 17, 20])
+def test_census_matches_reference_on_pg25_point_sets(n):
+    # k = 1 is left out: on a simple host every subset is 1-closed, so its
+    # census is about 2^n sets
+    m = pg25_point_set(n, 1)
+    for proper_only in (True, False):
+        assert_same_masks(spanning_k_closed_masks(m, 2, proper_only=proper_only),
+                          reference_census(m, 2, proper_only=proper_only))
 
 
 def test_exhaustive_scan_caps_ground_set():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from matroid_forge.bitsets import mask_of
+from matroid_forge.bitsets import MAX_GROUND, elements_of, mask_of, sort_masks
 from matroid_forge.errors import (
     EmptyGroundSet,
     FormatError,
@@ -36,6 +36,21 @@ from itertools import combinations
 
 def uniform(rank, n):
     return Matroid.from_bases(n, combinations(range(n), rank))
+
+
+# -- canonical subset order ---------------------------------------------------
+
+def reference_canonical_key(mask):
+    return (mask.bit_count(), elements_of(mask))
+
+
+def test_sort_masks_orders_by_size_then_element_tuple():
+    rng = random.Random("canonical-key")
+    masks = [rng.getrandbits(rng.randrange(MAX_GROUND + 1)) for _ in range(20000)]
+    masks += [0, (1 << MAX_GROUND) - 1, 1, 1 << (MAX_GROUND - 1)]
+    masks += [mask_of(c) for c in combinations(range(13), 4)]
+    rng.shuffle(masks)
+    assert sort_masks(masks) == tuple(sorted(masks, key=reference_canonical_key))
 
 
 # -- pointed maps -----------------------------------------------------------
