@@ -9,7 +9,7 @@ everywhere: subsets sort by (cardinality, sorted element tuple).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_GROUND = 64
 
@@ -19,6 +19,30 @@ def mask_of(elements: Iterable[int]) -> int:
     for e in elements:
         m |= 1 << e
     return m
+
+
+def mask_mapper(images: Sequence[int]) -> Callable[[int], int]:
+    """The map sending a mask to the union of images[e] over its elements.
+
+    It reads the mask a byte at a time from tables built once: entry v of
+    a byte's table is the union of the images of v's bits, built from v
+    without its top bit.
+    """
+    tables = []
+    for lo in range(0, len(images), 8):
+        table = [0]
+        for image in images[lo:lo + 8]:
+            table += [t | image for t in table]
+        tables.append(table)
+
+    def mapped(mask: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[mask & 255]
+            mask >>= 8
+        return out
+
+    return mapped
 
 
 def elements_of(mask: int) -> tuple[int, ...]:

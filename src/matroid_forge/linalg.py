@@ -14,7 +14,10 @@ point appears anywhere.
 The arrangement-flavoured operations live here too: kernels of the column
 functionals, the subspace of relations supported on at most three columns,
 formality, and formalization (rebuilding an arrangement from that
-subspace's orthogonal complement).
+subspace's orthogonal complement).  Each question takes one elimination
+of A: the kernel reads its canonical basis off the elimination of A with
+its columns reversed, and the relation space finds every line, and its
+relations by Cramer's rule, on the echelon rows of A.
 """
 
 from __future__ import annotations
@@ -304,19 +307,32 @@ class RelationSpace:
 
 
 def kernel_basis(a: ExactMatrix) -> RelationSpace:
-    """Reduced-echelon basis of {y : A y = 0}; dim = cols - rank."""
-    f = a.field
-    reduced, pivots = _rref(f, list(a.entries), a.cols)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(a.cols) if c not in pivot_set]
+    """Reduced-echelon basis of {y : A y = 0}; dim = cols - rank.
+
+    One elimination, of A with its columns reversed: its pivots are the
+    lex-last basis B of the column matroid.  For each column f outside B,
+    e_f - sum R[i][f] e_(b_i) is nonzero only at f and at elements of B
+    above f, so these vectors, in order of f, are already the unique
+    reduced-echelon basis of the kernel.
+    """
+    f, n = a.field, a.cols
+    reduced, pivots = _rref(f, [row[::-1] for row in a.entries], n)
+    p = f.p if isinstance(f, PrimeField) else 0
+    # original column of each echelon row's pivot, with the row read in
+    # original column order
+    rows = [(n - 1 - c, row[::-1]) for c, row in zip(pivots, reduced)]
+    in_basis = {b for b, _ in rows}
+    zero, one = f.from_int(0), f.from_int(1)
+    free = tuple(c for c in range(n) if c not in in_basis)
     vectors = []
-    for fc in free_cols:
-        v = [0] * a.cols
-        v[fc] = 1
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][fc]
-        vectors.append(v)
-    return RelationSpace.from_vectors(f, a.cols, vectors)
+    for fc in free:
+        v = [zero] * n
+        v[fc] = one
+        for b, row in rows:
+            if row[fc]:
+                v[b] = -row[fc] % p if p else -row[fc]
+        vectors.append(tuple(v))
+    return RelationSpace(f, n, tuple(vectors), free)
 
 
 def column_matroid(a: ExactMatrix) -> Matroid:
@@ -350,32 +366,88 @@ def weight3_subspace(a: ExactMatrix) -> RelationSpace:
 
     Such a relation lives on a line (rank-2 flat) of the columns, so this is
     the sum of the lines' relation spaces, or the whole kernel if rank A <= 2.
-    Each line takes one elimination R, with two of its independent columns
-    i, j in front; every x zero in R below row 2 is on it (zero and parallel
-    columns too) and gives R[0][x] e_i + R[1][x] e_j - e_x.
+    A is eliminated once, and every line is found on its r echelon rows,
+    scaled to integers.  For a pair i, j not yet on a found line, rows s, t
+    with a nonzero 2x2 minor d are picked (there are none when i, j are
+    dependent); for every other column x, Cramer's rule gives
+    u = det[c_x c_j] and v = det[c_i c_x] on those rows, and x is on the
+    line exactly when d c_x = u c_i + v c_j on the other r - 2 rows (zero
+    and parallel columns too).  Each relation u e_i + v e_j - d e_x, times
+    the column scales, joins a running reduced-echelon basis; once that
+    reaches dimension cols - rank the relations fill the kernel.
     """
-    f = a.field
-    if a.rank() <= 2:
+    f, n = a.field, a.cols
+    reduced, pivots = _rref(f, list(a.entries), n)
+    rank = len(pivots)
+    if rank <= 2:
         return kernel_basis(a)
-    n = a.cols
+    rows, scales, p = _integer_rows(f, reduced, n)
+    cols = list(zip(*rows))
+    basis: dict[int, list[int]] = {}
     covered: set[tuple[int, int]] = set()
-    generators: list[list] = []
     for i, j in combinations(range(n), 2):
         if (i, j) in covered:
             continue
-        order = [i, j] + [x for x in range(n) if x not in (i, j)]
-        reduced, pivots = _rref(f, [[row[c] for c in order] for row in a.entries], n)
-        if pivots[:2] != [0, 1]:
+        ci, cj = cols[i], cols[j]
+        s = next((k for k in range(rank) if ci[k]), None)
+        if s is None:
             continue
+        # ci[s] cj - cj[s] ci vanishes at s, and elsewhere too iff i, j are
+        # dependent
+        for t in range(rank):
+            d = ci[s] * cj[t] - cj[s] * ci[t]
+            if d % p if p else d:
+                break
+        else:
+            continue
+        others = [k for k in range(rank) if k != s and k != t]
         line = [i, j]
-        for pos, x in enumerate(order[2:], 2):
-            if not any(row[pos] for row in reduced[2:]):
-                v = [0] * n
-                v[i], v[j], v[x] = reduced[0][pos], reduced[1][pos], -1
-                generators.append(v)
-                line.append(x)
+        for x, cx in enumerate(cols):
+            if x == i or x == j:
+                continue
+            u = cx[s] * cj[t] - cj[s] * cx[t]
+            v = ci[s] * cx[t] - cx[s] * ci[t]
+            if any((d * cx[k] - u * ci[k] - v * cj[k]) % p if p
+                   else d * cx[k] != u * ci[k] + v * cj[k] for k in others):
+                continue
+            line.append(x)
+            relation = [0] * n
+            relation[i], relation[j], relation[x] = (
+                u * scales[i], v * scales[j], -d * scales[x])
+            if _join_echelon(basis, relation, (i, j, x), p) and len(basis) == n - rank:
+                return kernel_basis(a)
         covered.update(combinations(sorted(line), 2))
-    return RelationSpace.from_vectors(f, n, generators)
+    return RelationSpace.from_vectors(f, n, basis.values())
+
+
+def _join_echelon(basis: dict[int, list[int]], vec: list[int],
+                  support: tuple[int, ...], p: int) -> bool:
+    """Add vec (nonzero only on support) to a reduced-echelon basis.
+
+    The basis maps each row's leading column to the row, which is zero at
+    every other leading column, so only leading columns in vec's support
+    need eliminating.  Rows are residues mod p, or primitive integer
+    vectors over Q.  Returns whether vec was independent.
+    """
+    vec = [v % p for v in vec] if p else _primitive(vec)
+    for lead in support:
+        row = basis.get(lead)
+        if row is not None and vec[lead]:
+            vec = _cross(row[lead], vec, vec[lead], row, p)
+    lead = next((k for k, v in enumerate(vec) if v), None)
+    if lead is None:
+        return False
+    for other, row in basis.items():
+        if row[lead]:
+            basis[other] = _cross(vec[lead], row, row[lead], vec, p)
+    basis[lead] = vec
+    return True
+
+
+def _cross(a: int, x: list[int], b: int, y: list[int], p: int) -> list[int]:
+    """a x - b y, reduced mod p or divided by its content over Q."""
+    row = [a * v - b * w for v, w in zip(x, y)]
+    return [v % p for v in row] if p else _primitive(row)
 
 
 def is_formal(a: ExactMatrix) -> bool:

@@ -39,6 +39,7 @@ from .bitsets import (
     format_set,
     full_mask,
     iter_elements,
+    mask_mapper,
     mask_of,
     sort_masks,
 )
@@ -513,13 +514,15 @@ def delete(m: Matroid, x: Iterable[int] | int) -> Matroid:
         raise EmptyGroundSet("cannot delete the whole ground set")
     keep = m.full & ~xmask
     kept = elements_of(keep)
-    pos = {e: i for i, e in enumerate(kept)}
+    images = [0] * m.n
+    for i, e in enumerate(kept):
+        images[e] = 1 << i
+    reindex = mask_mapper(images)
     # the bases of m|keep are its largest independent sets, so one walk
     # gives the rank too
     inside = [ind for ind in m.independent_masks if ind & ~keep == 0]
     new_rank = max(ind.bit_count() for ind in inside)
-    new_bases = {mask_of(pos[e] for e in iter_elements(ind))
-                 for ind in inside if ind.bit_count() == new_rank}
+    new_bases = {reindex(ind) for ind in inside if ind.bit_count() == new_rank}
     return Matroid(len(kept), new_rank, new_bases, _validated=True)
 
 
@@ -570,12 +573,12 @@ def simplify(m: Matroid) -> tuple[Matroid, PointedMap]:
         return m, PointedMap(tuple(range(m.n)), tuple((e,) for e in range(m.n)))
     # order classes by least representative, so point order follows labels
     class_masks.sort(key=lambda c: c & -c)
-    index_of = {}
+    point_of = [0] * m.n
     for i, cls in enumerate(class_masks):
         for e in iter_elements(cls):
-            index_of[e] = i
-    new_bases = {mask_of(index_of[e] for e in iter_elements(b))
-                 for b in m.basis_masks}
+            point_of[e] = 1 << i
+    collapse = mask_mapper(point_of)
+    new_bases = {collapse(b) for b in m.basis_masks}
     simple = Matroid(len(class_masks), m.rank, new_bases, _validated=True)
     pmap = PointedMap(tuple(min(iter_elements(c)) for c in class_masks),
                       tuple(elements_of(c) for c in class_masks))
@@ -697,5 +700,6 @@ def are_isomorphic(m1: Matroid, m2: Matroid) -> PointedMap | None:
 def relabel(m: Matroid, pmap: PointedMap, n_target: int | None = None) -> Matroid:
     """Apply a PointedMap to every element: element e becomes pmap(e)."""
     n = n_target if n_target is not None else m.n
-    new_bases = [mask_of(pmap(e) for e in iter_elements(b)) for b in m.basis_masks]
+    image = mask_mapper([1 << pmap(e) for e in range(m.n)])
+    new_bases = [image(b) for b in m.basis_masks]
     return Matroid(n, m.rank, new_bases, _validated=True)

@@ -6,7 +6,7 @@ import pytest
 
 from itertools import combinations
 
-from matroid_forge.bitsets import format_set, mask_of, sort_masks
+from matroid_forge.bitsets import format_set, iter_elements, mask_of, sort_masks
 from matroid_forge.erection import (
     _closure_index,
     _closure_table,
@@ -25,7 +25,15 @@ from matroid_forge.errors import (
     SearchBudgetExceeded,
     ValidationError,
 )
-from matroid_forge.matroid import Matroid, matroid_from_flats, truncation
+from matroid_forge.matroid import (
+    Matroid,
+    PointedMap,
+    delete,
+    matroid_from_flats,
+    relabel,
+    simplify,
+    truncation,
+)
 from matroid_forge.minors import fano_matroid, non_fano_matroid
 
 
@@ -156,6 +164,32 @@ def test_host_builders_add_loops_and_parallels():
     par = CENSUS_HOSTS["U(3,6)+parallel"](None)
     assert (par.n, par.rank, par.loops_mask) == (7, 3, 0)
     assert par.closure_mask(1) == par.closure_mask(1 << 6) == 1 | 1 << 6
+
+
+def relabel_element_by_element(masks, image_of):
+    return sort_masks({mask_of(image_of[e] for e in iter_elements(b)) for b in masks})
+
+
+@pytest.mark.parametrize("name", CENSUS_HOSTS)
+def test_minors_relabel_bases_as_element_by_element(name, gf5_column_matroid):
+    m = CENSUS_HOSTS[name](gf5_column_matroid)
+    rng = random.Random(f"relabel:{name}")
+    for _ in range(20):
+        removed = rng.randrange(m.full)
+        kept = [e for e in range(m.n) if not removed >> e & 1]
+        inside = [i for i in m.independent_masks if not i & removed]
+        rank = max(i.bit_count() for i in inside)
+        want = relabel_element_by_element(
+            [i for i in inside if i.bit_count() == rank],
+            {e: j for j, e in enumerate(kept)})
+        assert delete(m, removed).basis_masks == want, removed
+    simple, pmap = simplify(m)
+    point_of = {e: i for i, cls in enumerate(pmap.classes) for e in cls}
+    assert simple.basis_masks == relabel_element_by_element(m.basis_masks, point_of)
+    order = list(range(m.n))
+    rng.shuffle(order)
+    moved = relabel(m, PointedMap(tuple(order)))
+    assert moved.basis_masks == relabel_element_by_element(m.basis_masks, order)
 
 
 @pytest.mark.parametrize("name", CENSUS_HOSTS)

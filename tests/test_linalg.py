@@ -2,11 +2,14 @@
 
 import pytest
 
+import importlib.util
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 from matroid_forge.charpoly import (
     IntPolynomial,
@@ -15,7 +18,8 @@ from matroid_forge.charpoly import (
 )
 from matroid_forge.cli import main
 from matroid_forge.errors import GroundSetMismatch, ValidationError, ZeroFunctional
-from matroid_forge.formats import load_matrix
+from matroid_forge import linalg
+from matroid_forge.formats import load_matrix, parse_matrix_text
 from matroid_forge.linalg import (
     ExactMatrix,
     PrimeField,
@@ -225,18 +229,41 @@ def test_formalization_of_generic_four_planes_has_rank_four():
     assert formalization(a).rank() == 4
 
 
+def reference_span(field, n, vectors):
+    """Reference: the reduced-echelon basis of a span, by reference_rref."""
+    reduced, pivots = reference_rref(field, vectors, n)
+    return RelationSpace(field, n, tuple(map(tuple, reduced)), tuple(pivots))
+
+
+def reference_kernel_basis(a):
+    """Reference: one vector per free column of A's echelon form, whose span
+    is then eliminated again."""
+    f = a.field
+    reduced, pivots = reference_rref(f, a.entries, a.cols)
+    vectors = []
+    for fc in range(a.cols):
+        if fc in pivots:
+            continue
+        v = [f.from_int(0)] * a.cols
+        v[fc] = f.from_int(1)
+        for i, p in enumerate(pivots):
+            v[p] = f.from_int(-reduced[i][fc])
+        vectors.append(v)
+    return reference_span(f, a.cols, vectors)
+
+
 def reference_weight3_subspace(a):
     """Reference: the kernels of every set of at most three columns."""
     f = a.field
     generators = []
     for k in (1, 2, 3):
         for combo in combinations(range(a.cols), k):
-            for v in kernel_basis(a.columns_submatrix(combo)).vectors:
-                big = [0] * a.cols
+            for v in reference_kernel_basis(a.columns_submatrix(combo)).vectors:
+                big = [f.from_int(0)] * a.cols
                 for idx, j in enumerate(combo):
                     big[j] = v[idx]
                 generators.append(big)
-    return RelationSpace.from_vectors(f, a.cols, generators)
+    return reference_span(f, a.cols, generators)
 
 
 WEIGHT3_FIELDS = (Rationals(), PrimeField(2), PrimeField(3), PrimeField(5),
@@ -290,6 +317,97 @@ def test_weight3_matches_subset_kernels_on_bundled(data_dir):
         a = load_matrix(path)
         got, want = weight3_subspace(a), reference_weight3_subspace(a)
         assert (got.vectors, got.pivots) == (want.vectors, want.pivots), path.name
+
+
+def test_kernel_basis_matches_reference():
+    matrices = [seeded_matrix(seed) for seed in range(1000)]
+    for field in (Rationals(), PrimeField(5)):
+        matrices += [ExactMatrix(field, 0, 3, ()),
+                     ExactMatrix.build(field, [[], []]),
+                     ExactMatrix.build(field, [[0] * 4] * 3)]
+    for a in matrices:
+        got, want = kernel_basis(a), reference_kernel_basis(a)
+        assert (got.vectors, got.pivots) == (want.vectors, want.pivots), a
+        assert got.dim == a.cols - a.rank(), a
+        entry = Fraction if a.field == Rationals() else int
+        assert all(type(v) is entry for vec in got.vectors for v in vec), a
+
+
+def seeded_wide_matrix(seed):
+    """5-6 rows, 6-12 columns of a rank 3-6 span: zero, parallel and generic
+    columns, and many sums of two earlier ones, which put them on lines."""
+    rng = random.Random(f"wide:{seed}")
+    field = WEIGHT3_FIELDS[seed % len(WEIGHT3_FIELDS)]
+    rows, cols = rng.randint(5, 6), rng.randint(6, 12)
+    span = [[rng.randint(-3, 3) for _ in range(rows)]
+            for _ in range(rng.randint(3, rows))]
+    generic = rng.choice((0.0, 0.1, 0.3))
+    columns = []
+    for _ in range(cols):
+        kind = rng.random()
+        if kind < 0.05:
+            col = [0] * rows
+        elif kind < 0.15 and columns:
+            col = [rng.randint(1, 3) * x for x in rng.choice(columns)]
+        elif kind < 1 - generic and len(columns) >= len(span):
+            u, w = rng.sample(columns, 2)
+            c = rng.randint(1, 3)
+            col = [x + c * y for x, y in zip(u, w)]
+        else:
+            coeffs = [rng.randint(-3, 3) for _ in span]
+            col = [sum(c * v[r] for c, v in zip(coeffs, span)) for r in range(rows)]
+        columns.append(col)
+    return ExactMatrix.build(field, [[col[r] for col in columns] for r in range(rows)])
+
+
+def ladder_matrices():
+    """The GF(5) matrices of the benchmark's ladder workload, seeds 1-5."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("ladder_generators", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return [parse_matrix_text(instance.texts["matrix"])
+            for seed in range(1, 6) for instance in module.ladder(seed)]
+
+
+def test_weight3_matches_subset_kernels_on_wide_and_ladder_matrices(
+        data_dir, monkeypatch):
+    yuzvinsky = load_matrix(data_dir / "yuzvinsky_a2.matrix")
+    matrices = [seeded_wide_matrix(seed) for seed in range(150)]
+    matrices += ladder_matrices()
+    matrices.append(ExactMatrix.build(PrimeField(11), yuzvinsky.entries))
+    assert len(matrices) == 161
+    kernel_calls = []
+
+    def counting(a, _original=kernel_basis):
+        kernel_calls.append(a)
+        return _original(a)
+
+    monkeypatch.setattr(linalg, "kernel_basis", counting)
+    early, not_formal, later_rows = 0, 0, 0
+    for a in matrices:
+        kernel_calls.clear()
+        got, want = weight3_subspace(a), reference_weight3_subspace(a)
+        assert (got.vectors, got.pivots) == (want.vectors, want.pivots), a.entries
+        rank = a.rank()
+        if rank < 3 or rank == a.cols:
+            continue
+        # the pair (first nonzero column, third pivot column) is never on a
+        # line found before it, and its minor vanishes on echelon rows 0, 1
+        later_rows += 1
+        if got.dim == a.cols - rank > 0:
+            assert kernel_calls == [a]
+            early += 1
+        else:
+            assert kernel_calls == []
+            not_formal += 1
+    assert later_rows >= 140 and early >= 90 and not_formal >= 40
+    assert not is_formal(matrices[-1])
+    assert all(is_formal(a) for a in matrices[150:160])
 
 
 def reference_rref(field, rows, cols):
@@ -521,6 +639,53 @@ def test_giant_rational_constants_answer_fast(capsys, tmp_path):
     m = column_matroid(giant)
     assert m == reference_column_matroid(giant)
     assert m == column_matroid(ExactMatrix.build(Rationals(), GIANT_BASE))
+
+
+def generic_giant_rows():
+    """4 x 12 independent random 300-digit fractions: no three columns are
+    dependent, so no pair of columns is on a line with a third."""
+    rng = random.Random("generic giant")
+
+    def digits():
+        return rng.randrange(10 ** 299, 10 ** 300)
+
+    return [[Fraction(rng.choice((1, -1)) * digits(), digits()) for _ in range(12)]
+            for _ in range(4)]
+
+
+def test_each_question_takes_one_elimination(
+        monkeypatch, capsys, tmp_path, realization, formal_matrix, informal_matrix):
+    calls = []
+
+    def counting(*args, _original=_rref):
+        calls.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(linalg, "_rref", counting)
+    rank3 = [realization, formal_matrix, informal_matrix,
+             ExactMatrix.build(Rationals(), GIANT_BASE)]
+    for a in rank3 + [ExactMatrix.build(PrimeField(3), [[1, 2, 0]])]:
+        calls.clear()
+        kernel_basis(a)
+        assert len(calls) == 1, a
+    for a in rank3:
+        assert a.rank() >= 3
+        calls.clear()
+        weight3_subspace(a)
+        assert len(calls) <= 2, a
+    path = tmp_path / "generic.matrix"
+    path.write_text("field Q\nrows 4\ncols 12\n"
+                    + "".join(" ".join(map(str, row)) + "\n" for row in generic_giant_rows()))
+    calls.clear()
+    assert main(["formality", str(path)]) == 0
+    assert len(calls) <= 4
+    assert capsys.readouterr().out.splitlines() == [
+        "kernel dimension     8",
+        "weight-3 dimension   0",
+        "matrix rank          4",
+        "formalization rank   12",
+        "verdict              not formal",
+    ]
 
 
 def test_elimination_entries_stay_bounded_on_dense_rows():

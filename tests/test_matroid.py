@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from matroid_forge.bitsets import MAX_GROUND, elements_of, mask_of, sort_masks
+from matroid_forge.bitsets import MAX_GROUND, elements_of, mask_mapper, mask_of, sort_masks
 from matroid_forge.errors import (
     EmptyGroundSet,
     FormatError,
@@ -51,6 +51,20 @@ def test_sort_masks_orders_by_size_then_element_tuple():
     masks += [mask_of(c) for c in combinations(range(13), 4)]
     rng.shuffle(masks)
     assert sort_masks(masks) == tuple(sorted(masks, key=reference_canonical_key))
+
+
+def test_mask_mapper_unions_the_images_of_the_elements():
+    rng = random.Random("mask-mapper")
+    for n in (0, 1, 7, 8, 9, 16, 17, 31, MAX_GROUND):
+        images = [rng.choice((0, 1 << rng.randrange(MAX_GROUND), rng.getrandbits(5)))
+                  for _ in range(n)]
+        mapped = mask_mapper(images)
+        for _ in range(200):
+            x = rng.getrandbits(n) if n else 0
+            want = 0
+            for e in elements_of(x):
+                want |= images[e]
+            assert mapped(x) == want, (n, x)
 
 
 # -- pointed maps -----------------------------------------------------------
