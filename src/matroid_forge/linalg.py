@@ -14,16 +14,21 @@ point appears anywhere.
 The arrangement-flavoured operations live here too: kernels of the column
 functionals, the subspace of relations supported on at most three columns,
 formality, and formalization (rebuilding an arrangement from that
-subspace's orthogonal complement).  Each question takes one elimination
-of A: the kernel reads its canonical basis off the elimination of A with
-its columns reversed, and the relation space finds every line, and its
-relations by Cramer's rule, on the echelon rows of A.
+subspace's orthogonal complement).  A matrix is eliminated at most twice
+in its life: rank, rref, the relation space and the column matroid share
+one forward elimination, and the kernel reads its canonical basis off the
+elimination of A with its columns reversed.  The relation space finds
+every line, and its relations by Cramer's rule, on the forward echelon
+rows.  Matrices and relation spaces are immutable, so each keeps these
+derived values, and its orthogonal complement, once computed: asking
+again, as formality and formalization do, costs nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -191,6 +196,23 @@ def _rref(field, rows: list[list], cols: int) -> tuple[list[list], list[int]]:
             for i, c in enumerate(pivots)], pivots
 
 
+def _memoized(derive):
+    """derive(obj), computed once per immutable obj and kept in its memo.
+
+    The memo is a dataclass field left out of ``__eq__``, ``__hash__`` and
+    ``__repr__``, so an asked object still equals a fresh one.
+    """
+    key = derive.__name__
+
+    @wraps(derive)
+    def once(obj):
+        memo = obj._memo
+        if key not in memo:
+            memo[key] = derive(obj)
+        return memo[key]
+    return once
+
+
 def _determinant(square: list[list[int]]) -> int:
     """Bareiss's fraction-free determinant of an integer matrix (consumed).
 
@@ -227,6 +249,7 @@ class ExactMatrix:
     rows: int
     cols: int
     entries: tuple[tuple, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def build(field, rows_data: Iterable[Iterable]) -> "ExactMatrix":
@@ -255,13 +278,13 @@ class ExactMatrix:
                      if not any(row[j] for row in self.entries))
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
-        reduced, pivots = _rref(self.field, list(self.entries), self.cols)
+        reduced, pivots = _forward(self)
         ents = tuple(tuple(r) for r in reduced)
         return (ExactMatrix(self.field, len(ents), self.cols, ents),
                 tuple(pivots))
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_forward(self)[1])
 
     def __repr__(self):
         return f"ExactMatrix({self.field!r}, {self.rows}x{self.cols})"
@@ -275,6 +298,7 @@ class RelationSpace:
     ambient: int
     vectors: tuple[tuple, ...]
     pivots: tuple[int, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_vectors(field, ambient: int, vectors: Iterable[Sequence]
@@ -301,11 +325,20 @@ class RelationSpace:
     def matrix(self) -> ExactMatrix:
         return ExactMatrix(self.field, self.dim, self.ambient, self.vectors)
 
+    @_memoized
     def perp(self) -> "RelationSpace":
         """Orthogonal complement under the coordinate pairing."""
         return kernel_basis(self.matrix())
 
 
+@_memoized
+def _forward(a: ExactMatrix) -> tuple[list[list], list[int]]:
+    """A's reduced row-echelon rows and pivots: the one forward elimination
+    that rank, rref, the relation space and the column matroid share."""
+    return _rref(a.field, list(a.entries), a.cols)
+
+
+@_memoized
 def kernel_basis(a: ExactMatrix) -> RelationSpace:
     """Reduced-echelon basis of {y : A y = 0}; dim = cols - rank.
 
@@ -335,6 +368,7 @@ def kernel_basis(a: ExactMatrix) -> RelationSpace:
     return RelationSpace(f, n, tuple(vectors), free)
 
 
+@_memoized
 def column_matroid(a: ExactMatrix) -> Matroid:
     """The matroid of linear independence on the columns of A.
 
@@ -343,7 +377,7 @@ def column_matroid(a: ExactMatrix) -> Matroid:
     is a basis exactly when its r x r minor there is nonzero (mod p over
     GF(p): reduction mod p is a ring homomorphism).
     """
-    reduced, pivots = _rref(a.field, list(a.entries), a.cols)
+    reduced, pivots = _forward(a)
     rows, _, p = _integer_rows(a.field, reduced, a.cols)
     bases = []
     for combo in combinations(range(a.cols), len(pivots)):
@@ -361,6 +395,7 @@ def realizes(a: ExactMatrix, m: Matroid) -> bool:
     return column_matroid(a) == m
 
 
+@_memoized
 def weight3_subspace(a: ExactMatrix) -> RelationSpace:
     """Span of the kernel vectors with at most three nonzero entries.
 
@@ -377,7 +412,7 @@ def weight3_subspace(a: ExactMatrix) -> RelationSpace:
     reaches dimension cols - rank the relations fill the kernel.
     """
     f, n = a.field, a.cols
-    reduced, pivots = _rref(f, list(a.entries), n)
+    reduced, pivots = _forward(a)
     rank = len(pivots)
     if rank <= 2:
         return kernel_basis(a)

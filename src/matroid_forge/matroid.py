@@ -7,10 +7,15 @@ lazily built table carries most of it: each independent set I maps to
 ext(I), the mask of the elements e outside I with I + e independent.  Its
 keys are the independent sets, a closure is one lookup at a greedy basis,
 the flat lattice is one pass over it, and the exchange certificate reads
-its swap sets from it.  The representation is deliberately explicit:
-desk-scale instances (n <= 13 in the bundled data, n <= 64 as a hard cap)
-make enumeration the simplest correct tool, and every validation step is a
-complete axiom check rather than a heuristic.
+its swap sets from it.  A rank query on at most RANK_TABLE_LIMIT elements
+builds a second table from the first: the greedy basis of every subset, in
+2^n steps.  Rank is the size of a greedy basis at every n, so it is the
+rank function on a matroid and agrees with closure on any family.
+
+The representation is deliberately explicit: desk-scale instances
+(n <= 13 in the bundled data, n <= 64 as a hard cap) make enumeration the
+simplest correct tool, and every validation step is a complete axiom
+check rather than a heuristic.
 
 Construction goes through two doors:
 
@@ -52,8 +57,8 @@ from .errors import (
     ValidationError,
 )
 
-# Full 2^n rank tables are built up to this ground-set size; above it the
-# rank function greedily grows an independent subset of the query set.
+# The 2^n greedy-basis table is built, by the first rank query, up to this
+# ground-set size; above it each rank query walks the greedy basis itself.
 RANK_TABLE_LIMIT = 16
 
 
@@ -121,7 +126,7 @@ class Matroid:
     exactly when ground size, rank and canonical basis list coincide.
     """
 
-    __slots__ = ("n", "rank", "basis_masks", "_ext", "_ranks", "_lattice")
+    __slots__ = ("n", "rank", "basis_masks", "_ext", "_greedy", "_lattice")
 
     def __init__(self, n: int, rank: int, basis_masks: Sequence[int], *,
                  _validated: bool = False):
@@ -140,7 +145,7 @@ class Matroid:
         self.rank = rank
         self.basis_masks = masks
         self._ext = None
-        self._ranks = None
+        self._greedy = None
         self._lattice = None
         if not _validated:
             failure = exchange_failure(self)
@@ -194,34 +199,39 @@ class Matroid:
         """Every independent set, as masks: the keys of the extension table."""
         return self._extensions().keys()
 
-    def _rank_table(self) -> bytearray | None:
+    def _rank_table(self) -> list[int] | None:
+        """The greedy basis of every subset, or None above RANK_TABLE_LIMIT.
+
+        Entry X is the basis :meth:`_maximal_independent_mask` walks to:
+        element by element in increasing order, each joins when it extends
+        the basis so far.  So the greedy basis of X + h, for h above every
+        element of X, is G[X] + h when h is in ext(G[X]) and G[X]
+        otherwise, and the entries of the subsets with top element h,
+        2^h..2^(h+1) - 1 in order, are one pass over the first 2^h: 2^n
+        steps in all.
+        """
         if self.n > RANK_TABLE_LIMIT:
             return None
-        if self._ranks is None:
-            # subset DP: table[X] = size of the largest independent subset of X
-            size = 1 << self.n
-            table = bytearray(size)
-            indep = self.independent_masks
-            for m in range(1, size):
-                best = m.bit_count() if m in indep else 0
-                rest = m
-                while rest:
-                    low = rest & -rest
-                    v = table[m ^ low]
-                    if v > best:
-                        best = v
-                    rest ^= low
-                table[m] = best
-            self._ranks = table
-        return self._ranks
+        if self._greedy is None:
+            ext = self._extensions()
+            table = [0]
+            for h in range(self.n):
+                bit = 1 << h
+                table += [g | bit if ext[g] & bit else g for g in table]
+            self._greedy = table
+        return self._greedy
 
     def _maximal_independent_mask(self, x: int) -> int:
         """A basis of x, grown greedily in element order (exact for matroids).
 
         Each step adds the least element of x that extends the basis so far.
         In any down-closed family ext only shrinks as the basis grows, so an
-        element passed over once is never a candidate again.
+        element passed over once is never a candidate again.  Once a rank
+        query has built the greedy-basis table, this is one lookup.
         """
+        table = self._greedy
+        if table is not None:
+            return table[x]
         ext = self._extensions()
         basis = 0
         grow = x & ext[0]
@@ -231,12 +241,17 @@ class Matroid:
         return basis
 
     def rank_of_mask(self, x: int) -> int:
-        table = self._ranks
+        """The size of the greedy basis of x (the rank, on a matroid).
+
+        The first query builds the greedy-basis table when n is at most
+        RANK_TABLE_LIMIT; above it each query walks.
+        """
+        table = self._greedy
         if table is None:
             table = self._rank_table()
             if table is None:
                 return self._maximal_independent_mask(x).bit_count()
-        return table[x]
+        return table[x].bit_count()
 
     def rank_of(self, x: Iterable[int] | int) -> int:
         return self.rank_of_mask(coerce_mask(x, self.n))

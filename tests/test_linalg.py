@@ -653,32 +653,37 @@ def generic_giant_rows():
             for _ in range(4)]
 
 
-def test_each_question_takes_one_elimination(
-        monkeypatch, capsys, tmp_path, realization, formal_matrix, informal_matrix):
+def test_each_question_takes_one_elimination(monkeypatch, capsys, tmp_path, data_dir):
     calls = []
 
     def counting(*args, _original=_rref):
         calls.append(args)
         return _original(*args)
 
+    def rank3():
+        # built afresh, so that each count measures a first question
+        return [load_matrix(data_dir / name) for name in
+                ("A.matrix", "yuzvinsky_a1.matrix", "yuzvinsky_a2.matrix")
+                ] + [ExactMatrix.build(Rationals(), GIANT_BASE)]
+
     monkeypatch.setattr(linalg, "_rref", counting)
-    rank3 = [realization, formal_matrix, informal_matrix,
-             ExactMatrix.build(Rationals(), GIANT_BASE)]
-    for a in rank3 + [ExactMatrix.build(PrimeField(3), [[1, 2, 0]])]:
+    for a in rank3() + [ExactMatrix.build(PrimeField(3), [[1, 2, 0]])]:
         calls.clear()
         kernel_basis(a)
         assert len(calls) == 1, a
-    for a in rank3:
-        assert a.rank() >= 3
+    for a in rank3():
         calls.clear()
         weight3_subspace(a)
         assert len(calls) <= 2, a
+        assert a.rank() >= 3
     path = tmp_path / "generic.matrix"
     path.write_text("field Q\nrows 4\ncols 12\n"
                     + "".join(" ".join(map(str, row)) + "\n" for row in generic_giant_rows()))
     calls.clear()
     assert main(["formality", str(path)]) == 0
-    assert len(calls) <= 4
+    # the rank and the relation space share the forward elimination; the
+    # relation space is empty, so one more elimination spans it
+    assert len(calls) == 2
     assert capsys.readouterr().out.splitlines() == [
         "kernel dimension     8",
         "weight-3 dimension   0",
@@ -686,6 +691,37 @@ def test_each_question_takes_one_elimination(
         "formalization rank   12",
         "verdict              not formal",
     ]
+
+
+def test_a_repeated_question_makes_no_elimination(monkeypatch, data_dir):
+    calls = []
+
+    def counting(*args, _original=_rref):
+        calls.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(linalg, "_rref", counting)
+    names = ("A.matrix", "yuzvinsky_a1.matrix", "yuzvinsky_a2.matrix")
+    for ask in (ExactMatrix.rank, kernel_basis, weight3_subspace, column_matroid,
+                is_formal, formalization):
+        for a in [load_matrix(data_dir / name) for name in names]:
+            first = ask(a)
+            calls.clear()
+            assert ask(a) == first
+            assert calls == [], (ask.__name__, a)
+
+
+def test_an_asked_matrix_equals_a_fresh_build(data_dir):
+    for name in ("A.matrix", "yuzvinsky_a1.matrix", "yuzvinsky_a2.matrix"):
+        a = load_matrix(data_dir / name)
+        for ask in (is_formal, formalization, column_matroid, ExactMatrix.rref):
+            ask(a)
+        assert a._memo
+        twin = ExactMatrix(a.field, a.rows, a.cols, a.entries)
+        assert not twin._memo
+        assert a == twin
+        assert hash(a) == hash(twin)
+        assert repr(a) == repr(twin)
 
 
 def test_elimination_entries_stay_bounded_on_dense_rows():

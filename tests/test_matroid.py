@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from matroid_forge.bitsets import MAX_GROUND, elements_of, mask_mapper, mask_of, sort_masks
+from matroid_forge.bitsets import (
+    MAX_GROUND,
+    elements_of,
+    iter_elements,
+    mask_mapper,
+    mask_of,
+    sort_masks,
+)
 from matroid_forge.errors import (
     EmptyGroundSet,
     FormatError,
@@ -30,6 +37,7 @@ from matroid_forge.matroid import (
     truncation,
 )
 from matroid_forge.minors import fano_matroid, non_fano_matroid
+from test_erection import CENSUS_HOSTS
 
 from itertools import combinations
 
@@ -176,6 +184,84 @@ def test_rank_and_closure_match_definitions_above_table_limit(gf5_column_matroid
 
 def _bundled(name):
     return load_matroid(bundled_data_dir() / f"{name}.matroid")
+
+
+def reference_rank_table(m):
+    """The old subset DP, kept as a test oracle: entry X is the size of the
+    largest independent subset of X, so |X| when X is independent and else
+    the largest entry of X minus one element."""
+    size = 1 << m.n
+    table = bytearray(size)
+    indep = m.independent_masks
+    for x in range(1, size):
+        best = x.bit_count() if x in indep else 0
+        rest = x
+        while rest:
+            low = rest & -rest
+            best = max(best, table[x ^ low])
+            rest ^= low
+        table[x] = best
+    return table
+
+
+def greedy_walk(m, x):
+    """The greedy basis of x: each element, in increasing order, joins when
+    it extends the basis so far."""
+    ext = m._extensions()
+    basis = 0
+    for e in iter_elements(x):
+        if ext[basis] >> e & 1:
+            basis |= 1 << e
+    return basis
+
+
+# every host with a table: the small and census hosts, bundled M and N, and
+# one column matroid of exactly RANK_TABLE_LIMIT elements
+TABLE_HOSTS = {
+    **SMALL_HOSTS,
+    **CENSUS_HOSTS,
+    "M": lambda gf5: _bundled("M"),
+    "N": lambda gf5: _bundled("N"),
+    "gf5-16-3": lambda gf5: gf5(RANK_TABLE_LIMIT, 3, 2),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_HOSTS)
+def test_greedy_basis_table_matches_walk_and_reference(name, gf5_column_matroid):
+    m = TABLE_HOSTS[name](gf5_column_matroid)
+    walks = [greedy_walk(m, x) for x in range(m.full + 1)]
+    ext = m._extensions()
+    closures = [m.full & ~ext[b] for b in walks]
+    reference = reference_rank_table(m)
+    table = m._rank_table()
+    assert table == walks
+    for x in range(m.full + 1):
+        assert m.rank_of_mask(x) == reference[x], x
+        assert m.closure_mask(x) == closures[x], x
+
+
+def test_only_rank_queries_build_the_table(gf5_column_matroid):
+    m = gf5_column_matroid(RANK_TABLE_LIMIT, 3, 2)
+    for x in range(0, m.full + 1, 97):
+        m.closure_mask(x)
+    contract(m, 0b11)
+    simplify(m)
+    assert m._greedy is None
+    m.rank_of_mask(0b111)
+    assert len(m._greedy) == 1 << RANK_TABLE_LIMIT
+
+
+@pytest.mark.parametrize("n", [4, RANK_TABLE_LIMIT, RANK_TABLE_LIMIT + 1])
+def test_rank_is_the_greedy_basis_size_on_both_sides_of_the_table_limit(n):
+    # bases {0,1} and {2,3}: not a matroid, so {0,2,3} has the independent
+    # subset {2,3} but the greedy basis {0}
+    fake = Matroid(n, 2, [0b0011, 0b1100], _validated=True)
+    assert fake.rank_of_mask(0b1101) == 1
+    for x in range(1 << 4):
+        rank = fake.rank_of_mask(x)
+        for e in range(4):
+            grows = fake.rank_of_mask(x | 1 << e) > rank
+            assert grows == (not fake.closure_mask(x) >> e & 1), (x, e)
 
 
 # the small hosts, the rest of the properties suite's small corpus, bundled

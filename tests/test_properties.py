@@ -92,9 +92,10 @@ def test_rank_battery_matches_reference_on_bumped_functions():
 
 def test_rank_detects_non_matroid():
     fake = Matroid(4, 2, [0b0011, 0b1100], _validated=True)
-    # X = {0}, e = 2, f = 3: r({0,2}) + r({0,3}) = 1 + 1 < 2 + 1
+    # rank is the greedy basis size, and the greedy basis of {0,1,2} is
+    # {0,1}: X = {2}, e = 0, f = 1 gives r({0,2}) + r({1,2}) = 1 + 1 < 2 + 1
     assert properties.rank_axiom_failures(fake) == [
-        "rank not submodular at {0,2}, {0,3}"]
+        "rank not submodular at {0,2}, {1,2}"]
 
 
 def test_closure_battery_computes_each_closure_once(small_corpus):
