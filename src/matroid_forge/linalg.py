@@ -21,7 +21,9 @@ elimination of A with its columns reversed.  The relation space finds
 every line, and its relations by Cramer's rule, on the forward echelon
 rows.  Matrices and relation spaces are immutable, so each keeps these
 derived values, and its orthogonal complement, once computed: asking
-again, as formality and formalization do, costs nothing.
+again, as formality and formalization do, costs nothing.  A relation
+space's basis is its own reduced row-echelon form, so its matrix, such as
+the formalization G, starts with that forward elimination known.
 """
 
 from __future__ import annotations
@@ -323,7 +325,11 @@ class RelationSpace:
         return RelationSpace.from_vectors(self.field, self.ambient, stacked).dim == other.dim
 
     def matrix(self) -> ExactMatrix:
-        return ExactMatrix(self.field, self.dim, self.ambient, self.vectors)
+        """The basis as the rows of a matrix, which are its own reduced
+        row-echelon form: the matrix keeps them as its forward elimination."""
+        a = ExactMatrix(self.field, self.dim, self.ambient, self.vectors)
+        a._memo[_forward.__name__] = ([list(v) for v in self.vectors], list(self.pivots))
+        return a
 
     @_memoized
     def perp(self) -> "RelationSpace":
@@ -506,8 +512,7 @@ def formalization(a: ExactMatrix) -> ExactMatrix:
 def _complement_of_relations(a: ExactMatrix, relations: RelationSpace
                              ) -> ExactMatrix:
     """G of :func:`formalization`, from A's already computed weight-3 space."""
-    comp = relations.perp()
-    g = ExactMatrix(a.field, comp.dim, a.cols, comp.vectors)
+    g = relations.perp().matrix()
     if g.zero_columns():
         # impossible when no functional is zero: e_i in the relation span
         # would force column i of A to vanish

@@ -6,11 +6,12 @@ function, closure, flats, minors — is derived on demand and memoized.  One
 lazily built table carries most of it: each independent set I maps to
 ext(I), the mask of the elements e outside I with I + e independent.  Its
 keys are the independent sets, a closure is one lookup at a greedy basis,
-the flat lattice is one pass over it, and the exchange certificate reads
-its swap sets from it.  A rank query on at most RANK_TABLE_LIMIT elements
-builds a second table from the first: the greedy basis of every subset, in
-2^n steps.  Rank is the size of a greedy basis at every n, so it is the
-rank function on a matroid and agrees with closure on any family.
+the flat lattice is one pass over it, and the matroid certificate reads
+the link of each small independent set from it.  A rank query on at most
+RANK_TABLE_LIMIT elements builds a second table from the first: the greedy
+basis of every subset, in 2^n steps.  Rank is the size of a greedy basis
+at every n, so it is the rank function on a matroid and agrees with
+closure on any family.
 
 The representation is deliberately explicit: desk-scale instances
 (n <= 13 in the bundled data, n <= 64 as a hard cap) make enumeration the
@@ -19,14 +20,14 @@ check rather than a heuristic.
 
 Construction goes through two doors:
 
-* :func:`Matroid.from_bases` — direct basis list, exchange-axiom checked.
+* :func:`Matroid.from_bases` — direct basis list, certified by its links.
 * :func:`matroid_from_flats` — ground size, rank, and the *nontrivial*
   flats (those with more elements than their rank); trivial flats are
   implied.  This mirrors how geometric data is usually tabulated: points
   and the lines with three or more points, say.
 
 Derived constructions (minors, truncations, simplifications) skip the
-exchange re-check — they are matroids by theorem — but remain covered by
+certificate — they are matroids by theorem — but remain covered by
 the property test suite.
 """
 
@@ -175,6 +176,7 @@ class Matroid:
         independent.  The table is built top-down from the bases: for each
         independent J and each e in J, e joins ext(J - e), so level k - 1
         comes from level k at Σ|J| bit operations over the down-closure.
+        Its keys come level by level, the bases first and the empty set last.
         """
         if self._ext is None:
             ext = dict.fromkeys(self.basis_masks, 0)
@@ -337,25 +339,42 @@ class Matroid:
 
 
 def exchange_failure(m: Matroid) -> str | None:
-    """The basis-exchange axiom on the extension table: a complete certificate.
+    """A complete matroid certificate on the extension table, by links.
 
-    For equal-cardinality set families this axiom *characterizes* matroid
-    basis systems, so passing it proves the input is a matroid.  Returns
-    None on success, else a message naming the first failing (B, B', f).
+    Returns None when the equal-cardinality basis family is a matroid's,
+    else a message naming the first failing (B, B', f) of basis exchange.
 
-    For each B and outside f let T_f = {e in B : B - e + f a basis}, that
-    is, f in ext(B - e).  A pair (B, B') fails at f exactly when T_f + f
-    lies inside B', so B has a failing partner iff T_f + f is independent:
-    iff f is in ext(T_f).  The r masks ext(B - e) split the outside
-    elements into parts (T, F_T) of equal T_f, and B fails iff some part
-    has F_T meeting ext(T).  That costs B·r splits of at most n - r parts
-    plus one lookup per part, all on the table ``m._extensions()`` (built
-    here if not yet built), instead of a walk over all B² pairs.  Only a B
-    known to fail expands its per-f swap sets and scans its partners, in
-    basis order, to name the same first (B, B', f) as a pairwise walk
-    would.
+    The link of an independent S is the graph on ext(S) with y ~ z iff
+    S + y + z is independent.  The family is a matroid iff every link with
+    |S| <= r - 2 is complete multipartite, that is, non-adjacency is an
+    equivalence: the closed non-neighbourhoods ext(S) - ext(S + y), each
+    containing its y, are pairwise disjoint or equal, so the distinct ones
+    have |ext(S)| elements in all.  Proof: on a matroid the link of S is
+    the rank-<=2 part of M/S, where non-adjacency means parallel.
+    Conversely, take a pair (I, J) violating augmentation with |I - J|
+    minimal and x in I - J.  Minimality gives y in J - I with I - x + y
+    independent, and again z in J - I with I - x + y + z independent.  So
+    the link of S = I - x (|S| <= r - 2) has the edge yz while x is
+    adjacent to neither y nor z.  The test costs one lookup per element of
+    ext(S), summed over the independent S with |S| <= r - 2, however many
+    bases there are.
+
+    Only a rejected family is split basis by basis, to name the first
+    (B, B', f) a pairwise walk would.  For B and outside f let T_f = {e in
+    B : f in ext(B - e)}; B has a failing partner iff f is in ext(T_f).
+    The r masks ext(B - e) split the outside elements into parts of equal
+    T_f; a B whose part meets ext(T_f) expands its swap sets and scans
+    its partners in basis order.
     """
     ext = m._extensions()
+    # the table lists the independent sets level by level from the bases
+    # down, so read backwards it starts at the empty set
+    for s, grow in reversed(ext.items()):
+        if s.bit_count() > m.rank - 2:
+            return None
+        far = {grow & ~ext[s | 1 << y] for y in iter_elements(grow)}
+        if sum(map(int.bit_count, far)) != grow.bit_count():
+            break
     full = m.full
     for b1 in m.basis_masks:
         parts = [(0, full & ~b1)]
@@ -386,7 +405,8 @@ def exchange_failure(m: Matroid) -> str | None:
                     return (f"basis exchange fails for B={format_set(b1)}, "
                             f"B'={format_set(b2)}, f={fbit.bit_length() - 1}")
                 need ^= fbit
-    return None
+    raise AssertionError("a link is not complete multipartite, "
+                         "yet every basis passes exchange")
 
 
 def matroid_from_flats(n: int, rank: int,
@@ -402,7 +422,7 @@ def matroid_from_flats(n: int, rank: int,
 
     Validation is complete, not heuristic: listed flats must be mutually
     consistent, the resulting basis family must pass the constructor's
-    exchange certificate (which certifies matroidness), and the derived
+    link certificate (which certifies matroidness), and the derived
     nontrivial flats must round-trip to exactly the listed ones.
     """
     if n < 1:
@@ -611,14 +631,14 @@ def truncation(m: Matroid) -> Matroid:
 def is_weak_map_image(m: Matroid, other: Matroid) -> bool:
     """True iff every independent set of ``m`` is independent in ``other``.
 
-    Independent sets are closed under subsets, so checking the bases of
-    ``m`` suffices.
+    One containment of the two tables' key views, run in C: a family with
+    more independent sets is rejected by its size alone, and the walk
+    meets the bases of ``m`` first, which decide it.
     """
     if m.n != other.n:
         raise GroundSetMismatch(
             f"ground sets differ: {m.n} vs {other.n}")
-    indep = other.independent_masks
-    return all(b in indep for b in m.basis_masks)
+    return m.independent_masks <= other.independent_masks
 
 
 def is_quotient(m: Matroid, other: Matroid) -> bool:

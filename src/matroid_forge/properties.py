@@ -132,7 +132,7 @@ def _sampled_rank_failures(m: Matroid, samples: int, seed: int) -> list[str]:
 
 
 def exchange_failures(m: Matroid) -> list[str]:
-    """The basis-exchange certificate as a list: [] or its one message."""
+    """The matroid certificate as a list: [] or its one basis-exchange message."""
     failure = exchange_failure(m)
     return [] if failure is None else [failure]
 

@@ -37,6 +37,7 @@ from matroid_forge.linalg import (
 from matroid_forge.bitsets import mask_of
 from matroid_forge.matroid import Matroid, delete
 from matroid_forge.minors import fano_matroid, non_fano_matroid
+from matroid_forge.reproduce import run_reproduce
 
 
 def uniform(rank, n):
@@ -722,6 +723,35 @@ def test_an_asked_matrix_equals_a_fresh_build(data_dir):
         assert a == twin
         assert hash(a) == hash(twin)
         assert repr(a) == repr(twin)
+
+
+def test_a_relation_space_matrix_starts_with_its_elimination(data_dir):
+    """Its kept echelon rows and pivots are what eliminating it would give."""
+    def assert_kept_is_fresh(m, label):
+        assert m._memo["_forward"] == _rref(m.field, list(m.entries), m.cols), label
+
+    paths = sorted(data_dir.glob("*.matrix"))
+    assert len(paths) == 5
+    for path in paths:
+        a = load_matrix(path)
+        for space in (kernel_basis(a), weight3_subspace(a), weight3_subspace(a).perp()):
+            assert_kept_is_fresh(space.matrix(), path.name)
+        # yuzvinsky_a2's G has rank 4 > rank A: the one formalization that
+        # adds rows
+        assert_kept_is_fresh(formalization(a), path.name)
+
+
+def test_reproduce_eliminations(monkeypatch):
+    calls = []
+
+    def counting(*args, _original=_rref):
+        calls.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(linalg, "_rref", counting)
+    assert run_reproduce().overall
+    # 27 while each formalization G was eliminated again, 6 of them
+    assert len(calls) == 21
 
 
 def test_elimination_entries_stay_bounded_on_dense_rows():

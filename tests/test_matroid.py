@@ -12,6 +12,7 @@ from matroid_forge.bitsets import (
     mask_of,
     sort_masks,
 )
+from matroid_forge.erection import enumerate_erections
 from matroid_forge.errors import (
     EmptyGroundSet,
     FormatError,
@@ -459,6 +460,21 @@ def test_weak_map_matches_definition(gf5_column_matroid):
                 assert is_weak_map_image(a, b) == expected, (a, b)
                 verdicts.add(expected)
     assert verdicts == {False, True}
+
+
+def test_weak_map_containment_matches_the_membership_walk(rank3_matroid, rank4_matroid):
+    def walk(a, b):
+        indep = b.independent_masks
+        return all(x in indep for x in a.basis_masks)
+
+    for group in (enumerate_erections(uniform(3, 5)).erections,
+                  (rank3_matroid, rank4_matroid, truncation(rank4_matroid))):
+        verdicts = set()
+        for a in group:
+            for b in group:
+                assert is_weak_map_image(a, b) == walk(a, b), (a, b)
+                verdicts.add(walk(a, b))
+        assert verdicts == {False, True}
 
 
 def test_mismatched_ground_sets_rejected():

@@ -1,13 +1,14 @@
 """Axiom batteries over the whole corpus, plus detection of broken inputs."""
 
 import random
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 from types import SimpleNamespace
 
 import pytest
 
 from matroid_forge import properties
 from matroid_forge.bitsets import format_set, iter_elements, mask_of, sort_masks
+from matroid_forge.errors import ValidationError
 from matroid_forge.formats import bundled_data_dir, load_matroid
 from matroid_forge.matroid import (
     Matroid,
@@ -217,6 +218,74 @@ def test_exchange_certificate_matches_reference(families, all_matroids,
         assert rejected == 0
     else:
         assert rejected > 0
+
+
+def failing_links(m):
+    """Every independent S, |S| <= r - 2, whose link is not complete multipartite.
+
+    The link of S joins y and z outside S when S + y + z is independent; it
+    is complete multipartite iff non-adjacency is transitive.
+    """
+    indep = down_closure(m)
+    failing = []
+    for s in sort_masks(indep):
+        if s.bit_count() > m.rank - 2:
+            continue
+        link = [y for y in range(m.n) if not s >> y & 1 and s | 1 << y in indep]
+
+        def apart(y, z):
+            return s | 1 << y | 1 << z not in indep
+
+        if any(apart(x, y) and apart(x, z) and not apart(y, z)
+               for x, y, z in permutations(link, 3)):
+            failing.append(s)
+    return failing
+
+
+def test_links_characterize_matroids():
+    families = chain(_families(5, 2), _families(5, 3), _random_families(500, seed=13))
+    rejected = 0
+    for n, rank, family in families:
+        m = Matroid(n, rank, family, _validated=True)
+        expected = reference_exchange_failure(m)
+        assert (failing_links(m) == []) == (expected is None), family
+        rejected += expected is not None
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("n, rank, family, failing_sizes", [
+    (6, 3, ["012", "345"], {0}),
+    (8, 4, ["0123", "4567"], {0}),
+    (6, 4, ["0134", "0145", "0235", "0245", "1234", "1235"], {2}),
+], ids=["two-triangles", "two-quadruples", "only-pair-links-fail"])
+def test_link_certificate_rejects_a_single_failing_level(n, rank, family, failing_sizes):
+    m = Matroid(n, rank, [mask_of(map(int, b)) for b in family], _validated=True)
+    assert {s.bit_count() for s in failing_links(m)} == failing_sizes
+    expected = reference_exchange_failure(m)
+    assert expected is not None
+    assert exchange_failure(m) == expected
+    with pytest.raises(ValidationError) as raised:
+        Matroid(n, rank, m.basis_masks)
+    assert str(raised.value) == expected
+
+
+def test_link_certificate_accepts_every_family_of_rank_at_most_one():
+    for n in range(1, 7):
+        for rank in (0, 1):
+            for _, _, family in _families(n, rank):
+                m = Matroid(n, rank, family, _validated=True)
+                assert reference_exchange_failure(m) is None
+                assert exchange_failure(m) is None, family
+
+
+def test_link_certificate_accepts_pg27():
+    # the 57 lines of PG(2,7), translates of a perfect difference set
+    lines = [mask_of((d + i) % 57 for d in (0, 1, 3, 13, 32, 36, 43, 52))
+             for i in range(57)]
+    bases = [b for b in map(mask_of, combinations(range(57), 3))
+             if not any(b & ~line == 0 for line in lines)]
+    assert len(bases) == 26068
+    assert exchange_failure(Matroid(57, 3, bases, _validated=True)) is None
 
 
 def down_closure(m):
