@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .bitsets import format_set, mask_of
 from .charpoly import characteristic_polynomial, splits_over_integers
@@ -189,7 +190,14 @@ def _cmd_reproduce(args, budget) -> int:
     return 0 if report.overall else 1
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Each ``add_argument`` makes a help formatter, which reads the terminal
+    size; parsing leaves the parser as it was, so in-process callers of
+    :func:`main` share one.
+    """
     parser = argparse.ArgumentParser(
         prog="matroid-forge",
         description="Exact matroid erections, formality analysis, and "

@@ -28,14 +28,22 @@ Construction goes through two doors:
 
 Derived constructions (minors, truncations, simplifications) skip the
 certificate — they are matroids by theorem — but remain covered by
-the property test suite.
+the property test suite.  Minors keep canonical order by construction:
+:func:`contract` and :func:`delete` filter the parent's basis tuple, which
+is already canonical, and squeeze the removed elements out in an
+order-preserving way, so the lowest element where two bases differ stays
+the lowest.  The constructor sorts only input that is out of order, so
+neither these nor :func:`matroid_from_flats` (which emits the rank-subsets
+in ``combinations`` order) pay a sort, and no minor walks C(n, r) subsets
+or builds the 2^n rank table.
 """
 
 from __future__ import annotations
 
 from collections.abc import KeysView
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
+from operator import and_, neg, sub, xor
 from typing import Iterable, Sequence
 
 from .bitsets import (
@@ -61,6 +69,38 @@ from .errors import (
 # The 2^n greedy-basis table is built, by the first rank query, up to this
 # ground-set size; above it each rank query walks the greedy basis itself.
 RANK_TABLE_LIMIT = 16
+
+
+def _in_canonical_order(masks: Sequence[int]) -> bool:
+    """Are these same-size masks distinct and in canonical order?
+
+    Canonical order puts first, at the lowest element where two masks
+    differ, the mask holding it.  Checking consecutive pairs suffices, and
+    a pair a, b is in order iff the lowest bit of a ^ b lies in a; equal
+    neighbours have no such bit.  Every step runs in C.
+    """
+    d = list(map(xor, masks, masks[1:]))
+    return all(map(and_, map(and_, d, map(neg, d)), masks))
+
+
+def _squeeze(masks: Iterable[int], keep: int) -> list[int]:
+    """Re-index masks inside ``keep`` onto 0..|keep|-1, order-preservingly.
+
+    Each gap of k missing positions from p upward moves every bit above it
+    down by k: with h = b >> (p + k), b becomes b - h * (2^(p+k) - 2^p).
+    The gaps go from the top down, each in three C-level passes.  The map
+    is increasing on elements, so the lowest element where two masks
+    differ stays the lowest, and canonical order is kept.
+    """
+    masks = list(masks)
+    gaps = ~keep & ((1 << keep.bit_length()) - 1)
+    while gaps:
+        top = gaps.bit_length()
+        p = (~gaps & ((1 << top) - 1)).bit_length()
+        drop = (1 << top) - (1 << p)
+        masks = list(map(sub, masks, map(drop.__mul__, map(top.__rrshift__, masks))))
+        gaps &= (1 << p) - 1
+    return masks
 
 
 @dataclass(frozen=True)
@@ -125,6 +165,11 @@ class Matroid:
     Public surface works with element iterables (or raw bitmasks); the
     ``*_mask`` methods are the internal fast path.  Instances compare equal
     exactly when ground size, rank and canonical basis list coincide.
+
+    The constructor keeps a basis list that is already distinct and in
+    canonical order, which it checks in C; any other list, repeats
+    included, is deduplicated and sorted.  Range, size and order checks
+    all run in C.
     """
 
     __slots__ = ("n", "rank", "basis_masks", "_ext", "_greedy", "_lattice")
@@ -135,13 +180,15 @@ class Matroid:
             raise EmptyGroundSet("matroid needs at least one element")
         if n > MAX_GROUND:
             raise GroundSetTooLarge(f"ground set of size {n} exceeds the cap of {MAX_GROUND}")
-        masks = sort_masks(set(basis_masks))
+        masks = tuple(basis_masks)
         if not masks:
             raise ValidationError("matroid needs at least one basis")
-        if any(b < 0 or b >= (1 << n) for b in masks):
+        if min(masks) < 0 or max(masks) >= 1 << n:
             raise FormatError("basis element out of range")
-        if any(b.bit_count() != rank for b in masks):
+        if set(map(int.bit_count, masks)) != {rank}:
             raise ValidationError("all bases must have cardinality equal to the rank")
+        if not _in_canonical_order(masks):
+            masks = sort_masks(set(masks))
         self.n = n
         self.rank = rank
         self.basis_masks = masks
@@ -542,53 +589,55 @@ def removal_map(n: int, removed: Iterable[int] | int) -> PointedMap:
 def delete(m: Matroid, x: Iterable[int] | int) -> Matroid:
     """Restrict to E minus x; survivors are re-indexed order-preservingly.
 
-    The rank may drop.  Use :func:`removal_map` to recover original labels.
+    The rank may drop to r', the size of a greedy basis of E - x.  Every
+    basis of M|(E - x) extends to a basis B of M, and B & (E - x) is then
+    that basis; so the bases of the restriction are the B & (E - x) of size
+    r'.  When r' = r these are the bases avoiding x, a subsequence of the
+    canonical tuple, distinct and in order, and squeezing keeps them so;
+    when the rank drops the constructor dedupes and sorts them.  Use
+    :func:`removal_map` to recover original labels.
     """
     xmask = coerce_mask(x, m.n)
     if xmask == m.full:
         raise EmptyGroundSet("cannot delete the whole ground set")
     keep = m.full & ~xmask
-    kept = elements_of(keep)
-    images = [0] * m.n
-    for i, e in enumerate(kept):
-        images[e] = 1 << i
-    reindex = mask_mapper(images)
-    # the bases of m|keep are its largest independent sets, so one walk
-    # gives the rank too
-    inside = [ind for ind in m.independent_masks if ind & ~keep == 0]
-    new_rank = max(ind.bit_count() for ind in inside)
-    new_bases = {reindex(ind) for ind in inside if ind.bit_count() == new_rank}
-    return Matroid(len(kept), new_rank, new_bases, _validated=True)
+    new_rank = m._maximal_independent_mask(keep).bit_count()
+    cut = list(map(keep.__and__, m.basis_masks))
+    inside = compress(cut, map(new_rank.__eq__, map(int.bit_count, cut)))
+    return Matroid(keep.bit_count(), new_rank, _squeeze(inside, keep),
+                   _validated=True)
 
 
 def contract(m: Matroid, x: Iterable[int] | int) -> Matroid:
     """Contract x; survivors re-indexed as in :func:`delete`.
 
-    With I a basis of X, Y is a basis of M/X exactly when Y ∪ I is a basis
-    of M (the minor's rank is rk(Y ∪ X) - rk(X)); loops and parallel
+    With I a basis of X, the bases of M/X are the B - I for the bases B of
+    M with B ∩ X = I (Oxley, *Matroid Theory*, §3.1): Y in E - X is a
+    basis of M/X iff Y ∪ I is a basis of M, and that basis meets X in I.
+    So the canonical basis tuple is filtered, I is dropped and X squeezed
+    out.  Neither step changes the lowest element where two kept bases
+    differ, so the result is in canonical order.  Loops and parallel
     elements may appear.
     """
     xmask = coerce_mask(x, m.n)
     if xmask == m.full:
         raise EmptyGroundSet("cannot contract the whole ground set")
-    kept = elements_of(m.full & ~xmask)
     imask = m._maximal_independent_mask(xmask)
-    new_rank = m.rank - imask.bit_count()
-    # each candidate has rank elements, so it is a basis iff independent
-    indep = m.independent_masks
-    new_bases = []
-    for combo in combinations(range(len(kept)), new_rank):
-        if mask_of(kept[i] for i in combo) | imask in indep:
-            new_bases.append(mask_of(combo))
-    return Matroid(len(kept), new_rank, new_bases, _validated=True)
+    bases = m.basis_masks
+    kept = compress(bases, map(imask.__eq__, map(xmask.__and__, bases)))
+    return Matroid(m.n - xmask.bit_count(), m.rank - imask.bit_count(),
+                   _squeeze(map(imask.__xor__, kept), m.full & ~xmask),
+                   _validated=True)
 
 
 def simplify(m: Matroid) -> tuple[Matroid, PointedMap]:
     """Drop loops, collapse parallel classes onto least representatives.
 
-    Returns the simple matroid together with a PointedMap whose classes
-    record, for each new point, the original elements it absorbs.  A
-    matroid that is already simple is returned itself, with the identity
+    The simple matroid is M restricted to the least element of each
+    parallel class: the representatives span M, so this is a rank-keeping
+    :func:`delete`.  It is returned together with a PointedMap whose
+    classes record, for each new point, the original elements it absorbs.
+    A matroid that is already simple is returned itself, with the identity
     map and singleton classes, so it keeps its memoized flats and
     independent sets.
     """
@@ -596,6 +645,8 @@ def simplify(m: Matroid) -> tuple[Matroid, PointedMap]:
     nonloops = m.full & ~loops
     if nonloops == 0:
         raise EmptyGroundSet("every element is a loop")
+    # each class is met first at its least element, so the classes come in
+    # the order of their representatives
     class_masks = []
     seen = 0
     for e in iter_elements(nonloops):
@@ -606,18 +657,10 @@ def simplify(m: Matroid) -> tuple[Matroid, PointedMap]:
         seen |= cls
     if len(class_masks) == m.n:
         return m, PointedMap(tuple(range(m.n)), tuple((e,) for e in range(m.n)))
-    # order classes by least representative, so point order follows labels
-    class_masks.sort(key=lambda c: c & -c)
-    point_of = [0] * m.n
-    for i, cls in enumerate(class_masks):
-        for e in iter_elements(cls):
-            point_of[e] = 1 << i
-    collapse = mask_mapper(point_of)
-    new_bases = {collapse(b) for b in m.basis_masks}
-    simple = Matroid(len(class_masks), m.rank, new_bases, _validated=True)
-    pmap = PointedMap(tuple(min(iter_elements(c)) for c in class_masks),
+    reps = sum(c & -c for c in class_masks)
+    pmap = PointedMap(elements_of(reps),
                       tuple(elements_of(c) for c in class_masks))
-    return simple, pmap
+    return delete(m, m.full & ~reps), pmap
 
 
 def truncation(m: Matroid) -> Matroid:

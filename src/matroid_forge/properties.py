@@ -13,7 +13,8 @@ one AMD EPYC core.
 from __future__ import annotations
 
 import random
-from functools import cache
+from functools import cache, partial
+from itertools import islice
 
 from .bitsets import format_set, full_mask, iter_elements, mask_of
 from .erection import ErectionFamily
@@ -36,6 +37,16 @@ from .matroid import (
 )
 
 
+def _draws(rng: random.Random, full: int):
+    """Endless uniform subsets of ``full`` = 2^n - 1, drawn in C.
+
+    ``rng.randrange(full + 1)`` draws n + 1 random bits until the value is
+    at most ``full``; this is the same loop, so it yields the same values
+    and leaves ``rng`` in the same state.
+    """
+    return filter(full.__ge__, iter(partial(rng.getrandbits, full.bit_length() + 1), -1))
+
+
 def closure_axiom_failures(m: Matroid, *, samples: int | None = None,
                            seed: int = 0xC10) -> list[str]:
     """Extensive, monotone, idempotent closure plus the exchange property.
@@ -49,9 +60,9 @@ def closure_axiom_failures(m: Matroid, *, samples: int | None = None,
     if samples is None:
         subsets = range(full + 1)
     else:
-        rng = random.Random(seed)
-        subsets = [rng.randrange(full + 1) for _ in range(samples)]
+        subsets = list(islice(_draws(random.Random(seed), full), samples))
     closure = cache(m.closure_mask)
+    rank = m.rank_of_mask
     for x in subsets:
         cl = closure(x)
         if x & ~cl:
@@ -59,8 +70,8 @@ def closure_axiom_failures(m: Matroid, *, samples: int | None = None,
             continue
         if closure(cl) != cl:
             failures.append(f"closure not idempotent at {format_set(x)}")
-        rx = m.rank_of_mask(x)
-        if m.rank_of_mask(cl) != rx:
+        rx = rank(x)
+        if rank(cl) != rx:
             failures.append(f"closure changes rank at {format_set(x)}")
         for e in range(m.n):
             ebit = 1 << e
@@ -115,18 +126,16 @@ def rank_axiom_failures(m: Matroid, *, samples: int | None = None,
 
 
 def _sampled_rank_failures(m: Matroid, samples: int, seed: int) -> list[str]:
-    full = full_mask(m.n)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        x, y = rng.randrange(full + 1), rng.randrange(full + 1)
-        rx = m.rank_of_mask(x)
+    draws = _draws(random.Random(seed), full_mask(m.n))
+    rank = m.rank_of_mask
+    for x, y in islice(zip(draws, draws), samples):
+        rx = rank(x)
         if not 0 <= rx <= min(x.bit_count(), m.rank):
             return [f"rank out of bounds at {format_set(x)}"]
         e = (y % m.n) if m.n else 0
-        if m.rank_of_mask(x | (1 << e)) - rx not in (0, 1):
+        if rank(x | (1 << e)) - rx not in (0, 1):
             return [f"rank not unit-increasing at {format_set(x)} + {e}"]
-        if (m.rank_of_mask(x | y) + m.rank_of_mask(x & y)
-                > rx + m.rank_of_mask(y)):
+        if rank(x | y) + rank(x & y) > rx + rank(y):
             return [f"rank not submodular at {format_set(x)}, {format_set(y)}"]
     return []
 
@@ -145,11 +154,11 @@ def minor_commutation_failures(m: Matroid, *, samples: int = 30,
     re-indexings the two results must be canonically equal.
     """
     failures = []
-    rng = random.Random(seed)
     full = full_mask(m.n)
-    for _ in range(samples):
-        x = rng.randrange(full + 1) & rng.randrange(full + 1)
-        y = rng.randrange(full + 1) & rng.randrange(full + 1) & ~x
+    draws = _draws(random.Random(seed), full)
+    for a, b, c, d in islice(zip(draws, draws, draws, draws), samples):
+        x = a & b
+        y = c & d & ~x
         if x | y == full or (x | y) == 0:
             continue
         # translate the second operation's set into post-removal labels

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from matroid_forge import cli
 from matroid_forge.cli import main
 from matroid_forge.formats import parse_matroid_text, serialize_matroid
 from matroid_forge.minors import fano_matroid
@@ -26,6 +27,41 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_or_exit(capsys, argv):
+    """Like :func:`run`, but an argparse exit becomes its exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_reused_unchanged(capsys, paths):
+    calls = [
+        ["validate", paths["m"]],
+        ["flats", paths["m"], "--rank", "2", "--json"],
+        ["erect", paths["m"]],  # no mode: an argparse error
+        ["minor", paths["n"], paths["m"]],
+        ["charpoly", paths["m"], "--json"],
+        ["flats", paths["n"], "--rank", "x"],
+        ["validate", paths["n"], "--json"],
+        ["minor", "--help"],
+    ]
+    cli._build_parser.cache_clear()
+    shared = [run_or_exit(capsys, argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run_or_exit(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 1, 0, 2, 0, 0]
+    assert "required" in shared[2][2]
+    assert "invalid int value" in shared[5][2]
 
 
 # -- validate -----------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Core matroid structure: construction, rank, closure, minors, maps."""
 
 import random
+import sys
 
 import pytest
+
+from matroid_forge import matroid
 
 from matroid_forge.bitsets import (
     MAX_GROUND,
@@ -125,6 +128,7 @@ def test_from_bases_infers_rank():
     assert m.is_simple
 
 
+
 # -- rank and closure on the seven-point plane ------------------------------
 
 def test_fano_rank_and_closure():
@@ -245,9 +249,12 @@ def test_only_rank_queries_build_the_table(gf5_column_matroid):
     m = gf5_column_matroid(RANK_TABLE_LIMIT, 3, 2)
     for x in range(0, m.full + 1, 97):
         m.closure_mask(x)
-    contract(m, 0b11)
-    simplify(m)
+    derived = [contract(m, 0b11), contract(m, 1 << 5), delete(m, 0b101),
+               delete(m, m.full ^ 0b11)]
+    derived += [simplify(d)[0] for d in derived] + [simplify(m)[0]]
+    assert [d.rank for d in derived[:4]] == [1, 2, 3, 2]
     assert m._greedy is None
+    assert all(d._greedy is None for d in derived)
     m.rank_of_mask(0b111)
     assert len(m._greedy) == 1 << RANK_TABLE_LIMIT
 
@@ -431,6 +438,123 @@ def test_truncation_of_plane_is_line():
     assert truncation(fano_matroid()) == uniform(2, 7)
     with pytest.raises(RankTooLow):
         truncation(uniform(1, 3))
+
+
+# -- canonical order by construction -------------------------------------------
+
+def _seeded_families(count, seed):
+    """Seeded same-size mask families: canonical, shuffled, with repeats."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        k = rng.randint(0, n)
+        subsets = [mask_of(c) for c in combinations(range(n), k)]
+        family = [s for s in subsets if rng.random() < rng.random()] or subsets[:1]
+        yield n, k, family
+        shuffled = family[:]
+        rng.shuffle(shuffled)
+        yield n, k, shuffled
+        yield n, k, family + [rng.choice(family)]
+        yield n, k, sorted(family + family)
+
+
+def test_canonical_order_test_matches_sorting():
+    verdicts = []
+    for _, _, family in _seeded_families(500, seed=17):
+        fast = matroid._in_canonical_order(family)
+        assert fast == (tuple(family) == sort_masks(set(family))), family
+        verdicts.append(fast)
+    assert any(verdicts) and not all(verdicts)
+
+
+def _outcome(build):
+    try:
+        return build().basis_masks
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n, rank, bases", [
+    (7, 3, fano_matroid().basis_masks),
+    (5, 2, loops_and_parallels().basis_masks),
+    (4, 2, (0b0011, 0b1100)),                 # fails exchange
+    (4, 2, (0b0011, 0b0101, 0b0110, 0b10000)),  # out of range
+    (4, 2, (0b0011, 0b0101, 0b0111)),          # mixed sizes
+    (4, 2, (0b0011, 0b0101, -0b0110)),         # negative
+])
+def test_constructor_ignores_input_order_and_repeats(n, rank, bases):
+    canonical = sort_masks(set(bases))
+    shuffled = list(canonical)
+    random.Random(f"{n}:{rank}").shuffle(shuffled)
+    for validated in (False, True):
+        want = _outcome(lambda: Matroid(n, rank, canonical, _validated=validated))
+        for variant in (shuffled, list(canonical) * 2,
+                        [*shuffled, canonical[0]], set(canonical)):
+            got = _outcome(lambda: Matroid(n, rank, variant, _validated=validated))
+            assert got == want, (validated, variant)
+
+
+@pytest.fixture
+def no_constructor_sort(monkeypatch):
+    """Make a sort inside the constructor an error."""
+    def guarded(masks):
+        if sys._getframe(1).f_code is Matroid.__init__.__code__:
+            raise AssertionError("the constructor sorted its input")
+        return sort_masks(masks)
+
+    monkeypatch.setattr(matroid, "sort_masks", guarded)
+
+
+def no_walk(*args):
+    raise AssertionError("a derived operation walked C(n, r) subsets")
+
+
+@pytest.mark.parametrize("name", SMALL_HOSTS)
+def test_minors_filter_the_canonical_tuple_without_sorting(
+        name, gf5_column_matroid, no_constructor_sort, monkeypatch):
+    m = SMALL_HOSTS[name](gf5_column_matroid)
+    monkeypatch.setattr(matroid, "combinations", no_walk)
+    for x in range(m.full):
+        contract(m, x)
+        if m._maximal_independent_mask(m.full & ~x).bit_count() == m.rank:
+            delete(m, x)
+    simplify(m)
+
+
+def test_parsing_the_bundled_matroids_does_not_sort(no_constructor_sort):
+    for name in ("M", "N"):
+        assert _bundled(name).n == 13
+
+
+def parent_simplify(m):
+    """Collapse each parallel class onto its least element, basis by basis:
+    the construction simplify used before it became a deletion."""
+    nonloops = m.full & ~m.loops_mask
+    class_masks = []
+    seen = 0
+    for e in iter_elements(nonloops):
+        if not seen >> e & 1:
+            class_masks.append(m.closure_mask(1 << e) & nonloops)
+            seen |= class_masks[-1]
+    class_masks.sort(key=lambda c: c & -c)
+    point_of = [0] * m.n
+    for i, cls in enumerate(class_masks):
+        for e in iter_elements(cls):
+            point_of[e] = 1 << i
+    collapse = mask_mapper(point_of)
+    simple = Matroid(len(class_masks), m.rank,
+                     {collapse(b) for b in m.basis_masks}, _validated=True)
+    pmap = PointedMap(tuple(min(iter_elements(c)) for c in class_masks),
+                      tuple(elements_of(c) for c in class_masks))
+    return simple, pmap
+
+
+@pytest.mark.parametrize("name", LATTICE_HOSTS)
+def test_simplify_matches_the_class_collapse(name, gf5_column_matroid):
+    m = LATTICE_HOSTS[name](gf5_column_matroid)
+    for e in range(m.n):
+        c = contract(m, 1 << e)
+        assert simplify(c) == parent_simplify(c), e
 
 
 # -- order relations ---------------------------------------------------------

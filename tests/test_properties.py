@@ -1,7 +1,7 @@
 """Axiom batteries over the whole corpus, plus detection of broken inputs."""
 
 import random
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, islice, permutations
 from types import SimpleNamespace
 
 import pytest
@@ -322,6 +322,17 @@ def test_closure_and_lattice_match_the_loop_on_down_closed_families():
             for k in range(rank + 1)), family
         rejected += exchange_failure(m) is not None
     assert rejected > 0
+
+
+@pytest.mark.parametrize("seed", [0xC10, 0xA5, 0xD7])
+def test_draws_repeat_randrange(seed):
+    """The batteries' C-level draws are the subsets randrange would give."""
+    for n in range(1, 21):
+        full = (1 << n) - 1
+        ours, theirs = random.Random(seed), random.Random(seed)
+        drawn = list(islice(properties._draws(ours, full), 200))
+        assert drawn == [theirs.randrange(full + 1) for _ in range(200)], n
+        assert ours.getstate() == theirs.getstate(), n
 
 
 def test_closure_detects_non_matroid():
