@@ -226,21 +226,37 @@ def _exact_covers(num_items: int, cover_masks: list[int], budget: int
                   ) -> list[tuple[int, ...]]:
     """All exact covers of {0..num_items-1} by the given item masks.
 
-    Plain recursive Algorithm X: branch on the uncovered item with the
-    fewest compatible candidates (first such item on ties), candidates in
-    ascending index order, so the solution list is deterministic.  Every
-    explored branch costs one node against the budget.
+    Plain recursive Algorithm X (Knuth, "Dancing Links", 2000): branch on
+    the uncovered item with the fewest compatible candidates (first such
+    item on ties), candidates in ascending index order, so the solution
+    list is deterministic.  Every explored branch costs one node against
+    the budget.
+
+    Items held by the same candidates are always covered together, so
+    they are merged into one class, listed at its least item: the first
+    item with the fewest compatible candidates is a class's least item,
+    so branching on classes makes the same choices and counts the same
+    nodes.  The compatible candidates are a bitmask, from which each
+    chosen candidate strikes those it shares an item with.
     """
-    full = full_mask(num_items)
-    containing: list[list[int]] = [[] for _ in range(num_items)]
+    holders = [0] * num_items
     for ci, cm in enumerate(cover_masks):
         for item in iter_elements(cm):
-            containing[item].append(ci)
+            holders[item] |= 1 << ci
+    # dicts keep insertion order, so classes come by their least item
+    classes = list(dict.fromkeys(holders))
+    covers = [0] * len(cover_masks)
+    clash = [0] * len(cover_masks)
+    for j, held in enumerate(classes):
+        for ci in iter_elements(held):
+            covers[ci] |= 1 << j
+            clash[ci] |= held
+    full = full_mask(len(classes))
     solutions: list[tuple[int, ...]] = []
     chosen: list[int] = []
     nodes = 0
 
-    def rec(covered: int) -> None:
+    def rec(covered: int, alive: int) -> None:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -249,21 +265,20 @@ def _exact_covers(num_items: int, cover_masks: list[int], budget: int
         if covered == full:
             solutions.append(tuple(chosen))
             return
-        best: list[int] | None = None
-        for item in iter_elements(full & ~covered):
-            avail = [ci for ci in containing[item]
-                     if cover_masks[ci] & covered == 0]
-            if best is None or len(avail) < len(best):
-                best = avail
-                if not avail:
+        best = fewest = -1
+        for j in iter_elements(full & ~covered):
+            avail = classes[j] & alive
+            count = avail.bit_count()
+            if fewest < 0 or count < fewest:
+                best, fewest = avail, count
+                if not count:
                     break
-        assert best is not None
-        for ci in best:
+        for ci in iter_elements(best):
             chosen.append(ci)
-            rec(covered | cover_masks[ci])
+            rec(covered | covers[ci], alive & ~clash[ci])
             chosen.pop()
 
-    rec(0)
+    rec(0, full_mask(len(cover_masks)))
     return solutions
 
 
@@ -334,8 +349,11 @@ def tautness_witness(m: Matroid, *, budget: int | None = None) -> Matroid | None
 
     An erection has the same points and lines as m and admits m as a
     quotient, so its existence certifies non-tautness.  None means no
-    one-step witness exists; it is *not* a tautness certificate, since
-    higher-rank lifts beyond single erections are not searched.
+    one-step witness exists.  Above rank 3 it is *not* a tautness
+    certificate, since higher-rank lifts beyond single erections are not
+    searched.  In rank 3 it is one: a lift of m with the same points and
+    lines has rank at least 4, and its truncation to rank 4 keeps those
+    points and lines and truncates to m, so it is a nontrivial erection.
     """
     family = enumerate_erections(m, budget=budget)
     if len(family) == 1:

@@ -1,14 +1,20 @@
 """Minor containment and the two classical realizability obstructions.
 
 A minor comes from contracting some set and deleting another.  The search
-below fixes a normal form: contract an independent set first (contracting
-extra dependent elements only manufactures loops that simplification
-removes, so independent sets suffice), simplify, then keep a subset of the
-surviving points and match it against the target up to isomorphism.  The
-returned witness replays deterministically and is verified before it is
-handed back.  Since only points of a simplification are kept, the target
-must be simple; a target with loops or parallel elements is refused with
-:class:`ValidationError` rather than answered "not found".
+below fixes a normal form: contract an independent set C first
+(contracting extra dependent elements only manufactures loops that
+simplification removes, so independent sets suffice), simplify, then keep
+a subset of the surviving points and match it against the target up to
+isomorphism.  The search does not build the simplification of M/C: its
+points, parallel classes, loops and nontrivial flats are read from M's
+flat lattice, since the flats of M/C are those of M that contain cl(C)
+(Oxley, *Matroid Theory*, §3.3).  Only a contraction with a kept set that
+passes the screen below is contracted and simplified, to build the
+witness.  The returned witness replays deterministically, contracting
+again from scratch, and is verified before it is handed back.  Since only
+points of a simplification are kept, the target must be simple; a target
+with loops or parallel elements is refused with :class:`ValidationError`
+rather than answered "not found".
 
 Kept sets K are generated depth-first in increasing element order, the
 order of :func:`itertools.combinations`, and a prefix is cut as soon as
@@ -44,6 +50,7 @@ simplification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -53,6 +60,7 @@ from .errors import SearchBudgetExceeded, ValidationError
 from .matroid import (
     Matroid,
     PointedMap,
+    _squeeze,
     are_isomorphic,
     contract,
     delete,
@@ -135,17 +143,58 @@ def _contraction(host: Matroid, contract_set: Sequence[int]) -> _Contraction:
         tuple(back(e) for e in elements_of(contracted.loops_mask)))
 
 
-def _contraction_classes(host: Matroid, target: Matroid) -> Iterator[_Contraction]:
-    """One contraction per closure of an independent set of size 0 up to
-    the rank difference, least set first by size and then in combinations
-    order, when its simplification has room for the target.
+class _ContractionClass:
+    """si(M/C) for one contraction class, read from M's flat lattice.
+
+    With F = cl(C) and s = |C|, the flats of M/C are the X - C over the
+    flats X of M that contain F (Oxley, *Matroid Theory*, §3.3), a rank-k
+    flat of M/C coming from a rank-(s+k) X.  So the points of si(M/C) are
+    the rank-(s+1) flats G over F, in order of the least element of
+    G - F, which is :func:`simplify`'s order; ``classes`` holds the G - F
+    and ``loops`` is F - C.  A rank-(s+k) flat X over F is nontrivial in
+    si(M/C) when it holds more than k points, and it then holds at least
+    |F| + k + 1 > s + k elements, so ``levels``, the nontrivial flats of
+    si(M/C) by rank (in no particular order), come from M's nontrivial
+    flats alone.  ``simple`` itself is contracted and simplified only when
+    first asked for, by a witness.
+    """
+
+    def __init__(self, host: Matroid, host_levels: Sequence[Sequence[int]],
+                 contract_set: tuple[int, ...], flat: int,
+                 points: Sequence[int]):
+        s = len(contract_set)
+        moved = sorted((g & ~flat for g in points), key=lambda x: x & -x)
+        reps = sum(x & -x for x in moved)
+        self.host = host
+        self.contract_set = contract_set
+        self.n = len(moved)
+        self.rank = host.rank - s
+        self.classes = tuple(map(elements_of, moved))
+        self.loops = elements_of(flat & ~mask_of(contract_set))
+        self.levels = [
+            _squeeze([x for f in level if f & flat == flat
+                      if (x := f & reps).bit_count() > k], reps)
+            for k, level in enumerate(host_levels[s:], 1)]
+
+    @cached_property
+    def simple(self) -> Matroid:
+        return _contraction(self.host, self.contract_set).simple
+
+
+def _contraction_classes(host: Matroid, target: Matroid) -> Iterator[_ContractionClass]:
+    """One contraction class per closure of an independent set of size 0 up
+    to the rank difference, least set first by size and then in
+    combinations order, when its simplification has room for the target.
 
     Deletions alone can also lower rank, so size 0 is always tried.
     Contracting sets with the same closure yields the same simplification,
-    so only the first set of each closure is contracted.
+    so only the first set of each closure is kept.
     """
+    lattice = host.flat_lattice()
+    host_levels = nontrivial_levels(host)
     for csize in range(host.rank - target.rank + 1):
         seen_closures: set[int] = set()
+        above = lattice.at(csize + 1)
         for combo in combinations(range(host.n), csize):
             cmask = mask_of(combo)
             if cmask not in host.independent_masks:
@@ -154,15 +203,16 @@ def _contraction_classes(host: Matroid, target: Matroid) -> Iterator[_Contractio
             if cl in seen_closures:
                 continue
             seen_closures.add(cl)
-            c = _contraction(host, combo)
-            if c.simple.n >= target.n and c.simple.rank >= target.rank:
-                yield c
+            points = [g for g in above if g & cl == cl]
+            if len(points) >= target.n:
+                yield _ContractionClass(host, host_levels, combo, cl, points)
 
 
-def _witness(host: Matroid, target: Matroid, c: _Contraction,
+def _witness(host: Matroid, target: Matroid, c: _ContractionClass,
              kmask: int) -> MinorWitness | None:
     """The witness keeping the points ``kmask`` of ``c.simple``, when that
-    restriction is isomorphic to the target, replayed before it is returned."""
+    restriction is isomorphic to the target, replayed (from a contraction
+    of its own) before it is returned."""
     simple = c.simple
     restricted = simple if kmask == simple.full else delete(simple, simple.full & ~kmask)
     iso = are_isomorphic(restricted, target)
@@ -270,15 +320,16 @@ def find_minor(host: Matroid, target: Matroid, *,
 
     Contraction sets run over independent sets of size 0 up to the rank
     difference, one per closure (:func:`_contraction_classes`).  For each
-    contraction the survivors are simplified and the point subsets K of
-    the target's size are walked depth-first in combinations order
-    (:func:`_kept_sets`), cutting every prefix whose dependent r-sets (r
-    the target's rank), flat sizes or 2-point lines already rule out the
-    target.  A K that survives the walk with the target's count of
-    dependent r-sets is compared by the per-rank flat sizes and
-    per-element flat signatures of the restriction, read from the
-    simplification's flat lattice by :func:`restriction_invariants`; only
-    a K passing them is restricted and matched by :func:`are_isomorphic`.
+    contraction the points of its simplification, read from the host's
+    flat lattice, are walked in subsets K of the target's size,
+    depth-first in combinations order (:func:`_kept_sets`), cutting every
+    prefix whose dependent r-sets (r the target's rank), flat sizes or
+    2-point lines already rule out the target.  A K that survives the walk
+    with the target's count of dependent r-sets is compared by the
+    per-rank flat sizes and per-element flat signatures of the
+    restriction, read from the same flats by
+    :func:`restriction_invariants`; only a K passing them is restricted
+    and matched by :func:`are_isomorphic`.
 
     ``budget`` (default :data:`DEFAULT_MINOR_BUDGET`) bounds the kept sets
     over all contraction classes: each K reached costs one node and each
@@ -302,9 +353,8 @@ def find_minor(host: Matroid, target: Matroid, *,
     target_invariants = restriction_invariants(target_levels, target.full, r)
     charge = _charger(budget)
     for c in _contraction_classes(host, target):
-        levels = nontrivial_levels(c.simple)
-        for kmask in _kept_sets(c.simple, levels, target, target_levels, charge):
-            if restriction_invariants(levels, kmask, r) != target_invariants:
+        for kmask in _kept_sets(c.n, c.levels, target, target_levels, charge):
+            if restriction_invariants(c.levels, kmask, r) != target_invariants:
                 continue
             witness = _witness(host, target, c, kmask)
             if witness is not None:
@@ -312,15 +362,16 @@ def find_minor(host: Matroid, target: Matroid, *,
     return None
 
 
-def _kept_sets(simple: Matroid, levels: Sequence[Sequence[int]],
+def _kept_sets(n: int, levels: Sequence[Sequence[int]],
                target: Matroid, target_levels: Sequence[Sequence[int]],
                charge: Callable[[int], None]) -> Iterator[int]:
-    """Masks of the point sets K of ``simple`` that may restrict to the
-    target, in :func:`itertools.combinations` order.
+    """Masks of the point sets K of a simple matroid on n points that may
+    restrict to the target, in :func:`itertools.combinations` order.
 
     ``levels`` and ``target_levels`` are the two matroids' nontrivial
     flats by rank.  A K is yielded when it holds exactly the target's
-    number of dependent r-sets (r the target's rank); every K it skips
+    number of dependent r-sets (r the target's rank), which are the
+    r-subsets of the nontrivial flats of rank below r; every K it skips
     holds another number or fails :func:`restriction_invariants`.  The
     walk grows a prefix P depth-first, one element e above max P at a
     time, and cuts P + e, with all its completions, as soon as one of
@@ -348,16 +399,22 @@ def _kept_sets(simple: Matroid, levels: Sequence[Sequence[int]],
     ``charge`` gets 1 per K reached and the number of K below each cut, so
     the charges up to any K sum to K's position in combinations order.
     """
-    n, t, r = simple.n, target.n, target.rank
+    t, r = target.n, target.rank
     # every r-subset of a kept set is a basis or not, so a kept set holds
     # the target's basis count iff it holds this many non-bases
     nonbases = comb(t, r) - len(target.basis_masks)
-    indep = simple.independent_masks
+    # an r-set is dependent iff its closure, a flat of rank < r, is
+    # nontrivial; a set may lie in several such flats, so they are merged
+    dependent: set[int] = set()
+    for level in levels[:r - 1]:
+        for f in level:
+            if f.bit_count() >= r:
+                dependent.update(map(sum, combinations(
+                    [1 << a for a in iter_elements(f)], r)))
     dependent_under: list[set[int]] = [set() for _ in range(n)]
-    for s in map(mask_of, combinations(range(n), r)):
-        if s not in indep:
-            top = s.bit_length() - 1
-            dependent_under[top].add(s & ~(1 << top))
+    for s in dependent:
+        top = s.bit_length() - 1
+        dependent_under[top].add(s & ~(1 << top))
     capped_under: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for k, (level, target_level) in enumerate(zip(levels, target_levels), 1):
         cap = max((f.bit_count() for f in target_level), default=k)
@@ -527,8 +584,8 @@ def realizability_obstruction(m: Matroid, *,
     found: list[MinorWitness | None] = [None, None]
     charge = _charger(budget)
     for c in _contraction_classes(m, targets[0]):
-        charge(comb(c.simple.n, 4))
-        kept = _quadrangle_sets(c.simple.n, nontrivial_levels(c.simple)[1])
+        charge(comb(c.n, 4))
+        kept = _quadrangle_sets(c.n, c.levels[1])
         for i, kmask in enumerate(kept):
             if kmask and found[i] is None:
                 found[i] = _witness(m, targets[i], c, kmask)

@@ -6,10 +6,17 @@ import pytest
 
 from itertools import combinations
 
-from matroid_forge.bitsets import format_set, iter_elements, mask_of, sort_masks
+from matroid_forge.bitsets import (
+    format_set,
+    full_mask,
+    iter_elements,
+    mask_of,
+    sort_masks,
+)
 from matroid_forge.erection import (
     _closure_index,
     _closure_table,
+    _exact_covers,
     _k_closed_hull,
     check_erection_blocks,
     enumerate_erections,
@@ -332,3 +339,99 @@ def test_weak_order_shape(erection_family):
 def test_bundled_family(erection_family, rank4_matroid):
     assert len(erection_family) == 2
     assert erection_family.free() == rank4_matroid
+
+
+# -- exact cover against the per-item Algorithm X it replaced -----------------
+
+def reference_exact_covers(num_items, cover_masks):
+    """(solutions, nodes): plain recursive Algorithm X over single items.
+
+    Branch on the uncovered item with the fewest compatible candidates
+    (first such item on ties), candidates in ascending index order; every
+    explored branch is one node, so ``nodes`` is the least budget that
+    does not raise.
+    """
+    full = full_mask(num_items)
+    containing = [[] for _ in range(num_items)]
+    for ci, cm in enumerate(cover_masks):
+        for item in iter_elements(cm):
+            containing[item].append(ci)
+    solutions = []
+    chosen = []
+    nodes = 0
+
+    def rec(covered):
+        nonlocal nodes
+        nodes += 1
+        if covered == full:
+            solutions.append(tuple(chosen))
+            return
+        best = None
+        for item in iter_elements(full & ~covered):
+            avail = [ci for ci in containing[item]
+                     if cover_masks[ci] & covered == 0]
+            if best is None or len(avail) < len(best):
+                best = avail
+                if not avail:
+                    break
+        for ci in best:
+            chosen.append(ci)
+            rec(covered | cover_masks[ci])
+            chosen.pop()
+
+    rec(0)
+    return solutions, nodes
+
+
+def assert_covers_match_reference(num_items, cover_masks):
+    expected, nodes = reference_exact_covers(num_items, cover_masks)
+    assert _exact_covers(num_items, cover_masks, nodes) == expected
+    with pytest.raises(SearchBudgetExceeded):
+        _exact_covers(num_items, cover_masks, nodes - 1)
+    return expected
+
+
+def seeded_cover_instance(rng):
+    """Items copied from a few distinct columns, so holder sets repeat, and
+    now and then an item that no candidate holds."""
+    columns = rng.randint(1, 6)
+    candidates = [rng.getrandbits(columns) & rng.getrandbits(columns)
+                  for _ in range(rng.randint(0, 14))]
+    items = [rng.randrange(columns) for _ in range(rng.randint(0, 12))]
+    if rng.random() < 0.2:
+        items.append(columns)  # held by no candidate
+    return len(items), [mask_of(i for i, col in enumerate(items) if c >> col & 1)
+                        for c in candidates]
+
+
+def test_exact_covers_match_reference_on_seeded_instances():
+    rng = random.Random("exact-cover")
+    several = repeated = 0
+    for _ in range(400):
+        num_items, masks = seeded_cover_instance(rng)
+        solutions = assert_covers_match_reference(num_items, masks)
+        several += len(solutions) > 1
+        holders = [mask_of(ci for ci, m in enumerate(masks) if m >> i & 1)
+                   for i in range(num_items)]
+        repeated += len(set(holders)) < num_items
+    assert several > 20 and repeated > 100
+    # no items: the empty cover; an uncoverable item: none; no candidates
+    assert assert_covers_match_reference(0, []) == [()]
+    assert assert_covers_match_reference(0, [0, 0]) == [()]
+    assert assert_covers_match_reference(3, [0b011, 0b001]) == []
+    assert assert_covers_match_reference(4, []) == []
+
+
+def basis_cover_masks(m):
+    """The bases each candidate block of ``enumerate_erections`` holds."""
+    return [mask_of(i for i, b in enumerate(m.basis_masks) if b & ~c == 0)
+            for c in spanning_k_closed_masks(m, m.rank - 1)]
+
+
+@pytest.mark.parametrize("name, solutions", [
+    ("U(3,5)", 6), ("U(3,6)", 82), ("M", 1)])
+def test_exact_covers_match_reference_on_erection_covers(name, solutions, rank3_matroid):
+    # the nontrivial erections: U(3,6) has 83 erections in all
+    m = {"U(3,5)": uniform(3, 5), "U(3,6)": uniform(3, 6), "M": rank3_matroid}[name]
+    masks = basis_cover_masks(m)
+    assert len(assert_covers_match_reference(len(m.basis_masks), masks)) == solutions

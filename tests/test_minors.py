@@ -4,8 +4,10 @@ import time
 
 import pytest
 
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import xor
 
 from matroid_forge import minors
 from matroid_forge.bitsets import elements_of, iter_elements, mask_of
@@ -165,11 +167,21 @@ def loops_and_parallels():
     return Matroid.from_bases(5, [(0, 1), (0, 2), (1, 2), (1, 4), (2, 4)])
 
 
+def pg32():
+    """PG(3,2): the column matroid of the 15 nonzero vectors of GF(2)^4,
+    element i being the vector whose coordinates are the bits of i + 1.
+    Four vectors are a basis when no nonempty subset of them sums to zero."""
+    return Matroid.from_bases(15, [
+        c for c in combinations(range(15), 4)
+        if all(reduce(xor, (i + 1 for i in sub))
+               for k in range(1, 5) for sub in combinations(c, k))])
+
+
 def build_host(name, gfp):
     fixed = {"fano": fano_matroid, "non-fano": non_fano_matroid,
              "U(3,6)": lambda: uniform(3, 6), "U(2,4)": lambda: uniform(2, 4),
              "U(4,9)": lambda: uniform(4, 9),
-             "loops-and-parallels": loops_and_parallels}
+             "loops-and-parallels": loops_and_parallels, "PG(3,2)": pg32}
     if name in fixed:
         return fixed[name]()
     return gfp(*(int(x) for x in name[2:].split("-")))
@@ -372,10 +384,10 @@ def reference_find_minor(host, target):
     return None, nodes
 
 
-# the pinned hosts, the hosts of test_matroid's SMALL_HOSTS, and seeded GF(3)
-# and GF(5) column matroids of rank 3 and 4 on 9 to 12 points
+# the pinned hosts, the hosts of test_matroid's SMALL_HOSTS, seeded GF(3)
+# and GF(5) column matroids of rank 3 and 4 on 9 to 12 points, and PG(3,2)
 ORACLE_HOSTS = HOSTS + [
-    "U(2,4)", "U(4,9)", "loops-and-parallels",
+    "U(2,4)", "U(4,9)", "loops-and-parallels", "PG(3,2)",
     "gf5-10-3-4", "gf5-10-3-7", "gf5-9-4-8",
     "gf3-10-3-1", "gf3-12-3-2", "gf3-11-4-3", "gf3-12-4-4",
     "gf5-11-3-5", "gf5-12-3-6", "gf5-10-4-7", "gf5-12-4-8",
@@ -421,6 +433,26 @@ def test_exhaustive_search_charges_every_kept_set(n, rank, seed, gf5_column_matr
     assert find_minor(host, fano, budget=total) is None
     with pytest.raises(SearchBudgetExceeded):
         find_minor(host, fano, budget=total - 1)
+
+
+@pytest.mark.parametrize("name", ORACLE_HOSTS)
+def test_contraction_classes_read_from_the_lattice(name, gfp_column_matroid):
+    host = build_host(name, gfp_column_matroid)
+    # every class has room for a single point, so none is left out
+    classes = list(minors._contraction_classes(host, uniform(1, 1)))
+    assert [c.contract_set for c in classes] == \
+        [combo for combo, _ in contraction_classes(host, 1)]
+    # reading the lattice contracts nothing
+    assert not any("simple" in vars(c) for c in classes)
+    for c in classes:
+        expected = minors._contraction(host, c.contract_set)
+        simple = expected.simple
+        assert (c.n, c.rank) == (simple.n, simple.rank), (name, c.contract_set)
+        assert c.classes == expected.classes, (name, c.contract_set)
+        assert c.loops == expected.loops, (name, c.contract_set)
+        assert [set(level) for level in c.levels] == \
+            [set(level) for level in nontrivial_levels(simple)], (name, c.contract_set)
+        assert c.simple == simple
 
 
 def contraction_classes(host, rank):
@@ -499,13 +531,16 @@ def visited_class_sizes(host, report):
     return sizes
 
 
-@pytest.mark.parametrize("host_name", ["N", "gf5-14-3-2", "gf5-11-4-9"])
+@pytest.mark.parametrize("host_name", ["N", "gf5-14-3-2", "gf5-11-4-9", "PG(3,2)"])
 def test_obstruction_budget_counts_quadrangle_sets(host_name, rank4_matroid,
                                                    gfp_column_matroid):
     host = rank4_matroid if host_name == "N" else build_host(host_name, gfp_column_matroid)
     report = realizability_obstruction(host)
-    # a GF(5) host has no Fano minor, so its search visits every class
-    assert report.has_fano == (host_name == "N")
+    # a GF(5) host has no Fano minor and a binary one no non-Fano minor, so
+    # either search visits every class
+    assert report.has_fano == (host_name in ("N", "PG(3,2)"))
+    if host_name == "PG(3,2)":
+        assert not report.has_nonfano
     total = sum(comb(s, 4) for s in visited_class_sizes(host, report))
     assert total > 0
     assert realizability_obstruction(host, budget=total) == report
