@@ -34,8 +34,9 @@ is already canonical, and squeeze the removed elements out in an
 order-preserving way, so the lowest element where two bases differ stays
 the lowest.  The constructor sorts only input that is out of order, so
 neither these nor :func:`matroid_from_flats` (which emits the rank-subsets
-in ``combinations`` order) pay a sort, and no minor walks C(n, r) subsets
-or builds the 2^n rank table.
+in ``combinations`` order) pay a sort.  No minor walks C(n, r) subsets or
+builds a table of its parent: the rank of E - X and a basis of X are read
+from the basis tuple as the largest intersections.
 """
 
 from __future__ import annotations
@@ -313,9 +314,15 @@ class Matroid:
         One table lookup: outside the greedy basis of x, the elements that
         keep it independent are exactly those outside the closure.  On any
         down-closed family none of them lies in x, so this is also the
-        per-element definition on families that are not matroids.
+        per-element definition on families that are not matroids.  The
+        tables are read directly: this is the closure battery's inner call.
         """
-        return self.full & ~self._extensions()[self._maximal_independent_mask(x)]
+        ext = self._ext
+        if ext is None:
+            ext = self._extensions()
+        table = self._greedy
+        basis = table[x] if table is not None else self._maximal_independent_mask(x)
+        return ((1 << self.n) - 1) ^ ext[basis]
 
     def closure_of(self, x: Iterable[int] | int) -> tuple[int, ...]:
         return elements_of(self.closure_mask(coerce_mask(x, self.n)))
@@ -589,20 +596,21 @@ def removal_map(n: int, removed: Iterable[int] | int) -> PointedMap:
 def delete(m: Matroid, x: Iterable[int] | int) -> Matroid:
     """Restrict to E minus x; survivors are re-indexed order-preservingly.
 
-    The rank may drop to r', the size of a greedy basis of E - x.  Every
-    basis of M|(E - x) extends to a basis B of M, and B & (E - x) is then
-    that basis; so the bases of the restriction are the B & (E - x) of size
-    r'.  When r' = r these are the bases avoiding x, a subsequence of the
-    canonical tuple, distinct and in order, and squeezing keeps them so;
-    when the rank drops the constructor dedupes and sorts them.  Use
+    Every basis of M|(E - x) extends to a basis B of M, and B & (E - x) is
+    then that basis; so the rank r' of the restriction is the largest
+    |B & (E - x)|, and its bases are the B & (E - x) of size r'.  Both are
+    read from the cut basis list in C, with no table of M.  When r' = r
+    these are the bases avoiding x, a subsequence of the canonical tuple,
+    distinct and in order, and squeezing keeps them so; when the rank
+    drops the constructor dedupes and sorts them.  Use
     :func:`removal_map` to recover original labels.
     """
     xmask = coerce_mask(x, m.n)
     if xmask == m.full:
         raise EmptyGroundSet("cannot delete the whole ground set")
     keep = m.full & ~xmask
-    new_rank = m._maximal_independent_mask(keep).bit_count()
     cut = list(map(keep.__and__, m.basis_masks))
+    new_rank = max(map(int.bit_count, cut))
     inside = compress(cut, map(new_rank.__eq__, map(int.bit_count, cut)))
     return Matroid(keep.bit_count(), new_rank, _squeeze(inside, keep),
                    _validated=True)
@@ -614,16 +622,17 @@ def contract(m: Matroid, x: Iterable[int] | int) -> Matroid:
     With I a basis of X, the bases of M/X are the B - I for the bases B of
     M with B ∩ X = I (Oxley, *Matroid Theory*, §3.1): Y in E - X is a
     basis of M/X iff Y ∪ I is a basis of M, and that basis meets X in I.
-    So the canonical basis tuple is filtered, I is dropped and X squeezed
-    out.  Neither step changes the lowest element where two kept bases
-    differ, so the result is in canonical order.  Loops and parallel
-    elements may appear.
+    M/X does not depend on the basis of X, so I is a largest B ∩ X, found
+    in C with no table of M.  So the canonical basis tuple is filtered, I
+    is dropped and X squeezed out.  Neither step changes the lowest
+    element where two kept bases differ, so the result is in canonical
+    order.  Loops and parallel elements may appear.
     """
     xmask = coerce_mask(x, m.n)
     if xmask == m.full:
         raise EmptyGroundSet("cannot contract the whole ground set")
-    imask = m._maximal_independent_mask(xmask)
     bases = m.basis_masks
+    imask = max(map(xmask.__and__, bases), key=int.bit_count)
     kept = compress(bases, map(imask.__eq__, map(xmask.__and__, bases)))
     return Matroid(m.n - xmask.bit_count(), m.rank - imask.bit_count(),
                    _squeeze(map(imask.__xor__, kept), m.full & ~xmask),

@@ -321,7 +321,7 @@ def _check_properties(ctx: _Ctx):
         failures += properties.rank_axiom_failures(small)
     for big in (m, n):
         failures += properties.closure_axiom_failures(big, samples=800)
-        failures += properties.rank_axiom_failures(big, samples=4000)
+        failures += properties.rank_axiom_failures(big)
     for matroid in (m, n, fano_matroid(), non_fano_matroid(), p_simple,
                     truncation(n)):
         failures += properties.exchange_failures(matroid)

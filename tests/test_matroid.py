@@ -381,6 +381,40 @@ def test_contract_matches_definition_above_table_limit(gf5_column_matroid):
         assert_contract_matches_definition(m, rank, x)
 
 
+def greedy_basis_minor(m, x, contracting):
+    """contract or delete through the greedy basis of X (or of E - X): the
+    reference for the versions that read both from the basis list."""
+    keep = m.full & ~x
+    if contracting:
+        i = m._maximal_independent_mask(x)
+        rank, bases = m.rank - i.bit_count(), [b ^ i for b in m.basis_masks if b & x == i]
+    else:
+        rank = m._maximal_independent_mask(keep).bit_count()
+        bases = [b & keep for b in m.basis_masks if (b & keep).bit_count() == rank]
+    kept = elements_of(keep)
+    return Matroid(len(kept), rank,
+                   [mask_of(j for j, e in enumerate(kept) if b >> e & 1) for b in bases],
+                   _validated=True)
+
+
+@pytest.mark.parametrize("name", CENSUS_HOSTS)
+def test_minors_equal_the_greedy_basis_versions(name, gf5_column_matroid):
+    m = CENSUS_HOSTS[name](gf5_column_matroid)
+    rng = random.Random(f"greedy-minors:{name}")
+    xs = range(m.full) if m.n <= 8 else [rng.randrange(m.full) for _ in range(300)]
+    for x in xs:
+        assert contract(m, x) == greedy_basis_minor(m, x, True), x
+        assert delete(m, x) == greedy_basis_minor(m, x, False), x
+
+
+def test_minors_of_minors_build_no_table(rank3_matroid, rank4_matroid):
+    for m in (rank3_matroid, rank4_matroid):
+        # X = {2,6} and Y = {0,1,4}, relabelled after the other removal
+        d, c = delete(m, 0b10011), contract(m, 0b1000100)
+        assert contract(d, 0b1001) == delete(c, 0b1011)
+        assert d._ext is None and c._ext is None
+
+
 def test_fano_flats():
     f = fano_matroid()
     assert flats_at(f, 0) == ((),)

@@ -1,5 +1,6 @@
 """Axiom batteries over the whole corpus, plus detection of broken inputs."""
 
+import hashlib
 import random
 from itertools import chain, combinations, islice, permutations
 from types import SimpleNamespace
@@ -11,6 +12,7 @@ from matroid_forge.bitsets import format_set, iter_elements, mask_of, sort_masks
 from matroid_forge.errors import ValidationError
 from matroid_forge.formats import bundled_data_dir, load_matroid
 from matroid_forge.matroid import (
+    RANK_TABLE_LIMIT,
     Matroid,
     contract,
     exchange_failure,
@@ -82,13 +84,92 @@ def _bumped_truncations(count, seed):
         yield TableSetFunction(n, k, values)
 
 
+def assert_lanes_match_walk(f):
+    """The byte-lane verdict equals the subset walk's; returns the walk's list."""
+    ranks = list(map(f.rank_of_mask, range(1 << f.n)))
+    walk = properties._rank_walk(ranks, f.n, f.rank)
+    assert properties._lanes_accept(ranks, f.n, f.rank) == (walk == []), ranks
+    assert properties.rank_axiom_failures(f) == walk
+    return walk
+
+
 def test_rank_battery_matches_reference_on_bumped_functions():
     verdicts = []
     for f in _bumped_truncations(3000, seed=44):
-        failed = properties.rank_axiom_failures(f) != []
+        failed = assert_lanes_match_walk(f) != []
         assert failed == (reference_rank_axiom_failures(f) != []), f.values
         verdicts.append(failed)
     assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("value", [-5, 128, 300, 10**6])
+def test_values_that_fit_no_lane_go_to_the_walk(value):
+    # 128 would collide with the guard bit, 300 and 10**6 fit no byte
+    for n in (1, 3, 5):
+        for x in (0, 1, (1 << n) - 1):
+            for rank in (min(n, 2), 2 * 10**6):
+                values = [min(y.bit_count(), 2) for y in range(1 << n)]
+                values[x] = value
+                assert assert_lanes_match_walk(TableSetFunction(n, rank, values))
+
+
+def axioms_hold_around(ranks, n, rank, x):
+    """The local rank inequalities at every Y whose instances can read r(x).
+
+    Those are Y = x minus at most two of its elements.  When a function
+    that passes the battery changes at x alone, no other inequality can
+    change, so this is the subset walk's verdict at O(n^4) comparisons
+    instead of 2^n n^2.
+    """
+    inside = [1 << e for e in range(n) if x >> e & 1]
+    ys = {x} | {x ^ a for a in inside} | {x ^ a ^ b for a, b in combinations(inside, 2)}
+    for y in ys:
+        ry = ranks[y]
+        if not 0 <= ry <= min(y.bit_count(), rank):
+            return False
+        outside = [1 << e for e in range(n) if not y >> e & 1]
+        if any(ranks[y | b] - ry not in (0, 1) for b in outside):
+            return False
+        if any(ranks[y | b] + ranks[y | c] < ranks[y | b | c] + ry
+               for b, c in combinations(outside, 2)):
+            return False
+    return True
+
+
+def test_axioms_around_a_change_match_the_walk():
+    verdicts = set()
+    for f in _bumped_truncations(1000, seed=45):
+        base = [min(x.bit_count(), f.rank) for x in range(1 << f.n)]
+        for x in (x for x in range(1 << f.n) if f.values[x] != base[x]):
+            one = base.copy()
+            one[x] = f.values[x]
+            verdict = axioms_hold_around(one, f.n, f.rank, x)
+            assert verdict == (properties._rank_walk(one, f.n, f.rank) == []), (one, x)
+            verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("n, rank, seed", [(14, 3, 1), (15, 4, 2), (16, 3, 3), (17, 3, 4)])
+def test_byte_lanes_match_the_walk_on_column_matroids(n, rank, seed, gf5_column_matroid):
+    """Lane masks around the 2^n rank-table limit: n = 17 answers each rank
+    by a walk.  A rejection by the lanes would make the battery walk, find
+    nothing on this matroid and raise; each one-value change is checked
+    against the walk's verdict at that value."""
+    m = gf5_column_matroid(n, rank, seed)
+    assert (m._rank_table() is None) == (n > RANK_TABLE_LIMIT)
+    assert properties.rank_axiom_failures(m) == []
+    if n == 14:
+        assert assert_lanes_match_walk(m) == []
+    ranks = list(map(m.rank_of_mask, range(1 << n)))
+    rng = random.Random(n)
+    verdicts = []
+    for x in [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(8)]:
+        for step in (-1, 1):
+            bumped = ranks.copy()
+            bumped[x] += step
+            verdicts.append(properties._lanes_accept(bumped, n, m.rank))
+            assert verdicts[-1] == axioms_hold_around(bumped, n, m.rank, x), (x, step)
+    assert not all(verdicts)
 
 
 def test_rank_detects_non_matroid():
@@ -338,6 +419,52 @@ def test_draws_repeat_randrange(seed):
 def test_closure_detects_non_matroid():
     fake = Matroid(4, 2, [0b0011, 0b1100], _validated=True)
     assert properties.closure_axiom_failures(fake) != []
+
+
+def _perturbed_closures(count, seed):
+    """Closure tables of small matroids with one or two bits flipped."""
+    rng = random.Random(seed)
+    hosts = [uniform(2, 4), uniform(3, 5), uniform(2, 5), fano_matroid()]
+    for _ in range(count):
+        m = rng.choice(hosts)
+        table = [m.closure_mask(x) for x in range(1 << m.n)]
+        for _ in range(rng.randint(1, 2)):
+            table[rng.randrange(1 << m.n)] ^= 1 << rng.randrange(m.n)
+        yield SimpleNamespace(n=m.n, rank=m.rank, rank_of_mask=m.rank_of_mask,
+                              closure_mask=table.__getitem__)
+
+
+def _digest(lists):
+    return hashlib.sha256(repr(lists).encode()).hexdigest()
+
+
+def test_closure_failure_lists_are_pinned():
+    """The battery's exact lists, recorded before the per-subset map.
+
+    A non-extensive subset is reported and skipped without stopping the
+    walk, so its list runs on to the next subset that is checked in full.
+    """
+    fake = Matroid(4, 2, [0b0011, 0b1100], _validated=True)
+    assert properties.closure_axiom_failures(fake) == [
+        "closure not idempotent at {2}", "closure changes rank at {2}",
+        "closure not monotone at {2} + 0", "closure not monotone at {2} + 1"]
+    families = [Matroid(n, rank, family, _validated=True)
+                for n, rank, family in _random_families(400, seed=21)]
+    families = [m for m in families if exchange_failure(m) is not None]
+    perturbed = list(_perturbed_closures(300, seed=5))
+    for ms, samples, pins in (
+            (families, 50, ((97, 272, 228),
+                            "60f07f785e5953d3495990e58d6cf7e7860024ac3a92115330f075a94adc64f0",
+                            "45e2a5e62e3cbec49105e7bd3e3f317f0dfcee2c869f43cadb409e2808e44b35")),
+            (perturbed, 20, ((300, 390, 345),
+                             "fb91e890e7d90cdaea5918b2c49310d8fceb0b1c8d0f84d892dfa04671026000",
+                             "7a872089fdc1bd82e01c084ecca4303f1828cfeb2a5393955f31c0f6a1214654"))):
+        exhaustive = [properties.closure_axiom_failures(m) for m in ms]
+        sampled = [properties.closure_axiom_failures(m, samples=samples) for m in ms]
+        sizes = (len(ms), sum(map(len, exhaustive)), sum(map(len, sampled)))
+        assert (sizes, _digest(exhaustive), _digest(sampled)) == pins
+    assert ["closure not extensive at {0}",
+            "closure exchange fails at {1}, e=4, f=0"] in exhaustive
 
 
 def test_minor_commutation(rank3_matroid):
