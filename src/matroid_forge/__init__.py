@@ -20,7 +20,6 @@ from .errors import (
     GroundSetMismatch,
     GroundSetTooLarge,
     MatroidForgeError,
-    MaximalityViolation,
     RankTooLow,
     SearchBudgetExceeded,
     ValidationError,
@@ -81,9 +80,8 @@ __all__ = [
     "check_erection_blocks", "enumerate_erections", "free_erection",
     "is_k_closed", "spanning_k_closed_sets", "tautness_witness",
     "EmptyGroundSet", "FormatError", "GroundSetMismatch",
-    "GroundSetTooLarge", "MatroidForgeError", "MaximalityViolation",
-    "RankTooLow", "SearchBudgetExceeded", "ValidationError",
-    "ZeroFunctional",
+    "GroundSetTooLarge", "MatroidForgeError", "RankTooLow",
+    "SearchBudgetExceeded", "ValidationError", "ZeroFunctional",
     "ExactMatrix", "PrimeField", "Rationals", "RelationSpace",
     "column_matroid", "formalization", "is_formal", "kernel_basis",
     "realizes", "weight3_subspace",

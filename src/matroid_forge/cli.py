@@ -20,7 +20,7 @@ from functools import cache
 
 from .bitsets import format_set, mask_of
 from .charpoly import characteristic_polynomial, splits_over_integers
-from .erection import enumerate_erections
+from .erection import enumerate_erections, free_erection
 from .errors import MatroidForgeError
 from .formats import load_matrix, load_matroid, serialize_matroid
 from .linalg import _reject_zero_functionals, weight3_subspace
@@ -77,9 +77,8 @@ def _cmd_flats(args, budget) -> int:
 
 def _cmd_erect(args, budget) -> int:
     m = load_matroid(args.file)
-    family = enumerate_erections(m, budget=budget)
-    free = family.free()
     if args.free:
+        free = free_erection(m)
         if args.json:
             _print_json({"n": free.n, "rank": free.rank,
                          "bases": len(free.basis_masks),
@@ -87,9 +86,10 @@ def _cmd_erect(args, budget) -> int:
         else:
             sys.stdout.write(serialize_matroid(free))
         return 0
+    family = enumerate_erections(m, budget=budget)
     rows = [{"rank": e.rank, "bases": len(e.basis_masks), "trivial": i == 0}
             for i, e in enumerate(family.erections)]
-    free_index = family.erections.index(free)
+    free_index = family.erections.index(family.free())
     if args.json:
         _print_json({"count": len(family), "erections": rows,
                      "free_index": free_index})

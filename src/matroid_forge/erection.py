@@ -12,14 +12,19 @@ of blocks is the copoint set of an erection exactly when
 Condition (iii) is an exact-cover problem over the bases, which is how the
 enumeration below works: candidates are all proper spanning (r-1)-closed
 subsets, and each exact cover materializes into a matroid one rank up.
-The *free* erection is the unique maximum of the family under the weak
-order (every independent set of the smaller is independent in the larger).
+The *free* erection, the maximum under the weak order (every independent
+set of the smaller is independent in the larger), needs no enumeration:
+it comes from merging closed hulls (Crapo 1970, Knuth 1975).  The weak
+order is built only by ``properties.erection_family_failures``, as an
+oracle for that merge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
 from .bitsets import (
     elements_of,
@@ -31,12 +36,11 @@ from .bitsets import (
 )
 from .errors import (
     GroundSetTooLarge,
-    MaximalityViolation,
     RankTooLow,
     SearchBudgetExceeded,
     ValidationError,
 )
-from .matroid import Matroid, is_weak_map_image, matroid_from_flats, truncation
+from .matroid import Matroid, matroid_from_flats, truncation
 
 # The census output alone can hold 2^n sets, so n stops here.
 EXHAUSTIVE_LIMIT = 20
@@ -53,10 +57,8 @@ class BlockFamily:
 
     @staticmethod
     def of(n: int, blocks) -> "BlockFamily":
-        masks = []
-        for b in blocks:
-            masks.append(b if isinstance(b, int) else mask_of(b))
-        return BlockFamily(n, sort_masks(set(masks)))
+        return BlockFamily(n, sort_masks({b if isinstance(b, int) else mask_of(b)
+                                          for b in blocks}))
 
 
 @dataclass(frozen=True)
@@ -73,15 +75,10 @@ class ErectionCheck:
 
 @dataclass(frozen=True)
 class ErectionFamily:
-    """All erections of a matroid: the trivial one first, then the rest.
-
-    ``weak_order[i][j]`` records whether erection i is a weak map image of
-    erection j.  The family always has a unique maximum, the free erection.
-    """
+    """All erections of a matroid: the trivial one first, then the rest."""
 
     base: Matroid
     erections: tuple[Matroid, ...]
-    weak_order: tuple[tuple[bool, ...], ...]
 
     def __len__(self) -> int:
         return len(self.erections)
@@ -90,43 +87,25 @@ class ErectionFamily:
         return self.erections[1:]
 
     def free(self) -> Matroid:
-        k = len(self.erections)
-        maxima = [i for i in range(k)
-                  if all(self.weak_order[j][i] for j in range(k))]
-        if len(maxima) != 1:
-            raise MaximalityViolation(
-                f"weak order has {len(maxima)} maxima, expected exactly one")
-        return self.erections[maxima[0]]
+        """The member whose rank-r flats are the merged hulls (E for m)."""
+        blocks = _free_blocks(self.base)
+        for e in self.erections:
+            if e.flats_at_masks(self.base.rank) == blocks:
+                return e
+        raise ValidationError("no erection has the merged hulls as copoints")
 
 
-def is_k_closed(m: Matroid, x, k: int) -> bool:
-    """Does x contain the closure of each of its k-element subsets?"""
-    xmask = x if isinstance(x, int) else mask_of(x)
-    elems = elements_of(xmask)
-    for combo in combinations(elems, k):
-        if m.closure_mask(mask_of(combo)) & ~xmask:
-            return False
-    return True
-
-
-def _closure_table(m: Matroid, k: int) -> list[tuple[int, int]]:
-    """(subset, closure) for the k-subsets whose closure gains elements."""
-    table = []
-    for combo in combinations(range(m.n), k):
-        smask = mask_of(combo)
-        cmask = m.closure_mask(smask)
-        if cmask != smask:
-            table.append((smask, cmask))
-    return table
-
-
-def _closure_index(n: int, table: list[tuple[int, int]]
-                   ) -> list[list[tuple[int, int]]]:
-    """For each element e, the tabled (subset, closure) pairs with e in subset."""
-    index: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for s, cl in table:
-        for e in iter_elements(s):
-            index[e].append((s, cl))
+def _closure_index(m: Matroid, k: int) -> list[list[tuple[int, int]]]:
+    """For each element e, the (S, cl(S)) over the k-subsets S through e
+    whose closure gains elements."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    index: list[list[tuple[int, int]]] = [[] for _ in range(m.n)]
+    for s in map(mask_of, combinations(range(m.n), k)):
+        cl = m.closure_mask(s)
+        if cl != s:
+            for e in iter_elements(s):
+                index[e].append((s, cl))
     return index
 
 
@@ -153,13 +132,17 @@ def _k_closed_hull(index: list[list[tuple[int, int]]], x: int, forbid: int = 0
     return x
 
 
+def is_k_closed(m: Matroid, x, k: int) -> bool:
+    """Does x contain the closure of each of its k-element subsets?"""
+    xmask = x if isinstance(x, int) else mask_of(x)
+    return _k_closed_hull(_closure_index(m, k), xmask) == xmask
+
+
 def spanning_k_closed_masks(m: Matroid, k: int, *, proper_only: bool = True) -> tuple[int, ...]:
-    if k < 1:
-        raise ValueError("k must be at least 1")
     if m.n > EXHAUSTIVE_LIMIT:
         raise GroundSetTooLarge(
             f"exhaustive scan caps at {EXHAUSTIVE_LIMIT} elements, got {m.n}")
-    index = _closure_index(m.n, _closure_table(m, k))
+    index = _closure_index(m, k)
     full = full_mask(m.n)
     out = []
     # NextClosure (Ganter 1984): each k-closed set once, in lectic order.
@@ -186,14 +169,11 @@ def spanning_k_closed_sets(m: Matroid, k: int, *, proper_only: bool = True
                            ) -> tuple[tuple[int, ...], ...]:
     """All spanning k-closed subsets of the ground set, canonically sorted.
 
-    The k-closed sets are the closed sets of a closure operator (the
-    least k-closed superset), so NextClosure lists each of them once,
-    never visiting the other subsets.  Each hull processes each added
-    element once, against only the k-subsets through it, and stops at the
-    first element it adds below the one NextClosure tried, which marks a
-    non-canonical set.  The output itself can have 2^n sets (every subset
-    of U(2, n) is 1-closed), so n stays capped at 20.  With ``proper_only``
-    the full ground set itself is excluded.
+    The k-closed sets are the closed sets of the hull operator, so
+    NextClosure lists each of them once, never visiting the other subsets.
+    The output itself can have 2^n sets (every subset of U(2, n) is
+    1-closed), so n stays capped at 20.  With ``proper_only`` the full
+    ground set itself is excluded.
     """
     return tuple(elements_of(x)
                  for x in spanning_k_closed_masks(m, k, proper_only=proper_only))
@@ -201,16 +181,16 @@ def spanning_k_closed_sets(m: Matroid, k: int, *, proper_only: bool = True
 
 def check_erection_blocks(m: Matroid, family) -> ErectionCheck:
     """Test the three copoint conditions, reporting the first violation."""
-    if isinstance(family, BlockFamily):
-        blocks = family.blocks
-    else:
-        blocks = BlockFamily.of(m.n, family).blocks
+    if not isinstance(family, BlockFamily):
+        family = BlockFamily.of(m.n, family)
+    blocks = family.blocks
     k = m.rank - 1
     for b in blocks:
         if m.rank_of_mask(b) != m.rank:
             return ErectionCheck(False, 1, f"block {format_set(b)} does not span")
+    index = _closure_index(m, k)
     for b in blocks:
-        if not is_k_closed(m, b, k):
+        if _k_closed_hull(index, b) != b:
             return ErectionCheck(False, 2, f"block {format_set(b)} is not {k}-closed")
     for basis in m.basis_masks:
         hits = sum(1 for b in blocks if basis & ~b == 0)
@@ -222,9 +202,8 @@ def check_erection_blocks(m: Matroid, family) -> ErectionCheck:
                          f"and partition the bases")
 
 
-def _exact_covers(num_items: int, cover_masks: list[int], budget: int
-                  ) -> list[tuple[int, ...]]:
-    """All exact covers of {0..num_items-1} by the given item masks.
+def _exact_covers(holders: list[int], budget: int) -> list[tuple[int, ...]]:
+    """All exact covers of the items, given per item the candidates holding it.
 
     Plain recursive Algorithm X (Knuth, "Dancing Links", 2000): branch on
     the uncovered item with the fewest compatible candidates (first such
@@ -239,14 +218,11 @@ def _exact_covers(num_items: int, cover_masks: list[int], budget: int
     nodes.  The compatible candidates are a bitmask, from which each
     chosen candidate strikes those it shares an item with.
     """
-    holders = [0] * num_items
-    for ci, cm in enumerate(cover_masks):
-        for item in iter_elements(cm):
-            holders[item] |= 1 << ci
     # dicts keep insertion order, so classes come by their least item
     classes = list(dict.fromkeys(holders))
-    covers = [0] * len(cover_masks)
-    clash = [0] * len(cover_masks)
+    every = reduce(or_, classes, 0)
+    covers = [0] * every.bit_length()
+    clash = [0] * every.bit_length()
     for j, held in enumerate(classes):
         for ci in iter_elements(held):
             covers[ci] |= 1 << j
@@ -278,7 +254,7 @@ def _exact_covers(num_items: int, cover_masks: list[int], budget: int
             rec(covered | covers[ci], alive & ~clash[ci])
             chosen.pop()
 
-    rec(0, full_mask(len(cover_masks)))
+    rec(0, every)
     return solutions
 
 
@@ -300,52 +276,78 @@ def _materialize(m: Matroid, blocks: tuple[int, ...]) -> Matroid:
     return erected
 
 
-def enumerate_erections(m: Matroid, *, budget: int | None = None) -> ErectionFamily:
-    """Every erection of m, trivial first, with the weak-order matrix.
-
-    Candidates are the proper spanning (r-1)-closed sets; exact cover of
-    the bases picks out the families satisfying the copoint conditions,
-    and each solution is materialized and verified to truncate back to m.
-    """
+def _require_erectable(m: Matroid) -> None:
     if m.rank < 2:
         raise RankTooLow(f"erections need rank >= 2, got {m.rank}")
     if not m.is_simple:
         raise ValidationError("erection enumeration expects a simple matroid")
+
+
+def enumerate_erections(m: Matroid, *, budget: int | None = None) -> ErectionFamily:
+    """Every erection of m, trivial first, the rest by their basis lists.
+
+    Candidates are the proper spanning (r-1)-closed sets; exact cover of
+    the bases picks out the families satisfying the copoint conditions,
+    and each solution is materialized and verified to truncate back to m.
+    Distinct solutions are distinct copoint sets, so distinct matroids.
+    """
+    _require_erectable(m)
     node_budget = DEFAULT_NODE_BUDGET if budget is None else budget
     candidates = spanning_k_closed_masks(m, m.rank - 1, proper_only=True)
-    basis_index = {b: i for i, b in enumerate(m.basis_masks)}
-    cover_masks = []
-    for cand in candidates:
-        cover = 0
-        for b, i in basis_index.items():
-            if b & ~cand == 0:
-                cover |= 1 << i
-        cover_masks.append(cover)
-    solutions = _exact_covers(len(m.basis_masks), list(cover_masks), node_budget)
-    assert len(set(solutions)) == len(solutions)
-    erections = [m]
-    seen = set()
-    materialized = []
-    for sol in solutions:
-        blocks = tuple(candidates[ci] for ci in sol)
-        e = _materialize(m, blocks)
-        if e not in seen:
-            seen.add(e)
-            materialized.append(e)
-    materialized.sort(key=lambda e: e.basis_masks)
-    erections.extend(materialized)
-    order = tuple(tuple(is_weak_map_image(a, b) for b in erections)
-                  for a in erections)
-    return ErectionFamily(m, tuple(erections), order)
+    if not candidates:  # then no basis is held, so nothing but m erects
+        return ErectionFamily(m, (m,))
+    # a basis is held by the candidates that hold each of its elements
+    having = [mask_of(ci for ci, cand in enumerate(candidates) if cand >> e & 1)
+              for e in range(m.n)]
+    holders = [reduce(and_, map(having.__getitem__, iter_elements(b)))
+               for b in m.basis_masks]
+    erected = [_materialize(m, tuple(candidates[ci] for ci in sol))
+               for sol in _exact_covers(holders, node_budget)]
+    erected.sort(key=lambda e: e.basis_masks)
+    return ErectionFamily(m, (m, *erected))
 
 
-def free_erection(m: Matroid, *, budget: int | None = None) -> Matroid:
-    """The unique weak-order maximum among all erections of m."""
-    return enumerate_erections(m, budget=budget).free()
+def _free_blocks(m: Matroid) -> tuple[int, ...]:
+    """The free erection's copoints, canonically sorted; (E,) if it is m.
+
+    A basis in no kept block starts one at its (r-1)-closed hull, which
+    absorbs, as the hull of the union, each kept block it shares a basis
+    with.  The blocks meet the three conditions, and every erection's
+    copoints are unions of them, so no erection is finer.
+    """
+    _require_erectable(m)
+    r, full = m.rank, m.full
+    index = _closure_index(m, r - 1)
+
+    def shares_basis(g: int, h: int) -> bool:
+        meet = g & h
+        return meet.bit_count() >= r and m.closure_mask(meet) == full
+
+    blocks: list[int] = []
+    # per element, bit i for each block started at basis i that holds it;
+    # a block merged away lies inside the block that absorbed it
+    holding = [0] * m.n
+    for i, basis in enumerate(m.basis_masks):
+        if reduce(and_, map(holding.__getitem__, iter_elements(basis))):
+            continue
+        h = _k_closed_hull(index, basis)
+        while (g := next((g for g in blocks if shares_basis(g, h)), None)) is not None:
+            blocks.remove(g)
+            h = _k_closed_hull(index, g | h)
+        blocks.append(h)
+        for e in iter_elements(h):
+            holding[e] |= 1 << i
+    return sort_masks(blocks)
 
 
-def tautness_witness(m: Matroid, *, budget: int | None = None) -> Matroid | None:
-    """A nontrivial erection of m, if any — evidence that m is not taut.
+def free_erection(m: Matroid) -> Matroid:
+    """The weak-order maximum among the erections of m, with no census cap."""
+    blocks = _free_blocks(m)
+    return m if blocks == (m.full,) else _materialize(m, blocks)
+
+
+def tautness_witness(m: Matroid) -> Matroid | None:
+    """The free erection of m unless trivial — evidence that m is not taut.
 
     An erection has the same points and lines as m and admits m as a
     quotient, so its existence certifies non-tautness.  None means no
@@ -355,7 +357,5 @@ def tautness_witness(m: Matroid, *, budget: int | None = None) -> Matroid | None
     lines has rank at least 4, and its truncation to rank 4 keeps those
     points and lines and truncates to m, so it is a nontrivial erection.
     """
-    family = enumerate_erections(m, budget=budget)
-    if len(family) == 1:
-        return None
-    return family.free()
+    free = free_erection(m)
+    return None if free.rank == m.rank else free

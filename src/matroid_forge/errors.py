@@ -42,14 +42,6 @@ class SearchBudgetExceeded(MatroidForgeError):
     """
 
 
-class MaximalityViolation(MatroidForgeError):
-    """The weak order on an erection family had no unique maximum.
-
-    This cannot happen for a correct implementation; it is raised instead
-    of returning a wrong "free" erection.
-    """
-
-
 class ZeroFunctional(MatroidForgeError):
     """A matrix column that must be a nonzero functional is zero."""
 

@@ -9,6 +9,7 @@ import pytest
 from matroid_forge.erection import enumerate_erections
 from matroid_forge.formats import bundled_data_dir, load_matrix, load_matroid
 from matroid_forge.matroid import Matroid
+from matroid_forge.minors import fano_matroid, non_fano_matroid
 from matroid_forge.reproduce import run_reproduce
 
 
@@ -39,6 +40,29 @@ def _gfp_column_matroid(p: int, n: int, rank: int, seed: int) -> Matroid:
     bases = [c for c in combinations(range(n), rank)
              if _full_rank_mod([cols[i] for i in c], p)]
     return Matroid.from_bases(n, bases)
+
+
+def loops_and_parallels():
+    # a three-point line on {0, 1, 2}, the loop 3, and 4 parallel to 0
+    return Matroid.from_bases(5, [(0, 1), (0, 2), (1, 2), (1, 4), (2, 4)])
+
+
+def _uniform(rank: int, n: int) -> Matroid:
+    return Matroid.from_bases(n, combinations(range(n), rank))
+
+
+# Small hosts for exhaustive checks, built from the gf5_column_matroid
+# fixture's builder: name -> (builder -> Matroid).
+SMALL_HOSTS = {
+    "fano": lambda gf5: fano_matroid(),
+    "non-fano": lambda gf5: non_fano_matroid(),
+    "U(2,4)": lambda gf5: _uniform(2, 4),
+    "U(4,9)": lambda gf5: _uniform(4, 9),
+    "loops-and-parallels": lambda gf5: loops_and_parallels(),
+    "gf5-10-3-a": lambda gf5: gf5(10, 3, 4),
+    "gf5-10-3-b": lambda gf5: gf5(10, 3, 7),
+    "gf5-9-4": lambda gf5: gf5(9, 4, 8),
+}
 
 
 @pytest.fixture(scope="session")

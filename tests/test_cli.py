@@ -4,12 +4,14 @@ import hashlib
 import json
 import shutil
 import time
+from itertools import combinations
 
 import pytest
 
 from matroid_forge import cli
 from matroid_forge.cli import main
 from matroid_forge.formats import parse_matroid_text, serialize_matroid
+from matroid_forge.matroid import Matroid
 from matroid_forge.minors import fano_matroid
 
 
@@ -137,6 +139,28 @@ def test_erect_free_roundtrips(capsys, paths, rank4_matroid):
     code, out, _ = run(capsys, "erect", paths["m"], "--free")
     assert code == 0
     assert parse_matroid_text(out) == rank4_matroid
+
+
+def test_erect_free_past_the_census_cap(capsys, tmp_path):
+    """U(3,20) erects freely to U(4,20); PG(2,4) and PG(2,5) are taut."""
+    def lines(q, difference_set):
+        n = q * q + q + 1
+        return n, [sorted((d + i) % n for d in difference_set) for i in range(n)]
+    hosts = {"u320": serialize_matroid(Matroid.from_bases(20, combinations(range(20), 3)))}
+    for name, (n, plane) in (("pg24", lines(4, (0, 1, 4, 14, 16))),
+                             ("pg25", lines(5, (1, 5, 11, 24, 25, 27)))):
+        hosts[name] = "".join([f"n {n}\nrank 3\n",
+                               *(f"flat 2 {' '.join(map(str, l))}\n" for l in plane)])
+    outputs = {}
+    for name, text in hosts.items():
+        path = tmp_path / f"{name}.matroid"
+        path.write_text(text)
+        code, outputs[name], _ = run(capsys, "erect", str(path), "--free")
+        assert code == 0, name
+    u420 = parse_matroid_text(outputs["u320"])
+    assert (u420.n, u420.rank, len(u420.basis_masks)) == (20, 4, 4845)
+    for name in ("pg24", "pg25"):
+        assert outputs[name] == serialize_matroid(parse_matroid_text(hosts[name]))
 
 
 def test_erect_requires_mode(paths):

@@ -1,4 +1,4 @@
-"""Erection enumeration: block conditions, exact covers, the weak order."""
+"""Erections: block conditions, exact covers, the free erection by merging hulls."""
 
 import random
 
@@ -6,7 +6,9 @@ import pytest
 
 from itertools import combinations
 
+from matroid_forge import erection, properties
 from matroid_forge.bitsets import (
+    elements_of,
     format_set,
     full_mask,
     iter_elements,
@@ -15,7 +17,6 @@ from matroid_forge.bitsets import (
 )
 from matroid_forge.erection import (
     _closure_index,
-    _closure_table,
     _exact_covers,
     _k_closed_hull,
     check_erection_blocks,
@@ -41,11 +42,19 @@ from matroid_forge.matroid import (
     simplify,
     truncation,
 )
+from matroid_forge.formats import bundled_data_dir, load_matroid
 from matroid_forge.minors import fano_matroid, non_fano_matroid
+from conftest import SMALL_HOSTS
 
 
 def uniform(rank, n):
     return Matroid.from_bases(n, combinations(range(n), rank))
+
+
+def reference_is_k_closed(m, x, k):
+    """Does x hold the closure of each of its k-subsets?  By walking them."""
+    return all(m.closure_mask(mask_of(s)) & ~x == 0
+               for s in combinations(elements_of(x), k))
 
 
 def test_k_closed_detection():
@@ -54,6 +63,11 @@ def test_k_closed_detection():
     assert not is_k_closed(f, (0, 1), 2)           # misses its third point
     assert is_k_closed(f, range(7), 2)
     assert is_k_closed(f, (0,), 2)                 # no 2-subsets at all
+    for k in (1, 2, 3):
+        assert [x for x in range(f.full + 1) if is_k_closed(f, x, k)] == \
+            [x for x in range(f.full + 1) if reference_is_k_closed(f, x, k)]
+    with pytest.raises(ValueError):
+        is_k_closed(f, (0,), 0)
 
 
 def test_spanning_k_closed_on_four_point_line():
@@ -78,6 +92,12 @@ def with_parallel(m, e):
     return Matroid.from_bases(m.n + 1, [*m.basis_masks, *swapped])
 
 
+def closure_table(m, k):
+    """(S, cl(S)) for every k-subset S whose closure gains elements."""
+    pairs = ((s, m.closure_mask(s)) for s in map(mask_of, combinations(range(m.n), k)))
+    return [(s, cl) for s, cl in pairs if cl != s]
+
+
 def reference_k_closed_hull(table, x):
     """Least k-closed superset of x by sweeping the whole table to a fixpoint."""
     while True:
@@ -92,7 +112,7 @@ def reference_k_closed_hull(table, x):
 
 def reference_census(m, k, *, proper_only=True):
     """Spanning k-closed sets by NextClosure over full-table fixpoint hulls."""
-    table = _closure_table(m, k)
+    table = closure_table(m, k)
     out = []
     x = reference_k_closed_hull(table, 0)
     while True:
@@ -113,8 +133,7 @@ def reference_census(m, k, *, proper_only=True):
 
 def census_by_scan(m, k):
     """Spanning k-closed sets, full set included, by walking all 2^n subsets."""
-    table = [(s, m.closure_mask(s))
-             for s in map(mask_of, combinations(range(m.n), k))]
+    table = closure_table(m, k)
     return sort_masks(x for x in range(m.full + 1)
                       if m.rank_of_mask(x) == m.rank
                       and all(cl & ~x == 0 for s, cl in table if s & ~x == 0))
@@ -204,12 +223,12 @@ def test_hull_fixes_exactly_the_k_closed_sets(name, gf5_column_matroid):
     m = CENSUS_HOSTS[name](gf5_column_matroid)
     rng = random.Random(name)
     for k in range(1, m.rank + 1):
-        table = _closure_table(m, k)
-        index = _closure_index(m.n, table)
+        table = closure_table(m, k)
+        index = _closure_index(m, k)
         for x in range(m.full + 1):
             hull = _k_closed_hull(index, x)
             assert hull == reference_k_closed_hull(table, x)
-            assert (hull == x) == is_k_closed(m, x, k)
+            assert (hull == x) == reference_is_k_closed(m, x, k)
             # stopping early: None exactly when the hull meets forbid
             forbid = rng.getrandbits(m.n) & ~x
             stopped = _k_closed_hull(index, x, forbid)
@@ -313,15 +332,17 @@ def test_tautness_witness_points_one_rank_up():
 
 
 def test_rank_one_cannot_erect():
-    with pytest.raises(RankTooLow):
-        enumerate_erections(uniform(1, 3))
+    for erect in (enumerate_erections, free_erection, tautness_witness):
+        with pytest.raises(RankTooLow):
+            erect(uniform(1, 3))
 
 
 def test_non_simple_rejected():
     parallel = Matroid.from_bases(3, [(0, 1), (0, 2)])
     assert not parallel.is_simple
-    with pytest.raises(ValidationError):
-        enumerate_erections(parallel)
+    for erect in (enumerate_erections, free_erection, tautness_witness):
+        with pytest.raises(ValidationError):
+            erect(parallel)
 
 
 def test_tiny_budget_exhausted():
@@ -329,16 +350,105 @@ def test_tiny_budget_exhausted():
         enumerate_erections(uniform(2, 4), budget=1)
 
 
-def test_weak_order_shape(erection_family):
-    k = len(erection_family)
-    assert len(erection_family.weak_order) == k
-    assert all(len(row) == k for row in erection_family.weak_order)
-    assert all(erection_family.weak_order[i][i] for i in range(k))
-
-
 def test_bundled_family(erection_family, rank4_matroid):
     assert len(erection_family) == 2
     assert erection_family.free() == rank4_matroid
+
+
+# -- the hull merge against the enumeration's weak-order maximum -------------
+
+def linear_space(n, seed):
+    """A seeded rank-3 linear space: random 3- and 4-point lines, any two
+    meeting in at most one point."""
+    rng = random.Random(f"linear-space:{n}:{seed}")
+    lines = []
+    for _ in range(rng.randint(1, n)):
+        line = set(rng.sample(range(n), rng.choice((3, 3, 4))))
+        if all(len(line & other) <= 1 for other in lines):
+            lines.append(line)
+    return matroid_from_flats(n, 3, [(2, sorted(line)) for line in lines])
+
+
+def small_host(name):
+    def build(gf5):
+        m = SMALL_HOSTS[name](gf5)
+        return m if m.is_simple else simplify(m)[0]
+    return build
+
+
+# every host whose erections can all be listed in well under a second;
+# U(4,9) is left out, since it has too many erections to list
+DIFFERENTIAL_HOSTS = {
+    **{f"U(2,{n})": (lambda gf5, n=n: uniform(2, n)) for n in range(2, 7)},
+    **{f"U(3,{n})": (lambda gf5, n=n: uniform(3, n)) for n in range(3, 7)},
+    "M": lambda gf5: load_matroid(bundled_data_dir() / "M.matroid"),
+    "N": lambda gf5: load_matroid(bundled_data_dir() / "N.matroid"),
+    **{f"small:{name}": small_host(name) for name in SMALL_HOSTS
+       if name != "U(4,9)"},
+    **{f"linear-space-{n}-{seed}": (lambda gf5, n=n, seed=seed: linear_space(n, seed))
+       for n in (6, 7) for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_HOSTS)
+def test_hull_merge_is_the_weak_order_maximum(name, gf5_column_matroid):
+    m = DIFFERENTIAL_HOSTS[name](gf5_column_matroid)
+    family = enumerate_erections(m)
+    # the oracle: free() is the unique maximum of the listed family
+    assert properties.erection_family_failures(family) == []
+    free = free_erection(m)
+    assert free == family.free()
+    witness = tautness_witness(m)
+    assert (witness is None) == (len(family) == 1)
+    assert witness is None or witness == free
+
+
+def test_differential_hosts_cover_several_family_sizes(gf5_column_matroid):
+    sizes = {len(enumerate_erections(build(gf5_column_matroid)))
+             for name, build in DIFFERENTIAL_HOSTS.items()
+             if name.startswith(("small:", "linear-space"))}
+    assert {1, 2} < sizes and max(sizes) > 100
+
+
+@pytest.mark.parametrize("r, n", [(2, 9), (3, 8), (3, 12), (3, 16), (4, 9)])
+def test_free_erection_of_a_uniform_matroid_is_uniform(r, n):
+    assert free_erection(uniform(r, n)).basis_masks == uniform(r + 1, n).basis_masks
+
+
+def pg_plane(q, difference_set):
+    """PG(2, q) from a Singer difference set: its lines are the translates."""
+    n = q * q + q + 1
+    return matroid_from_flats(n, 3, [(2, sorted((d + i) % n for d in difference_set))
+                                     for i in range(n)])
+
+
+def test_free_erection_needs_no_census(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the free erection must not enumerate")
+    monkeypatch.setattr(erection, "enumerate_erections", forbidden)
+    monkeypatch.setattr(erection, "spanning_k_closed_masks", forbidden)
+    u320 = free_erection(uniform(3, 20))
+    assert (u320.n, u320.rank, len(u320.basis_masks)) == (20, 4, 4845)
+    assert truncation(u320) == uniform(3, 20)
+    for q, difference_set in ((4, (0, 1, 4, 14, 16)), (5, (1, 5, 11, 24, 25, 27))):
+        plane = pg_plane(q, difference_set)
+        assert plane.n > erection.EXHAUSTIVE_LIMIT
+        assert free_erection(plane) is plane
+        assert tautness_witness(plane) is None
+
+
+def test_listing_materializes_each_erection_once(monkeypatch, rank3_matroid):
+    built = []
+    materialize = erection._materialize
+
+    def counting(m, blocks):
+        built.append(blocks)
+        return materialize(m, blocks)
+    monkeypatch.setattr(erection, "_materialize", counting)
+    family = enumerate_erections(rank3_matroid)
+    assert len(built) == len(family) - 1
+    family.free()
+    assert len(built) == len(family) - 1
 
 
 # -- exact cover against the per-item Algorithm X it replaced -----------------
@@ -383,11 +493,18 @@ def reference_exact_covers(num_items, cover_masks):
     return solutions, nodes
 
 
+def holders_of(num_items, cover_masks):
+    """For each item, the mask of the candidates whose cover holds it."""
+    return [mask_of(ci for ci, cm in enumerate(cover_masks) if cm >> i & 1)
+            for i in range(num_items)]
+
+
 def assert_covers_match_reference(num_items, cover_masks):
     expected, nodes = reference_exact_covers(num_items, cover_masks)
-    assert _exact_covers(num_items, cover_masks, nodes) == expected
+    holders = holders_of(num_items, cover_masks)
+    assert _exact_covers(holders, nodes) == expected
     with pytest.raises(SearchBudgetExceeded):
-        _exact_covers(num_items, cover_masks, nodes - 1)
+        _exact_covers(holders, nodes - 1)
     return expected
 
 
@@ -411,9 +528,7 @@ def test_exact_covers_match_reference_on_seeded_instances():
         num_items, masks = seeded_cover_instance(rng)
         solutions = assert_covers_match_reference(num_items, masks)
         several += len(solutions) > 1
-        holders = [mask_of(ci for ci, m in enumerate(masks) if m >> i & 1)
-                   for i in range(num_items)]
-        repeated += len(set(holders)) < num_items
+        repeated += len(set(holders_of(num_items, masks))) < num_items
     assert several > 20 and repeated > 100
     # no items: the empty cover; an uncoverable item: none; no candidates
     assert assert_covers_match_reference(0, []) == [()]

@@ -41,6 +41,7 @@ from matroid_forge.matroid import (
     truncation,
 )
 from matroid_forge.minors import fano_matroid, non_fano_matroid
+from conftest import SMALL_HOSTS, loops_and_parallels
 from test_erection import CENSUS_HOSTS
 
 from itertools import combinations
@@ -152,23 +153,6 @@ def rank_and_closure_by_bases(m, x):
         if (x & b).bit_count() == r:
             grows |= b
     return r, m.full & ~(grows & ~x)
-
-
-def loops_and_parallels():
-    # a three-point line on {0, 1, 2}, the loop 3, and 4 parallel to 0
-    return Matroid.from_bases(5, [(0, 1), (0, 2), (1, 2), (1, 4), (2, 4)])
-
-
-SMALL_HOSTS = {
-    "fano": lambda gf5: fano_matroid(),
-    "non-fano": lambda gf5: non_fano_matroid(),
-    "U(2,4)": lambda gf5: uniform(2, 4),
-    "U(4,9)": lambda gf5: uniform(4, 9),
-    "loops-and-parallels": lambda gf5: loops_and_parallels(),
-    "gf5-10-3-a": lambda gf5: gf5(10, 3, 4),
-    "gf5-10-3-b": lambda gf5: gf5(10, 3, 7),
-    "gf5-9-4": lambda gf5: gf5(9, 4, 8),
-}
 
 
 @pytest.mark.parametrize("name", SMALL_HOSTS)

@@ -9,6 +9,7 @@ import pytest
 
 from matroid_forge import properties
 from matroid_forge.bitsets import format_set, iter_elements, mask_of, sort_masks
+from matroid_forge.erection import ErectionFamily
 from matroid_forge.errors import ValidationError
 from matroid_forge.formats import bundled_data_dir, load_matroid
 from matroid_forge.matroid import (
@@ -481,6 +482,25 @@ def test_minor_commutation_detects_a_broken_delete(monkeypatch):
 
 def test_erection_family_properties(erection_family):
     assert properties.erection_family_failures(erection_family) == []
+
+
+def test_erection_family_battery_detects_a_broken_weak_order(
+        monkeypatch, erection_family):
+    monkeypatch.setattr(properties, "is_weak_map_image", lambda a, b: False)
+    assert properties.erection_family_failures(erection_family) == [
+        "weak order is not reflexive", "weak order is not reflexive",
+        "free erection is not the unique weak-order maximum: maxima []"]
+    monkeypatch.setattr(properties, "is_weak_map_image", lambda a, b: True)
+    assert properties.erection_family_failures(erection_family) == [
+        "weak order not antisymmetric on distinct erections",
+        "free erection is not the unique weak-order maximum: maxima [0, 1]"]
+
+
+def test_erection_family_battery_detects_a_missing_free_erection(erection_family):
+    # without the rank-4 erection no member has the merged hulls as copoints
+    family = ErectionFamily(erection_family.base, erection_family.erections[:1])
+    with pytest.raises(ValidationError, match="merged hulls as copoints"):
+        properties.erection_family_failures(family)
 
 
 def test_formalization_quotient_for_all_matrices(
