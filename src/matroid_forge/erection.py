@@ -34,18 +34,11 @@ from .bitsets import (
     mask_of,
     sort_masks,
 )
-from .errors import (
-    GroundSetTooLarge,
-    RankTooLow,
-    SearchBudgetExceeded,
-    ValidationError,
-)
+from .errors import GroundSetTooLarge, RankTooLow, ValidationError, charger
 from .matroid import Matroid, matroid_from_flats, truncation
 
 # The census output alone can hold 2^n sets, so n stops here.
 EXHAUSTIVE_LIMIT = 20
-
-DEFAULT_NODE_BUDGET = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -202,14 +195,14 @@ def check_erection_blocks(m: Matroid, family) -> ErectionCheck:
                          f"and partition the bases")
 
 
-def _exact_covers(holders: list[int], budget: int) -> list[tuple[int, ...]]:
+def _exact_covers(holders: list[int], budget: int | None) -> list[tuple[int, ...]]:
     """All exact covers of the items, given per item the candidates holding it.
 
     Plain recursive Algorithm X (Knuth, "Dancing Links", 2000): branch on
     the uncovered item with the fewest compatible candidates (first such
     item on ties), candidates in ascending index order, so the solution
     list is deterministic.  Every explored branch costs one node against
-    the budget.
+    the budget (default :data:`~.errors.DEFAULT_BUDGET`).
 
     Items held by the same candidates are always covered together, so
     they are merged into one class, listed at its least item: the first
@@ -230,14 +223,10 @@ def _exact_covers(holders: list[int], budget: int) -> list[tuple[int, ...]]:
     full = full_mask(len(classes))
     solutions: list[tuple[int, ...]] = []
     chosen: list[int] = []
-    nodes = 0
+    charge = charger(budget, "exact cover search")
 
     def rec(covered: int, alive: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(
-                f"exact cover search exceeded {budget} nodes")
+        charge(1)
         if covered == full:
             solutions.append(tuple(chosen))
             return
@@ -292,7 +281,6 @@ def enumerate_erections(m: Matroid, *, budget: int | None = None) -> ErectionFam
     Distinct solutions are distinct copoint sets, so distinct matroids.
     """
     _require_erectable(m)
-    node_budget = DEFAULT_NODE_BUDGET if budget is None else budget
     candidates = spanning_k_closed_masks(m, m.rank - 1, proper_only=True)
     if not candidates:  # then no basis is held, so nothing but m erects
         return ErectionFamily(m, (m,))
@@ -302,7 +290,7 @@ def enumerate_erections(m: Matroid, *, budget: int | None = None) -> ErectionFam
     holders = [reduce(and_, map(having.__getitem__, iter_elements(b)))
                for b in m.basis_masks]
     erected = [_materialize(m, tuple(candidates[ci] for ci in sol))
-               for sol in _exact_covers(holders, node_budget)]
+               for sol in _exact_covers(holders, budget)]
     erected.sort(key=lambda e: e.basis_masks)
     return ErectionFamily(m, (m, *erected))
 

@@ -9,6 +9,11 @@ search budget exhausted).
 
 from __future__ import annotations
 
+from typing import Callable
+
+# The node budget of every backtracking search when the caller sets none.
+DEFAULT_BUDGET = 10 ** 8
+
 
 class MatroidForgeError(Exception):
     """Base class for all errors raised by this package."""
@@ -40,6 +45,21 @@ class SearchBudgetExceeded(MatroidForgeError):
     Exceeding the budget is always an error; results are exact or absent,
     never silently truncated.
     """
+
+
+def charger(budget: int | None, search: str) -> Callable[[int], None]:
+    """A charge function over ``budget`` nodes (default :data:`DEFAULT_BUDGET`)
+    that raises :class:`SearchBudgetExceeded`, naming ``search``, once the
+    nodes charged exceed it."""
+    limit = DEFAULT_BUDGET if budget is None else budget
+    nodes = 0
+
+    def charge(count: int) -> None:
+        nonlocal nodes
+        nodes += count
+        if nodes > limit:
+            raise SearchBudgetExceeded(f"{search} exceeded {limit} nodes")
+    return charge
 
 
 class ZeroFunctional(MatroidForgeError):

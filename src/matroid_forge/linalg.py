@@ -161,12 +161,12 @@ def _rref(field, rows: list[list], cols: int) -> tuple[list[list], list[int]]:
 
     The elimination runs on the integer rows of :func:`_integer_rows`,
     taking the first nonzero entry in column order as pivot.  A row
-    update is the cross-multiplication ``pivot * row - a * lead``, then
-    divided by its content over Q (so every row stays the primitive
-    integer vector of its line, with entries bounded by the minors of the
-    matrix) or reduced mod p.  Each pivot row is divided by its pivot at
-    the end; the reduced row-echelon form is unique, so the result is the
-    same as for elimination in the field.
+    update is the cross-multiplication ``pivot * row - a * lead`` of
+    :func:`_cross`, divided by its content over Q (so every row stays the
+    primitive integer vector of its line, with entries bounded by the
+    minors of the matrix) or reduced mod p.  Each pivot row is divided by
+    its pivot at the end; the reduced row-echelon form is unique, so the
+    result is the same as for elimination in the field.
     """
     mat, scales, p = _integer_rows(field, rows, cols)
     pivots: list[int] = []
@@ -185,10 +185,7 @@ def _rref(field, rows: list[list], cols: int) -> tuple[list[list], list[int]]:
         for r, row in enumerate(mat):
             a = row[c]
             if a and r != pr:
-                if p:
-                    mat[r] = [(piv * v - a * w) % p for v, w in zip(row, lead)]
-                else:
-                    mat[r] = _primitive([piv * v - a * w for v, w in zip(row, lead)])
+                mat[r] = _cross(piv, row, a, lead, p)
         pivots.append(c)
         pr += 1
     if p:

@@ -8,13 +8,14 @@ a subset of the surviving points and match it against the target up to
 isomorphism.  The search does not build the simplification of M/C: its
 points, parallel classes, loops and nontrivial flats are read from M's
 flat lattice, since the flats of M/C are those of M that contain cl(C)
-(Oxley, *Matroid Theory*, §3.3).  Only a contraction with a kept set that
-passes the screen below is contracted and simplified, to build the
-witness.  The returned witness replays deterministically, contracting
-again from scratch, and is verified before it is handed back.  Since only
-points of a simplification are kept, the target must be simple; a target
-with loops or parallel elements is refused with :class:`ValidationError`
-rather than answered "not found".
+(Oxley, *Matroid Theory*, §3.3).  Only a kept set K that passes the
+screen below is restricted, straight from the host: with R the least
+elements of K's classes, si(M/C)|K is (M|(C ∪ R))/C, two filters of M's
+basis list.  The returned witness replays deterministically, contracting
+and simplifying M/C from scratch, and is verified before it is handed
+back.  Since only points of a simplification are kept, the target must be
+simple; a target with loops or parallel elements is refused with
+:class:`ValidationError` rather than answered "not found".
 
 Kept sets K are generated depth-first in increasing element order, the
 order of :func:`itertools.combinations`, and a prefix is cut as soon as
@@ -50,13 +51,12 @@ simplification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .bitsets import elements_of, format_set, iter_elements, mask_of
-from .errors import SearchBudgetExceeded, ValidationError
+from .bitsets import elements_of, format_set, full_mask, iter_elements, mask_of
+from .errors import ValidationError, charger
 from .matroid import (
     Matroid,
     PointedMap,
@@ -71,8 +71,6 @@ from .matroid import (
     removal_map,
     simplify,
 )
-
-DEFAULT_MINOR_BUDGET = 10 ** 8
 
 # The two seven-point rank-3 obstructions, by their three-point lines.
 _FANO_LINES = ((0, 1, 5), (0, 2, 4), (0, 3, 6), (1, 2, 3),
@@ -123,26 +121,6 @@ class MinorWitness:
         return ", ".join(parts)
 
 
-class _Contraction(NamedTuple):
-    """si(M/C) for one contraction set C, its classes and loops in M's labels."""
-
-    contract_set: tuple[int, ...]
-    simple: Matroid
-    classes: tuple[tuple[int, ...], ...]
-    loops: tuple[int, ...]
-
-
-def _contraction(host: Matroid, contract_set: Sequence[int]) -> _Contraction:
-    cmask = mask_of(contract_set)
-    contracted = contract(host, cmask) if contract_set else host
-    back = removal_map(host.n, cmask)
-    simple, pmap = simplify(contracted)
-    return _Contraction(
-        tuple(contract_set), simple,
-        tuple(tuple(back(e) for e in cls) for cls in (pmap.classes or ())),
-        tuple(back(e) for e in elements_of(contracted.loops_mask)))
-
-
 class _ContractionClass:
     """si(M/C) for one contraction class, read from M's flat lattice.
 
@@ -155,8 +133,8 @@ class _ContractionClass:
     si(M/C) when it holds more than k points, and it then holds at least
     |F| + k + 1 > s + k elements, so ``levels``, the nontrivial flats of
     si(M/C) by rank (in no particular order), come from M's nontrivial
-    flats alone.  ``simple`` itself is contracted and simplified only when
-    first asked for, by a witness.
+    flats alone.  Nothing is contracted: a witness restricts si(M/C) from
+    the host (:func:`_restriction`).
     """
 
     def __init__(self, host: Matroid, host_levels: Sequence[Sequence[int]],
@@ -165,7 +143,6 @@ class _ContractionClass:
         s = len(contract_set)
         moved = sorted((g & ~flat for g in points), key=lambda x: x & -x)
         reps = sum(x & -x for x in moved)
-        self.host = host
         self.contract_set = contract_set
         self.n = len(moved)
         self.rank = host.rank - s
@@ -175,10 +152,6 @@ class _ContractionClass:
             _squeeze([x for f in level if f & flat == flat
                       if (x := f & reps).bit_count() > k], reps)
             for k, level in enumerate(host_levels[s:], 1)]
-
-    @cached_property
-    def simple(self) -> Matroid:
-        return _contraction(self.host, self.contract_set).simple
 
 
 def _contraction_classes(host: Matroid, target: Matroid) -> Iterator[_ContractionClass]:
@@ -208,24 +181,38 @@ def _contraction_classes(host: Matroid, target: Matroid) -> Iterator[_Contractio
                 yield _ContractionClass(host, host_levels, combo, cl, points)
 
 
+def _restriction(host: Matroid, cmask: int, keep: int) -> Matroid:
+    """(M|(C ∪ R))/C for C = ``cmask`` and R = ``keep``, disjoint from C.
+
+    Deleting and contracting disjoint sets commute, so this is (M/C)|R,
+    the restriction of si(M/C) to the points whose classes have their
+    least elements in R, in the same point order, since si(M/C) orders its
+    points by least element.
+    """
+    part = cmask | keep
+    m = host if part == host.full else delete(host, host.full & ~part)
+    return contract(m, _squeeze([cmask], part)[0]) if cmask else m
+
+
 def _witness(host: Matroid, target: Matroid, c: _ContractionClass,
              kmask: int) -> MinorWitness | None:
-    """The witness keeping the points ``kmask`` of ``c.simple``, when that
-    restriction is isomorphic to the target, replayed (from a contraction
-    of its own) before it is returned."""
-    simple = c.simple
-    restricted = simple if kmask == simple.full else delete(simple, simple.full & ~kmask)
-    iso = are_isomorphic(restricted, target)
+    """The witness keeping the points ``kmask`` of si(M/C), when that
+    restriction, built from the host by :func:`_restriction`, is isomorphic
+    to the target, replayed (from a contraction of its own) before it is
+    returned."""
+    kept_classes = tuple(c.classes[i] for i in iter_elements(kmask))
+    reps = tuple(k[0] for k in kept_classes)
+    iso = are_isomorphic(_restriction(host, mask_of(c.contract_set), mask_of(reps)),
+                         target)
     if iso is None:
         return None
-    kept_classes = tuple(c.classes[i] for i in iter_elements(kmask))
     dropped = set(c.loops)
-    for i in iter_elements(simple.full & ~kmask):
+    for i in iter_elements(full_mask(c.n) & ~kmask):
         dropped.update(c.classes[i])
     witness = MinorWitness(
         contract_set=c.contract_set,
         delete_set=tuple(sorted(dropped)),
-        parallel_classes=PointedMap(tuple(min(k) for k in kept_classes), kept_classes),
+        parallel_classes=PointedMap(reps, kept_classes),
         iso=iso,
     )
     if not replay_witness(host, target, witness):
@@ -234,25 +221,33 @@ def _witness(host: Matroid, target: Matroid, c: _ContractionClass,
 
 
 def replay_witness(host: Matroid, target: Matroid, w: MinorWitness) -> bool:
-    """Re-run a witness from scratch and compare canonically with the target."""
-    c = _contraction(host, w.contract_set)
+    """Re-run a witness from scratch and compare canonically with the target.
+
+    Independently of the search, M/C is contracted and simplified here, and
+    its classes and loops are mapped back to the host's labels.
+    """
+    cmask = mask_of(w.contract_set)
+    contracted = contract(host, cmask) if cmask else host
+    back = removal_map(host.n, cmask)
+    simple, pmap = simplify(contracted)
+    classes = [tuple(map(back, cls)) for cls in pmap.classes or ()]
+    loops = [back(e) for e in elements_of(contracted.loops_mask)]
     dset = set(w.delete_set)
-    kept = [i for i, cls in enumerate(c.classes)
+    kept = [i for i, cls in enumerate(classes)
             if not any(e in dset for e in cls)]
     # the delete set must be exactly the loops plus the dropped classes
-    removed = set(c.loops)
-    for i, cls in enumerate(c.classes):
+    removed = set(loops)
+    for i, cls in enumerate(classes):
         if i not in kept:
             if not all(e in dset for e in cls):
                 return False
             removed.update(cls)
     if removed != dset:
         return False
-    if tuple(c.classes[i] for i in kept) != (w.parallel_classes.classes or ()):
+    if tuple(classes[i] for i in kept) != (w.parallel_classes.classes or ()):
         return False
     if len(kept) != target.n:
         return False
-    simple = c.simple
     if len(kept) == simple.n:
         restricted = simple
     else:
@@ -299,21 +294,6 @@ def restriction_invariants(levels: Sequence[Sequence[int]], kmask: int,
     return sizes, sorted(sigs)
 
 
-def _charger(budget: int | None) -> Callable[[int], None]:
-    """A charge function over ``budget`` nodes (default
-    :data:`DEFAULT_MINOR_BUDGET`) that raises :class:`SearchBudgetExceeded`
-    once the nodes charged exceed it."""
-    limit = DEFAULT_MINOR_BUDGET if budget is None else budget
-    nodes = 0
-
-    def charge(count: int) -> None:
-        nonlocal nodes
-        nodes += count
-        if nodes > limit:
-            raise SearchBudgetExceeded(f"minor search exceeded {limit} nodes")
-    return charge
-
-
 def find_minor(host: Matroid, target: Matroid, *,
                budget: int | None = None) -> MinorWitness | None:
     """First minor witness in canonical order, or None (search is exhaustive).
@@ -331,7 +311,7 @@ def find_minor(host: Matroid, target: Matroid, *,
     :func:`restriction_invariants`; only a K passing them is restricted
     and matched by :func:`are_isomorphic`.
 
-    ``budget`` (default :data:`DEFAULT_MINOR_BUDGET`) bounds the kept sets
+    ``budget`` (default :data:`~.errors.DEFAULT_BUDGET`) bounds the kept sets
     over all contraction classes: each K reached costs one node and each
     cut costs the number of K below it, so the least budget that does not
     raise :class:`SearchBudgetExceeded` is the position of the witness's K
@@ -351,7 +331,7 @@ def find_minor(host: Matroid, target: Matroid, *,
     r = target.rank
     target_levels = nontrivial_levels(target)
     target_invariants = restriction_invariants(target_levels, target.full, r)
-    charge = _charger(budget)
+    charge = charger(budget, "minor search")
     for c in _contraction_classes(host, target):
         for kmask in _kept_sets(c.n, c.levels, target, target_levels, charge):
             if restriction_invariants(c.levels, kmask, r) != target_invariants:
@@ -582,7 +562,7 @@ def realizability_obstruction(m: Matroid, *,
     """
     targets = (fano_matroid(), non_fano_matroid())
     found: list[MinorWitness | None] = [None, None]
-    charge = _charger(budget)
+    charge = charger(budget, "minor search")
     for c in _contraction_classes(m, targets[0]):
         charge(comb(c.n, 4))
         kept = _quadrangle_sets(c.n, c.levels[1])

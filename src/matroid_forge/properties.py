@@ -2,15 +2,16 @@
 
 Each function returns a list of human-readable failure strings (empty means
 clean), so the same battery can run inside the reproduction report and the
-test suite.  Exhaustive checks cover every subset; the sampled variants use
-a fixed seed and are deterministic.  The exhaustive rank battery checks
-submodularity locally, r(X+e) + r(X+f) >= r(X+e+f) + r(X) for every X and
-distinct e, f outside it, which is equivalent to the inequality for all
-pairs and reads each of the 2^n ranks once.  It packs them one byte per
-subset into one int and runs each inequality over all 2^n subsets in a
-few big-int operations: about 2 ms at n = 13 (CPython 3.11, one Xeon
-core), where the subset-by-subset walk took 65-100 ms.  The walk runs only
-on a rank function the lanes reject, to name its first failure.
+test suite.  The closure battery visits every subset, or with ``samples``
+a fixed-seed and so deterministic sample of them.  The rank battery is
+always exhaustive.  It checks submodularity locally,
+r(X+e) + r(X+f) >= r(X+e+f) + r(X) for every X and distinct e, f outside
+it, which is equivalent to the inequality for all pairs and reads each of
+the 2^n ranks once.  It packs them one byte per subset into one int and
+runs each inequality over all 2^n subsets in a few big-int operations:
+about 2 ms at n = 13 (CPython 3.11, one Xeon core), where the
+subset-by-subset walk took 65-100 ms.  The walk runs only on a rank
+function the lanes reject, to name its first failure.
 """
 
 from __future__ import annotations
@@ -100,12 +101,11 @@ def closure_axiom_failures(m: Matroid, *, samples: int | None = None,
     return failures
 
 
-def rank_axiom_failures(m: Matroid, *, samples: int | None = None,
-                        seed: int = 0xA5) -> list[str]:
+def rank_axiom_failures(m: Matroid) -> list[str]:
     """Bounds, unit increase, and submodularity of the rank function.
 
-    With ``samples`` None the check is exhaustive but local: the 2^n ranks
-    are read once, and for every X and distinct e, f outside X it checks
+    The check is exhaustive but local: the 2^n ranks are read once, and
+    for every X and distinct e, f outside X it checks
     0 <= r(X) <= min(|X|, rank), r(X+e) - r(X) in {0, 1} and
     r(X+e) + r(X+f) >= r(X+e+f) + r(X).  The local inequality for all X, e, f
     is equivalent to submodularity for all pairs (Schrijver, *Combinatorial
@@ -114,11 +114,8 @@ def rank_axiom_failures(m: Matroid, *, samples: int | None = None,
     :func:`_lanes_accept`), a few big-int operations per element and per
     pair; only a rank function they reject is walked subset by subset, to
     name its first failure.  A failure names the pair (X+e, X+f), which
-    breaks the global inequality too.  Otherwise ``samples`` fixed-seed
-    random pairs (X, Y) are checked against the global inequality.
+    breaks the global inequality too.
     """
-    if samples is not None:
-        return _sampled_rank_failures(m, samples, seed)
     ranks = list(map(m.rank_of_mask, range(1 << m.n)))
     if _lanes_accept(ranks, m.n, m.rank):
         return []
@@ -194,21 +191,6 @@ def _rank_walk(ranks: list[int], n: int, rank: int) -> list[str]:
                 if rb + rc < ranks[x | b | c] + rx:
                     return [f"rank not submodular at {format_set(x | b)}, "
                             f"{format_set(x | c)}"]
-    return []
-
-
-def _sampled_rank_failures(m: Matroid, samples: int, seed: int) -> list[str]:
-    draws = _draws(random.Random(seed), full_mask(m.n))
-    rank = m.rank_of_mask
-    for x, y in islice(zip(draws, draws), samples):
-        rx = rank(x)
-        if not 0 <= rx <= min(x.bit_count(), m.rank):
-            return [f"rank out of bounds at {format_set(x)}"]
-        e = (y % m.n) if m.n else 0
-        if rank(x | (1 << e)) - rx not in (0, 1):
-            return [f"rank not unit-increasing at {format_set(x)} + {e}"]
-        if rank(x | y) + rank(x & y) > rx + rank(y):
-            return [f"rank not submodular at {format_set(x)}, {format_set(y)}"]
     return []
 
 

@@ -415,6 +415,13 @@ GOLDEN = {
                       "94c1a748ac54880f9ab32c99ee8e35537a379579eb4a5930cf40ba020a118be3"),
     "reproduce": (["reproduce"],
                   "169c41bb20d22d45707ff0e75c0094b1919657644fb768cb9bf980e2840e1ba1"),
+    # the JSON mirrors carry each witness's iso, which the text leaves out
+    "minor-N-fano-json": (["minor", "--json", "{n}", "{fano}"],
+                          "21a96bf13c16b3c9884d29329d3b40d6b65c52fecff44e3eee960cd41169acf4"),
+    "obstruction-N-json": (["obstruction", "--json", "{n}"],
+                           "ec0e5ea8e1deb7da936e86f9e59dfb8bd149d531b8d6d2d1826d006da4ae79b8"),
+    "reproduce-json": (["reproduce", "--json"],
+                       "c0cc1d217ef80a61c7b3904a441c5f41f18f6de025024761f76a115381a242d1"),
 }
 
 

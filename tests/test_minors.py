@@ -1,5 +1,6 @@
 """Minor search, witness replay, and the field-obstruction verdicts."""
 
+import random
 import time
 
 import pytest
@@ -319,6 +320,18 @@ def test_pinned_witnesses_and_budgets(name, gfp_column_matroid):
 
 # -- the kept-set walk against the combinations loop it replaced -----------------
 
+def reference_contraction(host, contract_set):
+    """(si(M/C), its parallel classes, the loops of M/C): contracted and
+    simplified for real, classes and loops in the host's labels."""
+    cmask = mask_of(contract_set)
+    contracted = contract(host, cmask) if cmask else host
+    back = removal_map(host.n, cmask)
+    simple, pmap = simplify(contracted)
+    return (simple,
+            tuple(tuple(back(e) for e in cls) for cls in (pmap.classes or ())),
+            tuple(back(e) for e in elements_of(contracted.loops_mask)))
+
+
 def reference_find_minor(host, target):
     """(witness, nodes): the search over every kept set by combinations.
 
@@ -341,14 +354,9 @@ def reference_find_minor(host, target):
             if cl in seen_closures:
                 continue
             seen_closures.add(cl)
-            contracted = contract(host, cmask) if csize else host
-            back = removal_map(host.n, cmask)
-            simple, pmap = simplify(contracted)
+            simple, classes_host, loops_host = reference_contraction(host, combo)
             if simple.n < target.n or simple.rank < target.rank:
                 continue
-            classes_host = tuple(tuple(back(e) for e in cls)
-                                 for cls in (pmap.classes or ()))
-            loops_host = tuple(back(e) for e in elements_of(contracted.loops_mask))
             levels = nontrivial_levels(simple)
             indep = simple.independent_masks
             dependent = [s for s in map(mask_of, combinations(range(simple.n),
@@ -435,24 +443,47 @@ def test_exhaustive_search_charges_every_kept_set(n, rank, seed, gf5_column_matr
         find_minor(host, fano, budget=total - 1)
 
 
+def refuse(*args):
+    raise AssertionError("the contraction classes built a minor")
+
+
 @pytest.mark.parametrize("name", ORACLE_HOSTS)
-def test_contraction_classes_read_from_the_lattice(name, gfp_column_matroid):
+def test_contraction_classes_read_from_the_lattice(name, gfp_column_matroid,
+                                                   monkeypatch):
     host = build_host(name, gfp_column_matroid)
-    # every class has room for a single point, so none is left out
-    classes = list(minors._contraction_classes(host, uniform(1, 1)))
+    # every class has room for a single point, so none is left out; reading
+    # the lattice contracts, deletes and simplifies nothing
+    with monkeypatch.context() as patch:
+        for op in ("contract", "delete", "simplify"):
+            patch.setattr(minors, op, refuse)
+        classes = list(minors._contraction_classes(host, uniform(1, 1)))
     assert [c.contract_set for c in classes] == \
         [combo for combo, _ in contraction_classes(host, 1)]
-    # reading the lattice contracts nothing
-    assert not any("simple" in vars(c) for c in classes)
     for c in classes:
-        expected = minors._contraction(host, c.contract_set)
-        simple = expected.simple
+        simple, expected_classes, expected_loops = \
+            reference_contraction(host, c.contract_set)
         assert (c.n, c.rank) == (simple.n, simple.rank), (name, c.contract_set)
-        assert c.classes == expected.classes, (name, c.contract_set)
-        assert c.loops == expected.loops, (name, c.contract_set)
+        assert c.classes == expected_classes, (name, c.contract_set)
+        assert c.loops == expected_loops, (name, c.contract_set)
         assert [set(level) for level in c.levels] == \
             [set(level) for level in nontrivial_levels(simple)], (name, c.contract_set)
-        assert c.simple == simple
+
+
+@pytest.mark.parametrize("name", ORACLE_HOSTS)
+def test_restriction_built_from_the_host(name, gfp_column_matroid):
+    # si(M/C)|K from the host equals si(M/C) contracted, simplified and
+    # deleted down to K, for K every point and a seeded sample of others
+    host = build_host(name, gfp_column_matroid)
+    rng = random.Random(name)
+    for c in minors._contraction_classes(host, uniform(1, 1)):
+        simple = reference_contraction(host, c.contract_set)[0]
+        cmask = mask_of(c.contract_set)
+        for kmask in [simple.full] + [rng.randint(1, simple.full) for _ in range(4)]:
+            reps = mask_of(c.classes[i][0] for i in iter_elements(kmask))
+            drop = simple.full & ~kmask
+            expected = delete(simple, drop) if drop else simple
+            assert minors._restriction(host, cmask, reps) == expected, \
+                (name, c.contract_set, bin(kmask))
 
 
 def contraction_classes(host, rank):
