@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .charpoly import IntPolynomial, characteristic_polynomial, splits_over_integers
 from .erection import (
-    BlockFamily,
     ErectionCheck,
     ErectionFamily,
     check_erection_blocks,
@@ -76,7 +75,7 @@ from .reproduce import CheckResult, ReproReport, run_reproduce
 
 __all__ = [
     "IntPolynomial", "characteristic_polynomial", "splits_over_integers",
-    "BlockFamily", "ErectionCheck", "ErectionFamily",
+    "ErectionCheck", "ErectionFamily",
     "check_erection_blocks", "enumerate_erections", "free_erection",
     "is_k_closed", "spanning_k_closed_sets", "tautness_witness",
     "EmptyGroundSet", "FormatError", "GroundSetMismatch",

@@ -12,11 +12,12 @@ of blocks is the copoint set of an erection exactly when
 Condition (iii) is an exact-cover problem over the bases, which is how the
 enumeration below works: candidates are all proper spanning (r-1)-closed
 subsets, and each exact cover materializes into a matroid one rank up.
-The *free* erection, the maximum under the weak order (every independent
-set of the smaller is independent in the larger), needs no enumeration:
-it comes from merging closed hulls (Crapo 1970, Knuth 1975).  The weak
-order is built only by ``properties.erection_family_failures``, as an
-oracle for that merge.
+The *free* erection is the maximum under the weak order (every independent
+set of the smaller is independent in the larger).  Two independent paths
+find it.  A listed family picks its member with the most bases, and
+:func:`free_erection` merges closed hulls (Crapo 1970, Knuth 1975) with no
+enumeration.  They meet only in ``properties.erection_family_failures``,
+which also builds the weak order.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from itertools import combinations
 from operator import and_, or_
 
 from .bitsets import (
+    coerce_mask,
     elements_of,
     format_set,
     full_mask,
@@ -39,19 +41,6 @@ from .matroid import Matroid, matroid_from_flats, truncation
 
 # The census output alone can hold 2^n sets, so n stops here.
 EXHAUSTIVE_LIMIT = 20
-
-
-@dataclass(frozen=True)
-class BlockFamily:
-    """A candidate copoint family: subsets of the ground set, canonical order."""
-
-    n: int
-    blocks: tuple[int, ...]
-
-    @staticmethod
-    def of(n: int, blocks) -> "BlockFamily":
-        return BlockFamily(n, sort_masks({b if isinstance(b, int) else mask_of(b)
-                                          for b in blocks}))
 
 
 @dataclass(frozen=True)
@@ -80,12 +69,14 @@ class ErectionFamily:
         return self.erections[1:]
 
     def free(self) -> Matroid:
-        """The member whose rank-r flats are the merged hulls (E for m)."""
-        blocks = _free_blocks(self.base)
-        for e in self.erections:
-            if e.flats_at_masks(self.base.rank) == blocks:
-                return e
-        raise ValidationError("no erection has the merged hulls as copoints")
+        """The weak-order maximum: the member of highest rank, then most bases.
+
+        Every erection's independent sets lie inside the free erection's,
+        and all erections share the base's independent sets of size at
+        most r, so any other member of rank r + 1 has strictly fewer bases.
+        The trivial member has rank r, so it is picked only when alone.
+        """
+        return max(self.erections, key=lambda e: (e.rank, len(e.basis_masks)))
 
 
 def _closure_index(m: Matroid, k: int) -> list[list[tuple[int, int]]]:
@@ -127,7 +118,7 @@ def _k_closed_hull(index: list[list[tuple[int, int]]], x: int, forbid: int = 0
 
 def is_k_closed(m: Matroid, x, k: int) -> bool:
     """Does x contain the closure of each of its k-element subsets?"""
-    xmask = x if isinstance(x, int) else mask_of(x)
+    xmask = coerce_mask(x, m.n)
     return _k_closed_hull(_closure_index(m, k), xmask) == xmask
 
 
@@ -174,9 +165,7 @@ def spanning_k_closed_sets(m: Matroid, k: int, *, proper_only: bool = True
 
 def check_erection_blocks(m: Matroid, family) -> ErectionCheck:
     """Test the three copoint conditions, reporting the first violation."""
-    if not isinstance(family, BlockFamily):
-        family = BlockFamily.of(m.n, family)
-    blocks = family.blocks
+    blocks = sort_masks({coerce_mask(b, m.n, what="block") for b in family})
     k = m.rank - 1
     for b in blocks:
         if m.rank_of_mask(b) != m.rank:

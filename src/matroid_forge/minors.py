@@ -55,7 +55,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterator, Sequence
 
-from .bitsets import elements_of, format_set, full_mask, iter_elements, mask_of
+from .bitsets import elements_of, format_set, full_mask, iter_elements, mask_of, sort_masks
 from .errors import ValidationError, charger
 from .matroid import (
     Matroid,
@@ -155,30 +155,25 @@ class _ContractionClass:
 
 
 def _contraction_classes(host: Matroid, target: Matroid) -> Iterator[_ContractionClass]:
-    """One contraction class per closure of an independent set of size 0 up
-    to the rank difference, least set first by size and then in
-    combinations order, when its simplification has room for the target.
+    """One contraction class per flat of rank 0 up to the rank difference,
+    by rank and then in combinations order of the contracted set, when its
+    simplification has room for the target.
 
-    Deletions alone can also lower rank, so size 0 is always tried.
+    Deletions alone can also lower rank, so rank 0 is always tried.
     Contracting sets with the same closure yields the same simplification,
-    so only the first set of each closure is kept.
+    so each flat is contracted by its greedy basis, its least independent
+    spanning set in combinations order.
     """
     lattice = host.flat_lattice()
     host_levels = nontrivial_levels(host)
     for csize in range(host.rank - target.rank + 1):
-        seen_closures: set[int] = set()
         above = lattice.at(csize + 1)
-        for combo in combinations(range(host.n), csize):
-            cmask = mask_of(combo)
-            if cmask not in host.independent_masks:
-                continue
-            cl = host.closure_mask(cmask)
-            if cl in seen_closures:
-                continue
-            seen_closures.add(cl)
+        flat_of = {host._maximal_independent_mask(f): f for f in lattice.at(csize)}
+        for cmask in sort_masks(flat_of):
+            cl = flat_of[cmask]
             points = [g for g in above if g & cl == cl]
             if len(points) >= target.n:
-                yield _ContractionClass(host, host_levels, combo, cl, points)
+                yield _ContractionClass(host, host_levels, elements_of(cmask), cl, points)
 
 
 def _restriction(host: Matroid, cmask: int, keep: int) -> Matroid:

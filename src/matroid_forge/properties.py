@@ -22,7 +22,7 @@ from itertools import islice
 from operator import and_, or_
 
 from .bitsets import format_set, full_mask, iter_elements, mask_of
-from .erection import ErectionFamily
+from .erection import ErectionFamily, _free_blocks
 from .linalg import (
     ExactMatrix,
     _complement_of_relations,
@@ -232,9 +232,11 @@ def minor_commutation_failures(m: Matroid, *, samples: int = 30,
 
 
 def erection_family_failures(family: ErectionFamily) -> list[str]:
-    """Truncation identity, and ``free()`` as the unique maximum of the weak
-    order, which only this oracle builds: ``order[i][j]`` says whether
-    erection i is a weak map image of erection j."""
+    """Truncation identity, ``free()`` as the unique maximum of the weak
+    order, which only this oracle builds (``order[i][j]`` says whether
+    erection i is a weak map image of erection j), and ``free()``'s
+    copoints as the merged hulls: the one place where the listed family
+    and the hull merge meet."""
     failures = []
     base = family.base
     for e in family.nontrivial():
@@ -250,10 +252,14 @@ def erection_family_failures(family: ErectionFamily) -> list[str]:
             if order[i][j] and order[j][i]:
                 failures.append(
                     "weak order not antisymmetric on distinct erections")
+    free = family.free()
     maxima = [j for j in range(k) if all(order[i][j] for i in range(k))]
-    if [members[j] for j in maxima] != [family.free()]:
+    if [members[j] for j in maxima] != [free]:
         failures.append(f"free erection is not the unique weak-order "
                         f"maximum: maxima {maxima}")
+    copoints = free.flats_at_masks(base.rank) if free.rank > base.rank else (base.full,)
+    if copoints != _free_blocks(base):
+        failures.append("free erection's copoints are not the merged hulls")
     return failures
 
 

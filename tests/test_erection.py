@@ -6,7 +6,7 @@ import pytest
 
 from itertools import combinations
 
-from matroid_forge import erection, properties
+from matroid_forge import cli, erection, properties
 from matroid_forge.bitsets import (
     elements_of,
     format_set,
@@ -290,6 +290,26 @@ def test_blocks_must_partition_bases():
     assert chk.condition == 3
 
 
+@pytest.mark.parametrize("bad", [(0, 9), (-1, 0)])
+def test_blocks_outside_the_ground_set_are_refused(bad):
+    u24 = uniform(2, 4)
+    with pytest.raises(ValueError) as expected:
+        u24.closure_of(bad)
+    with pytest.raises(ValueError) as raised:
+        check_erection_blocks(u24, [(0, 1, 2), bad])
+    assert str(raised.value) == str(expected.value).replace("subset", "block")
+
+
+@pytest.mark.parametrize("bad", [(0, 9), (-1, 0), 1 << 4, -1])
+def test_k_closed_test_refuses_sets_outside_the_ground_set(bad):
+    u24 = uniform(2, 4)
+    with pytest.raises(ValueError) as expected:
+        u24.closure_of(bad)
+    with pytest.raises(ValueError) as raised:
+        is_k_closed(u24, bad, 1)
+    assert str(raised.value) == str(expected.value)
+
+
 # -- enumeration on independently known families -----------------------------
 
 def test_three_point_line_has_one_erection():
@@ -435,6 +455,23 @@ def test_free_erection_needs_no_census(monkeypatch):
         assert plane.n > erection.EXHAUSTIVE_LIMIT
         assert free_erection(plane) is plane
         assert tautness_witness(plane) is None
+
+
+def test_enumeration_runs_no_hull_merge(monkeypatch, capsys, rank4_matroid):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the listing must not merge hulls")
+    monkeypatch.setattr(erection, "_free_blocks", forbidden)
+    path = bundled_data_dir() / "M.matroid"
+    for m, free in ((load_matroid(path), rank4_matroid),
+                    (uniform(2, 4), uniform(3, 4)), (uniform(3, 6), uniform(4, 6))):
+        assert enumerate_erections(m).free() == free
+    assert cli.main(["erect", str(path), "--all"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "2 erections of a rank-3 matroid on 13 elements",
+        "[0] rank 3, 271 bases (trivial)",
+        "[1] rank 4, 494 bases",
+        "free erection: [1]",
+    ]
 
 
 def test_listing_materializes_each_erection_once(monkeypatch, rank3_matroid):

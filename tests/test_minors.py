@@ -451,22 +451,26 @@ def refuse(*args):
 def test_contraction_classes_read_from_the_lattice(name, gfp_column_matroid,
                                                    monkeypatch):
     host = build_host(name, gfp_column_matroid)
-    # every class has room for a single point, so none is left out; reading
-    # the lattice contracts, deletes and simplifies nothing
-    with monkeypatch.context() as patch:
-        for op in ("contract", "delete", "simplify"):
-            patch.setattr(minors, op, refuse)
-        classes = list(minors._contraction_classes(host, uniform(1, 1)))
-    assert [c.contract_set for c in classes] == \
-        [combo for combo, _ in contraction_classes(host, 1)]
-    for c in classes:
-        simple, expected_classes, expected_loops = \
-            reference_contraction(host, c.contract_set)
-        assert (c.n, c.rank) == (simple.n, simple.rank), (name, c.contract_set)
-        assert c.classes == expected_classes, (name, c.contract_set)
-        assert c.loops == expected_loops, (name, c.contract_set)
-        assert [set(level) for level in c.levels] == \
-            [set(level) for level in nontrivial_levels(simple)], (name, c.contract_set)
+    # every class has room for a single point, so none is left out, while
+    # the seven-point targets leave out the classes with fewer points;
+    # reading the lattice contracts, deletes and simplifies nothing
+    for target in (uniform(1, 1), fano_matroid(), non_fano_matroid()):
+        with monkeypatch.context() as patch:
+            for op in ("contract", "delete", "simplify"):
+                patch.setattr(minors, op, refuse)
+            classes = list(minors._contraction_classes(host, target))
+        assert [c.contract_set for c in classes] == \
+            [combo for combo, simple in contraction_classes(host, target.rank)
+             if simple.n >= target.n], name
+        for c in classes:
+            simple, expected_classes, expected_loops = \
+                reference_contraction(host, c.contract_set)
+            assert (c.n, c.rank) == (simple.n, simple.rank), (name, c.contract_set)
+            assert c.classes == expected_classes, (name, c.contract_set)
+            assert c.loops == expected_loops, (name, c.contract_set)
+            assert [set(level) for level in c.levels] == \
+                [set(level) for level in nontrivial_levels(simple)], \
+                (name, c.contract_set)
 
 
 @pytest.mark.parametrize("name", ORACLE_HOSTS)
@@ -489,7 +493,7 @@ def test_restriction_built_from_the_host(name, gfp_column_matroid):
 def contraction_classes(host, rank):
     """(contraction set, simplification) for the first independent set of
     each closure, by size and then in combinations order, for a target of
-    the given rank."""
+    the given rank: the walk that reading the rank-s flats replaced."""
     for csize in range(host.rank - rank + 1):
         closures = set()
         for combo in combinations(range(host.n), csize):
