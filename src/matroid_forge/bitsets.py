@@ -83,14 +83,18 @@ def sort_masks(masks: Iterable[int]) -> tuple[int, ...]:
 
 
 def coerce_mask(x: int | Iterable[int], n: int, *, what: str = "subset") -> int:
-    """Accept either a bitmask or an iterable of elements; range-check."""
-    if isinstance(x, int):
-        m = x
-    else:
-        m = mask_of(x)
-    if m < 0 or m >= (1 << n):
+    """Accept either a bitmask or an iterable of elements; range-check.
+
+    Elements are checked before any shift: 1 << e raises on a negative e
+    and allocates e bits on a huge one.
+    """
+    if not isinstance(x, int):
+        elements = tuple(x)
+        inside = not elements or (min(elements) >= 0 and max(elements) < n)
+        x = mask_of(elements) if inside else -1
+    if x < 0 or x >= (1 << n):
         raise ValueError(f"{what} is not inside the ground set of size {n}")
-    return m
+    return x
 
 
 def format_set(mask: int) -> str:

@@ -10,21 +10,20 @@ is the freeness obstruction consumed downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ValidationError
-from .matroid import Matroid
+from .matroid import Matroid, Record
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Record):
     """Integer polynomial, coefficients ascending: coeffs[i] multiplies t^i."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
+    def __init__(self, coeffs: tuple[int, ...]):
+        if coeffs and coeffs[-1] == 0:
             raise ValidationError("leading coefficient must be nonzero")
+        Record.__init__(self, coeffs)
 
     @property
     def degree(self) -> int:

@@ -22,7 +22,6 @@ which also builds the weak order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
@@ -37,30 +36,34 @@ from .bitsets import (
     sort_masks,
 )
 from .errors import GroundSetTooLarge, RankTooLow, ValidationError, charger
-from .matroid import Matroid, matroid_from_flats, truncation
+from .matroid import Matroid, Record, matroid_from_flats, truncation
 
 # The census output alone can hold 2^n sets, so n stops here.
 EXHAUSTIVE_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class ErectionCheck:
-    """Outcome of the three-condition block test; falsy when any fails."""
+class ErectionCheck(Record):
+    """Outcome of the three-condition block test; falsy when any fails.
 
-    ok: bool
-    condition: int | None  # 1-based index of the first violated condition
-    witness: str
+    ``condition`` is the 1-based index of the first violated condition.
+    """
+
+    __slots__ = _fields = ("ok", "condition", "witness")
+
+    def __init__(self, ok: bool, condition: int | None, witness: str):
+        Record.__init__(self, ok, condition, witness)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class ErectionFamily:
+class ErectionFamily(Record):
     """All erections of a matroid: the trivial one first, then the rest."""
 
-    base: Matroid
-    erections: tuple[Matroid, ...]
+    __slots__ = _fields = ("base", "erections")
+
+    def __init__(self, base: Matroid, erections: tuple[Matroid, ...]):
+        Record.__init__(self, base, erections)
 
     def __len__(self) -> int:
         return len(self.erections)

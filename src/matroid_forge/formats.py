@@ -19,9 +19,10 @@ Matrix files::
     1 4 4 8 4 2 1 0 0 4 4 4 4
     ...                   # entries are integers or p/q fractions
 
-Set files are lines of whitespace-separated elements.  All parsers report
-:class:`FormatError` with a 1-based line number; serializers emit the
-canonical form, so parse(serialize(x)) round-trips exactly.
+Set files are lines of whitespace-separated elements, each in 0..63.
+All parsers report :class:`FormatError` with a 1-based line number;
+serializers emit the canonical form, so parse(serialize(x)) round-trips
+exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import os
 from importlib import resources
 from pathlib import Path
 
-from .bitsets import mask_of, sort_masks, elements_of
+from .bitsets import MAX_GROUND, mask_of, sort_masks, elements_of
 from .errors import FormatError
 from .linalg import ExactMatrix, PrimeField, Rationals
 from .matroid import Matroid, matroid_from_flats
@@ -231,7 +232,7 @@ def parse_sets_text(text: str, *, source: str = "<string>"
         elems = [_int_token(t, lineno, source, "element") for t in tokens]
         if len(set(elems)) != len(elems):
             raise FormatError("set repeats an element", line=lineno, source=source)
-        if any(e < 0 for e in elems):
+        if any(not 0 <= e < MAX_GROUND for e in elems):
             raise FormatError("set element out of range", line=lineno, source=source)
         masks.append(mask_of(elems))
     return tuple(elements_of(s) for s in sort_masks(masks))

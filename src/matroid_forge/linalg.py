@@ -28,7 +28,6 @@ the formalization G, starts with that forward elimination known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from itertools import combinations
@@ -37,7 +36,7 @@ from typing import Iterable, Sequence
 
 from .bitsets import mask_of
 from .errors import GroundSetMismatch, ValidationError, ZeroFunctional
-from .matroid import Matroid
+from .matroid import Matroid, Record
 
 
 class Rationals:
@@ -198,8 +197,9 @@ def _rref(field, rows: list[list], cols: int) -> tuple[list[list], list[int]]:
 def _memoized(derive):
     """derive(obj), computed once per immutable obj and kept in its memo.
 
-    The memo is a dataclass field left out of ``__eq__``, ``__hash__`` and
-    ``__repr__``, so an asked object still equals a fresh one.
+    The memo is a slot outside the object's record fields, so it is left
+    out of ``__eq__``, ``__hash__`` and ``__repr__``, and an asked object
+    still equals a fresh one.
     """
     key = derive.__name__
 
@@ -240,15 +240,16 @@ def _determinant(square: list[list[int]]) -> int:
     return sign * square[-1][-1] if n else 1
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(Record):
     """Immutable field-tagged matrix; columns are functionals."""
 
-    field: Rationals | PrimeField
-    rows: int
-    cols: int
-    entries: tuple[tuple, ...]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("field", "rows", "cols", "entries")
+    __slots__ = _fields + ("_memo",)
+
+    def __init__(self, field: Rationals | PrimeField, rows: int, cols: int,
+                 entries: tuple[tuple, ...]):
+        Record.__init__(self, field, rows, cols, entries)
+        object.__setattr__(self, "_memo", {})
 
     @staticmethod
     def build(field, rows_data: Iterable[Iterable]) -> "ExactMatrix":
@@ -289,15 +290,16 @@ class ExactMatrix:
         return f"ExactMatrix({self.field!r}, {self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
-class RelationSpace:
+class RelationSpace(Record):
     """A subspace of K^n held as a reduced-echelon basis (possibly empty)."""
 
-    field: Rationals | PrimeField
-    ambient: int
-    vectors: tuple[tuple, ...]
-    pivots: tuple[int, ...]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("field", "ambient", "vectors", "pivots")
+    __slots__ = _fields + ("_memo",)
+
+    def __init__(self, field: Rationals | PrimeField, ambient: int,
+                 vectors: tuple[tuple, ...], pivots: tuple[int, ...]):
+        Record.__init__(self, field, ambient, vectors, pivots)
+        object.__setattr__(self, "_memo", {})
 
     @staticmethod
     def from_vectors(field, ambient: int, vectors: Iterable[Sequence]

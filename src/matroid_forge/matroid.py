@@ -42,7 +42,6 @@ from the basis tuple as the largest intersections.
 from __future__ import annotations
 
 from collections.abc import KeysView
-from dataclasses import dataclass
 from itertools import combinations, compress
 from operator import and_, neg, sub, xor
 from typing import Iterable, Sequence
@@ -104,8 +103,51 @@ def _squeeze(masks: Iterable[int], keep: int) -> list[int]:
     return masks
 
 
-@dataclass(frozen=True)
-class PointedMap:
+class Record:
+    """Base of the package's immutable values: slots named in ``_fields``.
+
+    A subclass's ``__init__`` checks its arguments and hands them to
+    ``Record.__init__`` in field order.  Equality holds only between
+    objects of one class, the hash and ``Name(field=value, ...)`` repr read
+    the fields, and any assignment or deletion raises AttributeError.
+    Pickling and copying rebuild an object through its class's
+    ``__init__``, checks included.  Slots that are not fields, such as a
+    memo, stay out of equality, hash and repr.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class PointedMap(Record):
     """A labelled injection between ground sets.
 
     ``images[i]`` is the image of element ``i`` of the domain.  When the map
@@ -115,16 +157,17 @@ class PointedMap:
     as None.
     """
 
-    images: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...] | None = None
+    __slots__ = _fields = ("images", "classes")
 
-    def __post_init__(self):
-        if len(set(self.images)) != len(self.images):
+    def __init__(self, images: tuple[int, ...],
+                 classes: tuple[tuple[int, ...], ...] | None = None):
+        if len(set(images)) != len(images):
             raise ValidationError("PointedMap images must be distinct")
-        if any(i < 0 for i in self.images):
+        if any(i < 0 for i in images):
             raise ValidationError("PointedMap images must be non-negative")
-        if self.classes is not None and len(self.classes) != len(self.images):
+        if classes is not None and len(classes) != len(images):
             raise ValidationError("PointedMap classes must match images in length")
+        Record.__init__(self, images, classes)
 
     def __call__(self, element: int) -> int:
         return self.images[element]
@@ -141,13 +184,13 @@ class PointedMap:
         return PointedMap(tuple(range(n)))
 
 
-@dataclass(frozen=True)
-class FlatLattice:
+class FlatLattice(Record):
     """All flats of a matroid, grouped by rank, masks in canonical order."""
 
-    n: int
-    rank: int
-    by_rank: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("n", "rank", "by_rank")
+
+    def __init__(self, n: int, rank: int, by_rank: tuple[tuple[int, ...], ...]):
+        Record.__init__(self, n, rank, by_rank)
 
     def at(self, k: int) -> tuple[int, ...]:
         return self.by_rank[k]

@@ -50,7 +50,6 @@ simplification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterator, Sequence
@@ -60,6 +59,7 @@ from .errors import ValidationError, charger
 from .matroid import (
     Matroid,
     PointedMap,
+    Record,
     _squeeze,
     are_isomorphic,
     contract,
@@ -94,8 +94,7 @@ def non_fano_matroid() -> Matroid:
     return _cache["nonfano"]
 
 
-@dataclass(frozen=True)
-class MinorWitness:
+class MinorWitness(Record):
     """A replayable recipe turning the host into the target.
 
     All labels are the host's.  ``contract_set`` goes first; the contraction
@@ -106,10 +105,11 @@ class MinorWitness:
     point i to target element iso(i).
     """
 
-    contract_set: tuple[int, ...]
-    delete_set: tuple[int, ...]
-    parallel_classes: PointedMap
-    iso: PointedMap
+    __slots__ = _fields = ("contract_set", "delete_set", "parallel_classes", "iso")
+
+    def __init__(self, contract_set: tuple[int, ...], delete_set: tuple[int, ...],
+                 parallel_classes: PointedMap, iso: PointedMap):
+        Record.__init__(self, contract_set, delete_set, parallel_classes, iso)
 
     def describe(self) -> str:
         parts = [f"contract {format_set(mask_of(self.contract_set))}",
@@ -474,24 +474,23 @@ def _kept_sets(n: int, levels: Sequence[Sequence[int]],
     return walk(0, (), 0, 0, 0, [])
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     """Field obstructions from the two built-in seven-point minors.
 
     The verdict only ever *excludes* fields; "no-obstruction-found" is not
     a realizability claim.
     """
 
-    has_fano: bool
-    fano_witness: MinorWitness | None
-    has_nonfano: bool
-    nonfano_witness: MinorWitness | None
-    verdict: str
+    __slots__ = _fields = ("has_fano", "fano_witness", "has_nonfano",
+                           "nonfano_witness", "verdict")
 
-    def __post_init__(self):
-        expected = _verdict(self.has_fano, self.has_nonfano)
-        if self.verdict != expected:
+    def __init__(self, has_fano: bool, fano_witness: MinorWitness | None,
+                 has_nonfano: bool, nonfano_witness: MinorWitness | None,
+                 verdict: str):
+        if verdict != _verdict(has_fano, has_nonfano):
             raise AssertionError("verdict inconsistent with the minor flags")
+        Record.__init__(self, has_fano, fano_witness, has_nonfano,
+                        nonfano_witness, verdict)
 
 
 def _verdict(has_fano: bool, has_nonfano: bool) -> str:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -34,6 +33,7 @@ from .linalg import (
     weight3_subspace,
 )
 from .matroid import (
+    Record,
     are_isomorphic,
     contract,
     delete,
@@ -67,21 +67,22 @@ _EXPECTED_COLLAPSED_LINES = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "passed", "detail", "elapsed")
+
+    def __init__(self, name: str, passed: bool, detail: str, elapsed: float):
+        Record.__init__(self, name, passed, detail, elapsed)
 
     @property
     def status(self) -> str:
         return "PASS" if self.passed else "FAIL"
 
 
-@dataclass(frozen=True)
-class ReproReport:
-    checks: tuple[CheckResult, ...]
+class ReproReport(Record):
+    __slots__ = _fields = ("checks",)
+
+    def __init__(self, checks: tuple[CheckResult, ...]):
+        Record.__init__(self, checks)
 
     @property
     def overall(self) -> bool:

@@ -367,6 +367,24 @@ def test_reproduce_negative_control(capsys, data_dir, tmp_path):
     assert "overall                 FAIL" in out
 
 
+def test_reproduce_refuses_a_set_element_past_the_ground_cap(capsys, data_dir, tmp_path):
+    # the element is read and refused before any bitmask is built
+    for p in data_dir.iterdir():
+        shutil.copy(p, tmp_path / p.name)
+    with open(tmp_path / "spurious_blocks.sets", "a") as sets:
+        sets.write("0 1 1000000\n")
+
+    code, out, _ = run(capsys, "reproduce", "--data", str(tmp_path))
+    assert code == 1
+    rows = {l.split()[0]: l.split(None, 2)[1:] for l in out.splitlines()[2:14]}
+    failed = {name for name, (status, _) in rows.items() if status == "FAIL"}
+    assert failed == {"candidate-census", "crapo-conditions"}
+    for name in failed:
+        assert rows[name][1].startswith("FormatError: "), rows[name]
+        assert rows[name][1].endswith("set element out of range"), rows[name]
+    assert "overall                 FAIL    10/12 checks passed" in out
+
+
 def test_budget_env_invalid(capsys, monkeypatch, paths):
     monkeypatch.setenv("MATROID_FORGE_BUDGET", "lots")
     code, _, err = run(capsys, "erect", paths["m"], "--all")

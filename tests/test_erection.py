@@ -310,6 +310,19 @@ def test_k_closed_test_refuses_sets_outside_the_ground_set(bad):
     assert str(raised.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("bad", [(-1, 0), (0, 10 ** 6), (5, -(10 ** 6))])
+def test_elements_are_range_checked_before_they_are_shifted(bad):
+    """A negative element gets the ground-set message, not a shift error."""
+    u24 = uniform(2, 4)
+    message = "{} is not inside the ground set of size 4"
+    with pytest.raises(ValueError, match=message.format("subset")):
+        u24.closure_of(bad)
+    with pytest.raises(ValueError, match=message.format("block")):
+        check_erection_blocks(u24, [(0, 1, 2), bad])
+    with pytest.raises(ValueError, match=message.format("subset")):
+        is_k_closed(u24, bad, 1)
+
+
 # -- enumeration on independently known families -----------------------------
 
 def test_three_point_line_has_one_erection():

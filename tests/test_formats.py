@@ -167,6 +167,13 @@ def test_sets_roundtrip():
     assert parse_sets_text(serialize_sets(sets)) == sets
 
 
+@pytest.mark.parametrize("element", [-1, 64, 10 ** 6])
+def test_set_elements_outside_the_ground_cap_are_rejected(element):
+    with pytest.raises(FormatError, match="set element out of range") as err:
+        parse_sets_text(f"0 1\n0 1 {element}\n")
+    assert err.value.line == 2
+
+
 def test_bundled_spurious_sets(data_dir):
     sets = load_sets(data_dir / "spurious_blocks.sets")
     assert len(sets) == 13

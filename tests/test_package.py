@@ -1,11 +1,25 @@
 """The package's public surface and the hygiene of its source modules."""
 
 import ast
+import copy
+import importlib
+import inspect
+import pickle
+import pkgutil
 import re
 import types
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import matroid_forge
+from matroid_forge.charpoly import IntPolynomial
+from matroid_forge.erection import ErectionCheck, ErectionFamily
+from matroid_forge.linalg import ExactMatrix, PrimeField, Rationals, RelationSpace
+from matroid_forge.matroid import FlatLattice, Matroid, PointedMap
+from matroid_forge.minors import MinorWitness, ObstructionReport
+from matroid_forge.reproduce import CheckResult, ReproReport
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SOURCES = sorted(Path(matroid_forge.__file__).parent.glob("*.py"))
@@ -81,3 +95,110 @@ def test_private_definitions_are_referenced():
             and node.name.startswith("_") and not node.name.startswith("__")
             and node.name not in referenced]
     assert dead == []
+
+
+# -- immutable value classes -----------------------------------------------------
+
+def _witness():
+    return MinorWitness((6,), (10, 12),
+                        PointedMap((0, 1, 2, 4), ((0, 5), (1,), (2, 3), (4,))),
+                        PointedMap((0, 1, 3, 2)))
+
+
+def _u24():
+    return Matroid.from_bases(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+
+
+# Each factory builds a fresh value from scratch, so two calls give equal
+# values that share no object.
+RECORDS = {
+    IntPolynomial: lambda: IntPolynomial((2, -3, 1)),
+    ErectionCheck: lambda: ErectionCheck(False, 2, "block {0,1}"),
+    ErectionFamily: lambda: ErectionFamily(_u24(), (_u24(),)),
+    ExactMatrix: lambda: ExactMatrix.build(Rationals(), [[1, Fraction(1, 2)], [3, 4]]),
+    RelationSpace: lambda: RelationSpace.from_vectors(PrimeField(5), 3, [(1, 2, 3)]),
+    PointedMap: lambda: PointedMap((0, 2), ((0, 3), (2,))),
+    FlatLattice: lambda: FlatLattice(3, 2, ((0,), (1, 2, 4), (7,))),
+    MinorWitness: _witness,
+    ObstructionReport: lambda: ObstructionReport(False, None, True, _witness(),
+                                                 "char-not-2-only"),
+    CheckResult: lambda: CheckResult("fano-matrices", True, "ok", 0.5),
+    ReproReport: lambda: ReproReport((CheckResult("erections", False, "x", 0.25),)),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_equal_fields_give_equal_values_and_hashes(cls):
+    a, b = RECORDS[cls](), RECORDS[cls]()
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+
+
+def test_values_of_different_classes_are_never_equal():
+    values = [make() for make in RECORDS.values()]
+    for i, a in enumerate(values):
+        for j, b in enumerate(values):
+            assert (a == b) is (i == j), (a, b)
+    check = CheckResult("fano-matrices", True, "ok", 0.5)
+    assert check != ("fano-matrices", True, "ok", 0.5)
+
+    class Subclass(CheckResult):
+        __slots__ = ()
+
+    assert check != Subclass("fano-matrices", True, "ok", 0.5)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_values_refuse_assignment_and_deletion(cls):
+    value = RECORDS[cls]()
+    before = repr(value)
+    for name in (*inspect.signature(cls).parameters, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == before and value == RECORDS[cls]()
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_values_survive_pickle_and_copies(cls):
+    value = RECORDS[cls]()
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                 copy.deepcopy(value)):
+        assert type(twin) is cls
+        assert twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
+
+
+def test_value_reprs_read_like_dataclass_reprs():
+    assert repr(PointedMap((0, 2, 1))) == "PointedMap(images=(0, 2, 1), classes=None)"
+    assert repr(RECORDS[FlatLattice]()) == (
+        "FlatLattice(n=3, rank=2, by_rank=((0,), (1, 2, 4), (7,)))")
+    assert repr(ErectionCheck(True, None, "")) == (
+        "ErectionCheck(ok=True, condition=None, witness='')")
+    assert repr(RECORDS[ErectionCheck]()) == (
+        "ErectionCheck(ok=False, condition=2, witness='block {0,1}')")
+    assert repr(RECORDS[CheckResult]()) == (
+        "CheckResult(name='fano-matrices', passed=True, detail='ok', elapsed=0.5)")
+    witness = MinorWitness((6,), (10, 12),
+                           PointedMap((0, 1, 2, 4, 7, 8, 9),
+                                      ((0, 5), (1,), (2, 3), (4,), (7,), (8,), (9, 11))),
+                           PointedMap((0, 1, 2, 6, 3, 5, 4)))
+    assert repr(witness) == (
+        "MinorWitness(contract_set=(6,), delete_set=(10, 12), "
+        "parallel_classes=PointedMap(images=(0, 1, 2, 4, 7, 8, 9), "
+        "classes=((0, 5), (1,), (2, 3), (4,), (7,), (8,), (9, 11))), "
+        "iso=PointedMap(images=(0, 1, 2, 6, 3, 5, 4), classes=None))")
+
+
+def test_no_class_is_a_dataclass():
+    """Dataclasses compile their methods at import; the package has none."""
+    modules = [importlib.import_module(info.name) for info in
+               pkgutil.iter_modules(matroid_forge.__path__, "matroid_forge.")
+               if info.name != "matroid_forge.__main__"]
+    classes = [value for module in (matroid_forge, *modules)
+               for value in vars(module).values()
+               if inspect.isclass(value) and value.__module__.startswith("matroid_forge")]
+    assert set(RECORDS) <= set(classes)
+    assert [c.__qualname__ for c in classes if hasattr(c, "__dataclass_fields__")] == []
