@@ -36,7 +36,7 @@ from .bitsets import (
     sort_masks,
 )
 from .errors import GroundSetTooLarge, RankTooLow, ValidationError, charger
-from .matroid import Matroid, Record, matroid_from_flats, truncation
+from .matroid import Matroid, Record, matroid_from_flats, nontrivial_levels
 
 # The census output alone can hold 2^n sets, so n stops here.
 EXHAUSTIVE_LIMIT = 20
@@ -246,15 +246,15 @@ def _materialize(m: Matroid, blocks: tuple[int, ...]) -> Matroid:
     gains the blocks with more than r elements as rank-r flats; blocks of
     exactly r elements become trivial flats on their own.  Full validation
     runs inside matroid_from_flats, so a bad block family cannot slip
-    through as a non-matroid.
+    through as a non-matroid.  It also truncates back to m: the round-trip
+    fixes every flat of rank below r, and both are loopless, so by the
+    rank formula of matroid_from_flats the erection's independent sets of
+    size at most r are m's.
     """
     r = m.rank
-    flats: list[tuple[int, int]] = list(m.nontrivial_flats())
+    flats = [(k, f) for k, level in enumerate(nontrivial_levels(m), 1) for f in level]
     flats.extend((r, b) for b in blocks if b.bit_count() > r)
-    erected = matroid_from_flats(m.n, r + 1, flats)
-    if truncation(erected) != m:
-        raise ValidationError("materialized erection does not truncate back")
-    return erected
+    return matroid_from_flats(m.n, r + 1, flats)
 
 
 def _require_erectable(m: Matroid) -> None:
@@ -269,8 +269,10 @@ def enumerate_erections(m: Matroid, *, budget: int | None = None) -> ErectionFam
 
     Candidates are the proper spanning (r-1)-closed sets; exact cover of
     the bases picks out the families satisfying the copoint conditions,
-    and each solution is materialized and verified to truncate back to m.
-    Distinct solutions are distinct copoint sets, so distinct matroids.
+    and each solution is materialized, which certifies it.  It truncates
+    back to m because the flat round-trip there fixes every flat of rank
+    below r.  Distinct solutions are distinct copoint sets, so distinct
+    matroids.
     """
     _require_erectable(m)
     candidates = spanning_k_closed_masks(m, m.rank - 1, proper_only=True)

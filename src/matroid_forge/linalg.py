@@ -505,13 +505,7 @@ def formalization(a: ExactMatrix) -> ExactMatrix:
     rank(G) >= rank(A) with equality exactly when A is formal.
     """
     _reject_zero_functionals(a)
-    return _complement_of_relations(a, weight3_subspace(a))
-
-
-def _complement_of_relations(a: ExactMatrix, relations: RelationSpace
-                             ) -> ExactMatrix:
-    """G of :func:`formalization`, from A's already computed weight-3 space."""
-    g = relations.perp().matrix()
+    g = weight3_subspace(a).perp().matrix()
     if g.zero_columns():
         # impossible when no functional is zero: e_i in the relation span
         # would force column i of A to vanish

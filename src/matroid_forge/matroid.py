@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from collections.abc import KeysView
 from itertools import combinations, compress
+from math import comb
 from operator import and_, neg, sub, xor
 from typing import Iterable, Sequence
 
@@ -64,6 +65,7 @@ from .errors import (
     GroundSetTooLarge,
     RankTooLow,
     ValidationError,
+    charger,
 )
 
 # The 2^n greedy-basis table is built, by the first rank query, up to this
@@ -394,13 +396,6 @@ class Matroid:
         return tuple(elements_of(f) for f in self.flats_at_masks(k)
                      if f.bit_count() >= min_size)
 
-    def nontrivial_flats(self) -> tuple[tuple[int, int], ...]:
-        """(rank, flat mask) for every flat with more elements than rank, ranks 1..r-1."""
-        out = []
-        for k in range(1, self.rank):
-            out.extend((k, f) for f in self.flat_lattice().nontrivial_at(k))
-        return tuple(out)
-
     @property
     def loops_mask(self) -> int:
         return self.closure_mask(0)
@@ -509,7 +504,7 @@ def exchange_failure(m: Matroid) -> str | None:
 def matroid_from_flats(n: int, rank: int,
                        nontrivial_flats: Iterable[tuple[int, Iterable[int] | int]],
                        ) -> Matroid:
-    """Build a simple matroid from its nontrivial flats.
+    """Build a loopless matroid from its nontrivial flats.
 
     ``nontrivial_flats`` lists pairs (k, flat) with 1 <= k < rank and
     |flat| > k; every independent k-set inside no listed flat of lower rank
@@ -517,10 +512,23 @@ def matroid_from_flats(n: int, rank: int,
 
         rk(X) = min(|X|, rank, min{k : X is inside a listed rank-k flat}).
 
-    Validation is complete, not heuristic: listed flats must be mutually
-    consistent, the resulting basis family must pass the constructor's
-    link certificate (which certifies matroidness), and the derived
-    nontrivial flats must round-trip to exactly the listed ones.
+    The bases are the rank-subsets inside no listed flat.  Before that
+    walk, C(n, rank) plus C(|F|, rank) per listed flat F is charged to one
+    node budget (:data:`~matroid_forge.errors.DEFAULT_BUDGET`), so a
+    listing too large to walk raises :class:`SearchBudgetExceeded` at once.
+
+    Two checks make validation complete: the constructor's link
+    certificate (the family is a matroid M), and the round-trip (the
+    nontrivial flats of M at ranks 0..rank-1 are exactly the listed ones;
+    none is listed at rank 0, so M is loopless).  Together they make the
+    formula above M's rank function, so the listed flats are consistent.
+    Take X with j = rk_M(X).  If X is independent, any listed rank-k flat
+    holding X has k >= j = |X|.  Otherwise cl(X) has more than j elements:
+    j = 0 is ruled out (no loops), j = rank leaves X inside no listed flat
+    of lower rank, and any other j makes cl(X) a listed rank-j flat while
+    every listed flat holding X has rank at least j.  In each case the
+    formula gives j.  Hence each listed rank-k flat has rank k, and two
+    distinct ones meet in a flat of rank below k.
     """
     if n < 1:
         raise EmptyGroundSet("matroid needs at least one element")
@@ -529,7 +537,7 @@ def matroid_from_flats(n: int, rank: int,
     if not 1 <= rank <= n:
         raise ValidationError(f"rank {rank} outside 1..{n}")
 
-    listed: dict[int, list[int]] = {}
+    listed: dict[int, set[int]] = {}
     for k, flat in nontrivial_flats:
         if isinstance(flat, int):
             fmask = flat
@@ -547,38 +555,11 @@ def matroid_from_flats(n: int, rank: int,
         if fmask.bit_count() <= k:
             raise ValidationError(
                 f"rank-{k} flat {format_set(fmask)} is trivial and must not be listed")
-        bucket = listed.setdefault(k, [])
-        if fmask not in bucket:
-            bucket.append(fmask)
-    for k in listed:
-        listed[k] = list(sort_masks(listed[k]))
+        listed.setdefault(k, set()).add(fmask)
 
-    ks = sorted(listed)
-
-    def formula_rank(x: int) -> int:
-        r = min(x.bit_count(), rank)
-        for k in ks:
-            if k >= r:
-                break
-            if any((x & ~f) == 0 for f in listed[k]):
-                return k
-        return r
-
-    # Listed-flat consistency: each flat must realize its own rank, and two
-    # distinct same-rank flats may not share a rank-k subset.
-    for k in ks:
-        flats_k = listed[k]
-        for f in flats_k:
-            if formula_rank(f) != k:
-                raise ValidationError(
-                    f"listed rank-{k} flat {format_set(f)} has rank {formula_rank(f)}")
-        for i, f in enumerate(flats_k):
-            for g in flats_k[i + 1:]:
-                shared = f & g
-                if formula_rank(shared) >= k:
-                    raise ValidationError(
-                        f"rank-{k} flats {format_set(f)} and {format_set(g)} "
-                        f"share the rank-{k} set {format_set(shared)}")
+    charger(None, "basis listing")(
+        comb(n, rank) + sum(comb(f.bit_count(), rank)
+                            for flats_k in listed.values() for f in flats_k))
 
     # Candidate bases: the rank-subsets inside no listed flat (every listed
     # flat has lower rank).  The non-bases are thus the rank-subsets of the
@@ -597,8 +578,9 @@ def matroid_from_flats(n: int, rank: int,
 
     m = Matroid(n, rank, bases)
 
-    # Round-trip: derived nontrivial flats must equal the listed ones.
-    for k in range(1, rank):
+    # Round-trip: derived nontrivial flats must equal the listed ones, at
+    # rank 0 too, where none is listed.
+    for k in range(rank):
         derived = m.flat_lattice().nontrivial_at(k)
         if set(derived) != set(listed.get(k, ())):
             missing = set(listed.get(k, ())) - set(derived)

@@ -25,9 +25,8 @@ from .bitsets import format_set, full_mask, iter_elements, mask_of
 from .erection import ErectionFamily, _free_blocks
 from .linalg import (
     ExactMatrix,
-    _complement_of_relations,
-    _reject_zero_functionals,
     column_matroid,
+    formalization,
     kernel_basis,
     weight3_subspace,
 )
@@ -270,13 +269,12 @@ def formalization_quotient_failures(a: ExactMatrix) -> list[str]:
     matroid of A is a quotient of the formalization's with identical
     rank-1 and rank-2 flats; and rank(A_F) = rank(A) exactly for formal A.
     """
-    _reject_zero_functionals(a)
+    g = formalization(a)
     failures = []
     ker = kernel_basis(a)
     w3 = weight3_subspace(a)
     if not w3.is_subspace_of(ker):
         failures.append("weight-3 relations escape the kernel")
-    g = _complement_of_relations(a, w3)
     ma, mg = column_matroid(a), column_matroid(g)
     if not is_quotient(ma, mg):
         failures.append("column matroid is not a quotient of its formalization")

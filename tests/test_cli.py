@@ -90,6 +90,20 @@ def test_validate_invalid_exits_1(capsys, tmp_path):
     assert out.startswith("invalid:")
 
 
+def test_basis_listing_past_the_budget_fails_fast(capsys, tmp_path):
+    # C(64, 32) rank-subsets: validate says invalid, flats cannot answer
+    big = tmp_path / "big.matroid"
+    big.write_text("n 64\nrank 32\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "validate", str(big))
+    assert code == 1
+    assert out.startswith("invalid:") and "exceeded" in out
+    code, _, err = run(capsys, "flats", str(big), "--rank", "2")
+    assert code == 2
+    assert err.startswith("error:") and "exceeded" in err
+    assert time.perf_counter() - start < 1
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.matroid")
     assert code == 2

@@ -42,7 +42,7 @@ from matroid_forge.matroid import (
     simplify,
     truncation,
 )
-from matroid_forge.formats import bundled_data_dir, load_matroid
+from matroid_forge.formats import bundled_data_dir, load_matroid, load_sets
 from matroid_forge.minors import fano_matroid, non_fano_matroid
 from conftest import SMALL_HOSTS
 
@@ -499,6 +499,28 @@ def test_listing_materializes_each_erection_once(monkeypatch, rank3_matroid):
     assert len(built) == len(family) - 1
     family.free()
     assert len(built) == len(family) - 1
+
+
+def test_materialize_rejects_broken_copoint_families(data_dir, rank3_matroid,
+                                                     rank4_matroid):
+    copoints = rank4_matroid.flats_at_masks(3)
+    assert erection._materialize(rank3_matroid, copoints) == rank4_matroid
+    big = [c for c in copoints if c.bit_count() > 3]
+    spurious = [mask_of(s) for s in load_sets(data_dir / "spurious_blocks.sets")
+                if len(s) == 4]
+    assert big and spurious
+    for blocks in ([c for c in copoints if c != big[0]], [*copoints, spurious[0]]):
+        with pytest.raises(ValidationError):
+            erection._materialize(rank3_matroid, tuple(blocks))
+
+
+@pytest.mark.parametrize("rank, n", [(2, 5), (3, 6)])
+def test_every_materialized_erection_truncates_back(rank, n):
+    # _materialize relies on its flat round-trip for this
+    base = uniform(rank, n)
+    family = enumerate_erections(base)
+    assert len(family) > 30
+    assert all(truncation(e) == base for e in family.nontrivial())
 
 
 # -- exact cover against the per-item Algorithm X it replaced -----------------

@@ -2,14 +2,16 @@
 
 import random
 import sys
+import time
 
 import pytest
 
-from matroid_forge import matroid
+from matroid_forge import errors, matroid
 
 from matroid_forge.bitsets import (
     MAX_GROUND,
     elements_of,
+    full_mask,
     iter_elements,
     mask_mapper,
     mask_of,
@@ -21,6 +23,7 @@ from matroid_forge.errors import (
     FormatError,
     GroundSetMismatch,
     RankTooLow,
+    SearchBudgetExceeded,
     ValidationError,
 )
 from matroid_forge.formats import bundled_data_dir, load_matroid
@@ -683,3 +686,108 @@ def test_free_matroid_from_no_flats():
     free = matroid_from_flats(4, 4, [])
     assert len(free.basis_masks) == 1
     assert free.rank == 4
+
+
+def reference_formula_rank(rank, listed, x):
+    """min(|x|, rank, least k with x inside a listed rank-k flat)."""
+    return min([x.bit_count(), rank]
+               + [k for k, flats in listed.items() if any(x & ~f == 0 for f in flats)])
+
+
+def reference_consistency_failure(rank, listing):
+    """The listed-flat consistency pass, which matroid_from_flats leaves out.
+
+    Under the formula rank, each listed rank-k flat must have rank k, and
+    two distinct listed rank-k flats must meet in a set of rank below k.
+    Returns a description of the first failure, or None.
+    """
+    listed = {}
+    for k, flat in listing:
+        listed.setdefault(k, set()).add(mask_of(flat))
+    for k in sorted(listed):
+        flats_k = sort_masks(listed[k])
+        for f in flats_k:
+            if reference_formula_rank(rank, listed, f) != k:
+                return f"listed rank-{k} flat {sorted(iter_elements(f))} has another rank"
+        for f, g in combinations(flats_k, 2):
+            if reference_formula_rank(rank, listed, f & g) >= k:
+                return f"rank-{k} flats share the rank-{k} set {sorted(iter_elements(f & g))}"
+    return None
+
+
+def flat_listings():
+    """(n, rank, listing) cases for the differential test below.
+
+    Every listing of 3-point lines on 5 points; every listing of 2- and
+    3-point rank-1 flats on 4 points in rank 2, where some listings leave
+    a loop in every listed flat; seeded listings on 6-7 points in ranks 3
+    and 4 with flats of every rank.
+    """
+    lines = list(combinations(range(5), 3))
+    parallel = [s for t in (2, 3) for s in combinations(range(4), t)]
+    for n, rank, pool in ((5, 3, lines), (4, 2, parallel)):
+        for chosen in range(1 << len(pool)):
+            yield n, rank, [(rank - 1, pool[i]) for i in iter_elements(chosen)]
+    rng = random.Random(2503)
+    for _ in range(3000):
+        n, rank = rng.choice((6, 7)), rng.choice((3, 4))
+        listing = []
+        for k in range(1, rank):
+            for _ in range(rng.choice((0, 0, 1, 2, 3) if k < rank - 1 else (1, 2, 3, 4))):
+                listing.append((k, tuple(sorted(rng.sample(range(n), k + rng.choice((1, 1, 2)))))))
+        yield n, rank, listing
+
+
+def test_certificate_and_round_trip_imply_the_consistency_pre_pass():
+    """What matroid_from_flats accepts, the deleted pre-pass accepts too,
+    and the built matroid's rank function is the formula rank."""
+    accepted = {}
+    for n, rank, listing in flat_listings():
+        try:
+            m = matroid_from_flats(n, rank, listing)
+        except ValidationError:
+            continue
+        accepted[rank] = accepted.get(rank, 0) + 1
+        assert reference_consistency_failure(rank, listing) is None, (n, rank, listing)
+        listed = {}
+        for k, flat in listing:
+            listed.setdefault(k, set()).add(mask_of(flat))
+        assert all(m.rank_of_mask(x) == reference_formula_rank(rank, listed, x)
+                   for x in range(m.full + 1)), (n, rank, listing)
+    assert sorted(accepted) == [2, 3, 4] and min(accepted.values()) >= 10, accepted
+
+
+def test_rejected_listings_name_the_check_that_fails():
+    # two lines sharing two points fail the certificate
+    with pytest.raises(ValidationError) as exc:
+        matroid_from_flats(5, 3, [(2, (0, 1, 2)), (2, (0, 1, 3))])
+    assert str(exc.value) == "basis exchange fails for B={0,2,3}, B'={0,1,4}, f=1"
+    # a family of rank-1 flats all holding 0 certifies, with 0 a loop
+    for n, listing in ((3, [(1, (0, 1)), (1, (0, 2))]),
+                       (4, [(1, (0, 1, 2)), (1, (0, 3))])):
+        assert reference_consistency_failure(2, listing) is not None
+        with pytest.raises(ValidationError) as exc:
+            matroid_from_flats(n, 2, listing)
+        assert str(exc.value) == "rank-0 flats do not round-trip (unlisted: {0})"
+
+
+def test_basis_listing_too_large_to_walk_fails_fast():
+    start = time.perf_counter()
+    with pytest.raises(SearchBudgetExceeded, match="basis listing exceeded"):
+        matroid_from_flats(64, 32, [])
+    # C(30, 8) rank-subsets fit the budget, but thirty 29-point flats of
+    # rank 7 hold C(29, 8) each
+    with pytest.raises(SearchBudgetExceeded, match="basis listing exceeded"):
+        matroid_from_flats(30, 8, [(7, full_mask(30) & ~(1 << e)) for e in range(30)])
+    assert time.perf_counter() - start < 1
+
+
+def test_basis_listing_charges_subsets_and_listed_flats(monkeypatch):
+    fano = fano_matroid()
+    lines = [(2, line) for line in flats_at(fano, 2, min_size=3)]
+    # C(7, 3) rank-subsets plus C(3, 3) inside each of the seven lines
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 35 + 7)
+    assert matroid_from_flats(7, 3, lines) == fano
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 35 + 6)
+    with pytest.raises(SearchBudgetExceeded, match="basis listing exceeded 41 nodes"):
+        matroid_from_flats(7, 3, lines)
