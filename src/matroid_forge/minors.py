@@ -50,6 +50,7 @@ simplification.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterator, Sequence
@@ -76,22 +77,16 @@ from .matroid import (
 _FANO_LINES = ((0, 1, 5), (0, 2, 4), (0, 3, 6), (1, 2, 3),
                (1, 4, 6), (2, 5, 6), (3, 4, 5))
 
-_cache: dict[str, Matroid] = {}
-
-
+@cache
 def fano_matroid() -> Matroid:
     """Seven points, seven three-point lines; realizable only in char 2."""
-    if "fano" not in _cache:
-        _cache["fano"] = matroid_from_flats(7, 3, [(2, L) for L in _FANO_LINES])
-    return _cache["fano"]
+    return matroid_from_flats(7, 3, [(2, L) for L in _FANO_LINES])
 
 
+@cache
 def non_fano_matroid() -> Matroid:
     """The relaxation with six lines; realizable exactly away from char 2."""
-    if "nonfano" not in _cache:
-        _cache["nonfano"] = matroid_from_flats(
-            7, 3, [(2, L) for L in _FANO_LINES[:-1]])
-    return _cache["nonfano"]
+    return matroid_from_flats(7, 3, [(2, L) for L in _FANO_LINES[:-1]])
 
 
 class MinorWitness(Record):
@@ -481,26 +476,25 @@ class ObstructionReport(Record):
     a realizability claim.
     """
 
-    __slots__ = _fields = ("has_fano", "fano_witness", "has_nonfano",
-                           "nonfano_witness", "verdict")
+    __slots__ = _fields = ("fano_witness", "nonfano_witness")
 
-    def __init__(self, has_fano: bool, fano_witness: MinorWitness | None,
-                 has_nonfano: bool, nonfano_witness: MinorWitness | None,
-                 verdict: str):
-        if verdict != _verdict(has_fano, has_nonfano):
-            raise AssertionError("verdict inconsistent with the minor flags")
-        Record.__init__(self, has_fano, fano_witness, has_nonfano,
-                        nonfano_witness, verdict)
+    def __init__(self, fano_witness: MinorWitness | None,
+                 nonfano_witness: MinorWitness | None):
+        Record.__init__(self, fano_witness, nonfano_witness)
 
+    @property
+    def has_fano(self) -> bool:
+        return self.fano_witness is not None
 
-def _verdict(has_fano: bool, has_nonfano: bool) -> str:
-    if has_fano and has_nonfano:
-        return "no-field"
-    if has_fano:
-        return "char-2-only"
-    if has_nonfano:
-        return "char-not-2-only"
-    return "no-obstruction-found"
+    @property
+    def has_nonfano(self) -> bool:
+        return self.nonfano_witness is not None
+
+    @property
+    def verdict(self) -> str:
+        if self.has_fano:
+            return "no-field" if self.has_nonfano else "char-2-only"
+        return "char-not-2-only" if self.has_nonfano else "no-obstruction-found"
 
 
 def _quadrangle_sets(n: int, lines: Sequence[int]) -> tuple[int, int]:
@@ -567,11 +561,4 @@ def realizability_obstruction(m: Matroid, *,
                     raise AssertionError("quadrangle set does not restrict to the target")
         if all(found):
             break
-    fano_w, nonfano_w = found
-    return ObstructionReport(
-        has_fano=fano_w is not None,
-        fano_witness=fano_w,
-        has_nonfano=nonfano_w is not None,
-        nonfano_witness=nonfano_w,
-        verdict=_verdict(fano_w is not None, nonfano_w is not None),
-    )
+    return ObstructionReport(*found)

@@ -4,15 +4,15 @@ import hashlib
 import json
 import shutil
 import time
-from itertools import combinations
 
 import pytest
 
 from matroid_forge import cli
 from matroid_forge.cli import main
 from matroid_forge.formats import parse_matroid_text, serialize_matroid
-from matroid_forge.matroid import Matroid
 from matroid_forge.minors import fano_matroid
+
+from hosts import host
 
 
 @pytest.fixture(scope="module")
@@ -157,24 +157,17 @@ def test_erect_free_roundtrips(capsys, paths, rank4_matroid):
 
 def test_erect_free_past_the_census_cap(capsys, tmp_path):
     """U(3,20) erects freely to U(4,20); PG(2,4) and PG(2,5) are taut."""
-    def lines(q, difference_set):
-        n = q * q + q + 1
-        return n, [sorted((d + i) % n for d in difference_set) for i in range(n)]
-    hosts = {"u320": serialize_matroid(Matroid.from_bases(20, combinations(range(20), 3)))}
-    for name, (n, plane) in (("pg24", lines(4, (0, 1, 4, 14, 16))),
-                             ("pg25", lines(5, (1, 5, 11, 24, 25, 27)))):
-        hosts[name] = "".join([f"n {n}\nrank 3\n",
-                               *(f"flat 2 {' '.join(map(str, l))}\n" for l in plane)])
+    texts = {name: serialize_matroid(host(name)) for name in ("U(3,20)", "PG(2,4)", "PG(2,5)")}
     outputs = {}
-    for name, text in hosts.items():
-        path = tmp_path / f"{name}.matroid"
+    for name, text in texts.items():
+        path = tmp_path / "host.matroid"
         path.write_text(text)
         code, outputs[name], _ = run(capsys, "erect", str(path), "--free")
         assert code == 0, name
-    u420 = parse_matroid_text(outputs["u320"])
+    u420 = parse_matroid_text(outputs["U(3,20)"])
     assert (u420.n, u420.rank, len(u420.basis_masks)) == (20, 4, 4845)
-    for name in ("pg24", "pg25"):
-        assert outputs[name] == serialize_matroid(parse_matroid_text(hosts[name]))
+    for name in ("PG(2,4)", "PG(2,5)"):
+        assert outputs[name] == serialize_matroid(parse_matroid_text(texts[name]))
 
 
 def test_erect_requires_mode(paths):
@@ -205,17 +198,10 @@ def test_formality_negative_json(capsys, paths):
 
 @pytest.mark.parametrize("key", ["a", "a2"])
 @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
-def test_formality_computes_one_relation_space(capsys, paths, monkeypatch, key, flags):
-    from matroid_forge import cli, linalg
-    calls = []
-
-    def counting(a, _original=linalg.weight3_subspace):
-        calls.append(a)
-        return _original(a)
-
+def test_formality_computes_one_relation_space(capsys, paths, spy, key, flags):
+    from matroid_forge import linalg
     # both names: the command's own and the one formalization and is_formal use
-    monkeypatch.setattr(linalg, "weight3_subspace", counting)
-    monkeypatch.setattr(cli, "weight3_subspace", counting)
+    calls = spy(linalg, "weight3_subspace", cli)
     code, _, _ = run(capsys, "formality", paths[key], *flags)
     assert code == 0
     assert len(calls) == 1

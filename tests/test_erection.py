@@ -4,17 +4,8 @@ import random
 
 import pytest
 
-from itertools import combinations
-
 from matroid_forge import cli, erection, properties
-from matroid_forge.bitsets import (
-    elements_of,
-    format_set,
-    full_mask,
-    iter_elements,
-    mask_of,
-    sort_masks,
-)
+from matroid_forge.bitsets import format_set, mask_of, sort_masks
 from matroid_forge.erection import (
     _closure_index,
     _exact_covers,
@@ -33,28 +24,12 @@ from matroid_forge.errors import (
     SearchBudgetExceeded,
     ValidationError,
 )
-from matroid_forge.matroid import (
-    Matroid,
-    PointedMap,
-    delete,
-    matroid_from_flats,
-    relabel,
-    simplify,
-    truncation,
-)
-from matroid_forge.formats import bundled_data_dir, load_matroid, load_sets
-from matroid_forge.minors import fano_matroid, non_fano_matroid
-from conftest import SMALL_HOSTS
+from matroid_forge.matroid import PointedMap, delete, relabel, simplify, truncation
+from matroid_forge.formats import bundled_data_dir, load_sets
+from matroid_forge.minors import fano_matroid
 
-
-def uniform(rank, n):
-    return Matroid.from_bases(n, combinations(range(n), rank))
-
-
-def reference_is_k_closed(m, x, k):
-    """Does x hold the closure of each of its k-subsets?  By walking them."""
-    return all(m.closure_mask(mask_of(s)) & ~x == 0
-               for s in combinations(elements_of(x), k))
+from hosts import CENSUS_HOSTS, DIFFERENTIAL_HOSTS, fresh, host, pg25_point_set, uniform
+import oracles
 
 
 def test_k_closed_detection():
@@ -64,8 +39,9 @@ def test_k_closed_detection():
     assert is_k_closed(f, range(7), 2)
     assert is_k_closed(f, (0,), 2)                 # no 2-subsets at all
     for k in (1, 2, 3):
+        table = oracles.closure_table(f, k)
         assert [x for x in range(f.full + 1) if is_k_closed(f, x, k)] == \
-            [x for x in range(f.full + 1) if reference_is_k_closed(f, x, k)]
+            [x for x in range(f.full + 1) if oracles.reference_is_k_closed(table, x)]
     with pytest.raises(ValueError):
         is_k_closed(f, (0,), 0)
 
@@ -81,79 +57,6 @@ def test_spanning_k_closed_on_four_point_line():
     assert (0, 1, 2, 3) in with_full
 
 
-def with_loop(m):
-    """m plus a loop as element n."""
-    return Matroid.from_bases(m.n + 1, m.basis_masks)
-
-
-def with_parallel(m, e):
-    """m plus an element n parallel to e."""
-    swapped = [b ^ (1 << e | 1 << m.n) for b in m.basis_masks if b >> e & 1]
-    return Matroid.from_bases(m.n + 1, [*m.basis_masks, *swapped])
-
-
-def closure_table(m, k):
-    """(S, cl(S)) for every k-subset S whose closure gains elements."""
-    pairs = ((s, m.closure_mask(s)) for s in map(mask_of, combinations(range(m.n), k)))
-    return [(s, cl) for s, cl in pairs if cl != s]
-
-
-def reference_k_closed_hull(table, x):
-    """Least k-closed superset of x by sweeping the whole table to a fixpoint."""
-    while True:
-        grown = x
-        for s, cl in table:
-            if s & ~grown == 0:
-                grown |= cl
-        if grown == x:
-            return x
-        x = grown
-
-
-def reference_census(m, k, *, proper_only=True):
-    """Spanning k-closed sets by NextClosure over full-table fixpoint hulls."""
-    table = closure_table(m, k)
-    out = []
-    x = reference_k_closed_hull(table, 0)
-    while True:
-        if (x != m.full or not proper_only) and m.closure_mask(x) == m.full:
-            out.append(x)
-        if x == m.full:
-            return sort_masks(out)
-        for i in range(m.n - 1, -1, -1):
-            bit = 1 << i
-            if x & bit:
-                continue
-            below = x & (bit - 1)
-            y = reference_k_closed_hull(table, below | bit)
-            if y & (bit - 1) == below:
-                x = y
-                break
-
-
-def census_by_scan(m, k):
-    """Spanning k-closed sets, full set included, by walking all 2^n subsets."""
-    table = closure_table(m, k)
-    return sort_masks(x for x in range(m.full + 1)
-                      if m.rank_of_mask(x) == m.rank
-                      and all(cl & ~x == 0 for s, cl in table if s & ~x == 0))
-
-
-CENSUS_HOSTS = {
-    **{f"U({r},{n})": (lambda gf5, r=r, n=n: uniform(r, n))
-       for n in range(2, 9) for r in range(2, n + 1)},
-    "fano": lambda gf5: fano_matroid(),
-    "non-fano": lambda gf5: non_fano_matroid(),
-    **{f"gf5-{n}-{r}-{seed}": (lambda gf5, args=(n, r, seed): gf5(*args))
-       for n, r, seed in ((6, 3, 1), (8, 3, 2), (9, 4, 3), (10, 3, 4),
-                          (12, 3, 5), (12, 4, 6))},
-    # hosts whose tabled k-subsets can be dependent
-    "fano+loop": lambda gf5: with_loop(fano_matroid()),
-    "U(3,6)+parallel": lambda gf5: with_parallel(uniform(3, 6), 0),
-    "U(2,5)+loop+parallel": lambda gf5: with_loop(with_parallel(uniform(2, 5), 4)),
-}
-
-
 def assert_same_masks(got, expected):
     # pytest's sequence diff would take minutes on thousands of masks
     if got != expected:
@@ -165,7 +68,7 @@ def assert_same_masks(got, expected):
 
 def assert_census_matches_scan(m):
     for k in range(1, m.rank):
-        reference = census_by_scan(m, k)
+        reference = oracles.census_by_scan(m, k)
         assert_same_masks(spanning_k_closed_masks(m, k, proper_only=False),
                           reference)
         assert_same_masks(spanning_k_closed_masks(m, k),
@@ -173,8 +76,8 @@ def assert_census_matches_scan(m):
 
 
 @pytest.mark.parametrize("name", CENSUS_HOSTS)
-def test_census_matches_subset_scan(name, gf5_column_matroid):
-    assert_census_matches_scan(CENSUS_HOSTS[name](gf5_column_matroid))
+def test_census_matches_subset_scan(name):
+    assert_census_matches_scan(host(name))
 
 
 def test_census_matches_subset_scan_on_bundled(rank3_matroid, rank4_matroid):
@@ -185,66 +88,50 @@ def test_census_matches_subset_scan_on_bundled(rank3_matroid, rank4_matroid):
 
 
 def test_host_builders_add_loops_and_parallels():
-    loop = CENSUS_HOSTS["fano+loop"](None)
+    loop = host("fano+loop")
     assert (loop.n, loop.rank, loop.loops_mask) == (8, 3, 1 << 7)
-    par = CENSUS_HOSTS["U(3,6)+parallel"](None)
+    par = host("U(3,6)+parallel")
     assert (par.n, par.rank, par.loops_mask) == (7, 3, 0)
     assert par.closure_mask(1) == par.closure_mask(1 << 6) == 1 | 1 << 6
 
 
-def relabel_element_by_element(masks, image_of):
-    return sort_masks({mask_of(image_of[e] for e in iter_elements(b)) for b in masks})
-
-
 @pytest.mark.parametrize("name", CENSUS_HOSTS)
-def test_minors_relabel_bases_as_element_by_element(name, gf5_column_matroid):
-    m = CENSUS_HOSTS[name](gf5_column_matroid)
+def test_minors_relabel_bases_as_element_by_element(name):
+    m = host(name)
     rng = random.Random(f"relabel:{name}")
     for _ in range(20):
         removed = rng.randrange(m.full)
         kept = [e for e in range(m.n) if not removed >> e & 1]
         inside = [i for i in m.independent_masks if not i & removed]
         rank = max(i.bit_count() for i in inside)
-        want = relabel_element_by_element(
+        want = oracles.relabel_element_by_element(
             [i for i in inside if i.bit_count() == rank],
             {e: j for j, e in enumerate(kept)})
         assert delete(m, removed).basis_masks == want, removed
     simple, pmap = simplify(m)
     point_of = {e: i for i, cls in enumerate(pmap.classes) for e in cls}
-    assert simple.basis_masks == relabel_element_by_element(m.basis_masks, point_of)
+    assert simple.basis_masks == oracles.relabel_element_by_element(m.basis_masks, point_of)
     order = list(range(m.n))
     rng.shuffle(order)
     moved = relabel(m, PointedMap(tuple(order)))
-    assert moved.basis_masks == relabel_element_by_element(m.basis_masks, order)
+    assert moved.basis_masks == oracles.relabel_element_by_element(m.basis_masks, order)
 
 
 @pytest.mark.parametrize("name", CENSUS_HOSTS)
-def test_hull_fixes_exactly_the_k_closed_sets(name, gf5_column_matroid):
-    m = CENSUS_HOSTS[name](gf5_column_matroid)
+def test_hull_fixes_exactly_the_k_closed_sets(name):
+    m = host(name)
     rng = random.Random(name)
     for k in range(1, m.rank + 1):
-        table = closure_table(m, k)
+        table = oracles.closure_table(m, k)
         index = _closure_index(m, k)
         for x in range(m.full + 1):
             hull = _k_closed_hull(index, x)
-            assert hull == reference_k_closed_hull(table, x)
-            assert (hull == x) == reference_is_k_closed(m, x, k)
+            assert hull == oracles.reference_k_closed_hull(table, x)
+            assert (hull == x) == oracles.reference_is_k_closed(table, x)
             # stopping early: None exactly when the hull meets forbid
             forbid = rng.getrandbits(m.n) & ~x
             stopped = _k_closed_hull(index, x, forbid)
             assert stopped == (None if hull & forbid else hull)
-
-
-# Singer difference set of PG(2, 5): its lines are the translates mod 31
-PG25_LINES = [sorted((d + i) % 31 for d in (1, 5, 11, 24, 25, 27)) for i in range(31)]
-
-
-def pg25_point_set(n, seed):
-    """The restriction of PG(2,5) to a seeded n-point subset, relabelled 0..n-1."""
-    points = sorted(random.Random(f"pg25:{n}:{seed}").sample(range(31), n))
-    pos = {p: i for i, p in enumerate(points)}
-    lines = [[pos[p] for p in line if p in pos] for line in PG25_LINES]
-    return matroid_from_flats(n, 3, [(2, line) for line in lines if len(line) > 2])
 
 
 @pytest.mark.parametrize("n", [16, 17, 20])
@@ -254,7 +141,7 @@ def test_census_matches_reference_on_pg25_point_sets(n):
     m = pg25_point_set(n, 1)
     for proper_only in (True, False):
         assert_same_masks(spanning_k_closed_masks(m, 2, proper_only=proper_only),
-                          reference_census(m, 2, proper_only=proper_only))
+                          oracles.reference_census(m, 2, proper_only=proper_only))
 
 
 def test_exhaustive_scan_caps_ground_set():
@@ -371,7 +258,7 @@ def test_rank_one_cannot_erect():
 
 
 def test_non_simple_rejected():
-    parallel = Matroid.from_bases(3, [(0, 1), (0, 2)])
+    parallel = host("parallel-pair")
     assert not parallel.is_simple
     for erect in (enumerate_erections, free_erection, tautness_witness):
         with pytest.raises(ValidationError):
@@ -390,42 +277,9 @@ def test_bundled_family(erection_family, rank4_matroid):
 
 # -- the hull merge against the enumeration's weak-order maximum -------------
 
-def linear_space(n, seed):
-    """A seeded rank-3 linear space: random 3- and 4-point lines, any two
-    meeting in at most one point."""
-    rng = random.Random(f"linear-space:{n}:{seed}")
-    lines = []
-    for _ in range(rng.randint(1, n)):
-        line = set(rng.sample(range(n), rng.choice((3, 3, 4))))
-        if all(len(line & other) <= 1 for other in lines):
-            lines.append(line)
-    return matroid_from_flats(n, 3, [(2, sorted(line)) for line in lines])
-
-
-def small_host(name):
-    def build(gf5):
-        m = SMALL_HOSTS[name](gf5)
-        return m if m.is_simple else simplify(m)[0]
-    return build
-
-
-# every host whose erections can all be listed in well under a second;
-# U(4,9) is left out, since it has too many erections to list
-DIFFERENTIAL_HOSTS = {
-    **{f"U(2,{n})": (lambda gf5, n=n: uniform(2, n)) for n in range(2, 7)},
-    **{f"U(3,{n})": (lambda gf5, n=n: uniform(3, n)) for n in range(3, 7)},
-    "M": lambda gf5: load_matroid(bundled_data_dir() / "M.matroid"),
-    "N": lambda gf5: load_matroid(bundled_data_dir() / "N.matroid"),
-    **{f"small:{name}": small_host(name) for name in SMALL_HOSTS
-       if name != "U(4,9)"},
-    **{f"linear-space-{n}-{seed}": (lambda gf5, n=n, seed=seed: linear_space(n, seed))
-       for n in (6, 7) for seed in range(6)},
-}
-
-
 @pytest.mark.parametrize("name", DIFFERENTIAL_HOSTS)
-def test_hull_merge_is_the_weak_order_maximum(name, gf5_column_matroid):
-    m = DIFFERENTIAL_HOSTS[name](gf5_column_matroid)
+def test_hull_merge_is_the_weak_order_maximum(name):
+    m = host(name)
     family = enumerate_erections(m)
     # the oracle: free() is the unique maximum of the listed family
     assert properties.erection_family_failures(family) == []
@@ -436,9 +290,8 @@ def test_hull_merge_is_the_weak_order_maximum(name, gf5_column_matroid):
     assert witness is None or witness == free
 
 
-def test_differential_hosts_cover_several_family_sizes(gf5_column_matroid):
-    sizes = {len(enumerate_erections(build(gf5_column_matroid)))
-             for name, build in DIFFERENTIAL_HOSTS.items()
+def test_differential_hosts_cover_several_family_sizes():
+    sizes = {len(enumerate_erections(host(name))) for name in DIFFERENTIAL_HOSTS
              if name.startswith(("small:", "linear-space"))}
     assert {1, 2} < sizes and max(sizes) > 100
 
@@ -448,23 +301,16 @@ def test_free_erection_of_a_uniform_matroid_is_uniform(r, n):
     assert free_erection(uniform(r, n)).basis_masks == uniform(r + 1, n).basis_masks
 
 
-def pg_plane(q, difference_set):
-    """PG(2, q) from a Singer difference set: its lines are the translates."""
-    n = q * q + q + 1
-    return matroid_from_flats(n, 3, [(2, sorted((d + i) % n for d in difference_set))
-                                     for i in range(n)])
-
-
 def test_free_erection_needs_no_census(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the free erection must not enumerate")
     monkeypatch.setattr(erection, "enumerate_erections", forbidden)
     monkeypatch.setattr(erection, "spanning_k_closed_masks", forbidden)
-    u320 = free_erection(uniform(3, 20))
+    u320 = free_erection(fresh("U(3,20)"))
     assert (u320.n, u320.rank, len(u320.basis_masks)) == (20, 4, 4845)
-    assert truncation(u320) == uniform(3, 20)
-    for q, difference_set in ((4, (0, 1, 4, 14, 16)), (5, (1, 5, 11, 24, 25, 27))):
-        plane = pg_plane(q, difference_set)
+    assert truncation(u320) == host("U(3,20)")
+    for name in ("PG(2,4)", "PG(2,5)"):
+        plane = fresh(name)
         assert plane.n > erection.EXHAUSTIVE_LIMIT
         assert free_erection(plane) is plane
         assert tautness_witness(plane) is None
@@ -475,7 +321,7 @@ def test_enumeration_runs_no_hull_merge(monkeypatch, capsys, rank4_matroid):
         raise AssertionError("the listing must not merge hulls")
     monkeypatch.setattr(erection, "_free_blocks", forbidden)
     path = bundled_data_dir() / "M.matroid"
-    for m, free in ((load_matroid(path), rank4_matroid),
+    for m, free in ((fresh("M"), rank4_matroid),
                     (uniform(2, 4), uniform(3, 4)), (uniform(3, 6), uniform(4, 6))):
         assert enumerate_erections(m).free() == free
     assert cli.main(["erect", str(path), "--all"]) == 0
@@ -487,15 +333,9 @@ def test_enumeration_runs_no_hull_merge(monkeypatch, capsys, rank4_matroid):
     ]
 
 
-def test_listing_materializes_each_erection_once(monkeypatch, rank3_matroid):
-    built = []
-    materialize = erection._materialize
-
-    def counting(m, blocks):
-        built.append(blocks)
-        return materialize(m, blocks)
-    monkeypatch.setattr(erection, "_materialize", counting)
-    family = enumerate_erections(rank3_matroid)
+def test_listing_materializes_each_erection_once(spy):
+    built = spy(erection, "_materialize")
+    family = enumerate_erections(fresh("M"))
     assert len(built) == len(family) - 1
     family.free()
     assert len(built) == len(family) - 1
@@ -525,46 +365,6 @@ def test_every_materialized_erection_truncates_back(rank, n):
 
 # -- exact cover against the per-item Algorithm X it replaced -----------------
 
-def reference_exact_covers(num_items, cover_masks):
-    """(solutions, nodes): plain recursive Algorithm X over single items.
-
-    Branch on the uncovered item with the fewest compatible candidates
-    (first such item on ties), candidates in ascending index order; every
-    explored branch is one node, so ``nodes`` is the least budget that
-    does not raise.
-    """
-    full = full_mask(num_items)
-    containing = [[] for _ in range(num_items)]
-    for ci, cm in enumerate(cover_masks):
-        for item in iter_elements(cm):
-            containing[item].append(ci)
-    solutions = []
-    chosen = []
-    nodes = 0
-
-    def rec(covered):
-        nonlocal nodes
-        nodes += 1
-        if covered == full:
-            solutions.append(tuple(chosen))
-            return
-        best = None
-        for item in iter_elements(full & ~covered):
-            avail = [ci for ci in containing[item]
-                     if cover_masks[ci] & covered == 0]
-            if best is None or len(avail) < len(best):
-                best = avail
-                if not avail:
-                    break
-        for ci in best:
-            chosen.append(ci)
-            rec(covered | cover_masks[ci])
-            chosen.pop()
-
-    rec(0)
-    return solutions, nodes
-
-
 def holders_of(num_items, cover_masks):
     """For each item, the mask of the candidates whose cover holds it."""
     return [mask_of(ci for ci, cm in enumerate(cover_masks) if cm >> i & 1)
@@ -572,7 +372,7 @@ def holders_of(num_items, cover_masks):
 
 
 def assert_covers_match_reference(num_items, cover_masks):
-    expected, nodes = reference_exact_covers(num_items, cover_masks)
+    expected, nodes = oracles.reference_exact_covers(num_items, cover_masks)
     holders = holders_of(num_items, cover_masks)
     assert _exact_covers(holders, nodes) == expected
     with pytest.raises(SearchBudgetExceeded):
@@ -617,8 +417,8 @@ def basis_cover_masks(m):
 
 @pytest.mark.parametrize("name, solutions", [
     ("U(3,5)", 6), ("U(3,6)", 82), ("M", 1)])
-def test_exact_covers_match_reference_on_erection_covers(name, solutions, rank3_matroid):
+def test_exact_covers_match_reference_on_erection_covers(name, solutions):
     # the nontrivial erections: U(3,6) has 83 erections in all
-    m = {"U(3,5)": uniform(3, 5), "U(3,6)": uniform(3, 6), "M": rank3_matroid}[name]
+    m = host(name)
     masks = basis_cover_masks(m)
     assert len(assert_covers_match_reference(len(m.basis_masks), masks)) == solutions

@@ -8,7 +8,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from pathlib import Path
 
 from matroid_forge.charpoly import (
@@ -34,14 +34,12 @@ from matroid_forge.linalg import (
     realizes,
     weight3_subspace,
 )
-from matroid_forge.bitsets import mask_of
-from matroid_forge.matroid import Matroid, delete
+from matroid_forge.matroid import delete
 from matroid_forge.minors import fano_matroid, non_fano_matroid
 from matroid_forge.reproduce import run_reproduce
 
-
-def uniform(rank, n):
-    return Matroid.from_bases(n, combinations(range(n), rank))
+from hosts import host, uniform
+import oracles
 
 
 # -- fields -------------------------------------------------------------------
@@ -230,43 +228,6 @@ def test_formalization_of_generic_four_planes_has_rank_four():
     assert formalization(a).rank() == 4
 
 
-def reference_span(field, n, vectors):
-    """Reference: the reduced-echelon basis of a span, by reference_rref."""
-    reduced, pivots = reference_rref(field, vectors, n)
-    return RelationSpace(field, n, tuple(map(tuple, reduced)), tuple(pivots))
-
-
-def reference_kernel_basis(a):
-    """Reference: one vector per free column of A's echelon form, whose span
-    is then eliminated again."""
-    f = a.field
-    reduced, pivots = reference_rref(f, a.entries, a.cols)
-    vectors = []
-    for fc in range(a.cols):
-        if fc in pivots:
-            continue
-        v = [f.from_int(0)] * a.cols
-        v[fc] = f.from_int(1)
-        for i, p in enumerate(pivots):
-            v[p] = f.from_int(-reduced[i][fc])
-        vectors.append(v)
-    return reference_span(f, a.cols, vectors)
-
-
-def reference_weight3_subspace(a):
-    """Reference: the kernels of every set of at most three columns."""
-    f = a.field
-    generators = []
-    for k in (1, 2, 3):
-        for combo in combinations(range(a.cols), k):
-            for v in reference_kernel_basis(a.columns_submatrix(combo)).vectors:
-                big = [f.from_int(0)] * a.cols
-                for idx, j in enumerate(combo):
-                    big[j] = v[idx]
-                generators.append(big)
-    return reference_span(f, a.cols, generators)
-
-
 WEIGHT3_FIELDS = (Rationals(), PrimeField(2), PrimeField(3), PrimeField(5),
                   PrimeField(7))
 
@@ -302,7 +263,7 @@ def test_weight3_matches_subset_kernels_on_seeded_matrices():
     line_relations = 0
     for seed in range(1000):
         a = seeded_matrix(seed)
-        got, want = weight3_subspace(a), reference_weight3_subspace(a)
+        got, want = weight3_subspace(a), oracles.reference_weight3_subspace(a)
         assert (got.vectors, got.pivots) == (want.vectors, want.pivots), seed
         rank = a.rank()
         ranks[rank] += 1
@@ -316,7 +277,7 @@ def test_weight3_matches_subset_kernels_on_bundled(data_dir):
     assert len(paths) == 5
     for path in paths:
         a = load_matrix(path)
-        got, want = weight3_subspace(a), reference_weight3_subspace(a)
+        got, want = weight3_subspace(a), oracles.reference_weight3_subspace(a)
         assert (got.vectors, got.pivots) == (want.vectors, want.pivots), path.name
 
 
@@ -327,7 +288,7 @@ def test_kernel_basis_matches_reference():
                      ExactMatrix.build(field, [[], []]),
                      ExactMatrix.build(field, [[0] * 4] * 3)]
     for a in matrices:
-        got, want = kernel_basis(a), reference_kernel_basis(a)
+        got, want = kernel_basis(a), oracles.reference_kernel_basis(a)
         assert (got.vectors, got.pivots) == (want.vectors, want.pivots), a
         assert got.dim == a.cols - a.rank(), a
         entry = Fraction if a.field == Rationals() else int
@@ -376,23 +337,17 @@ def ladder_matrices():
 
 
 def test_weight3_matches_subset_kernels_on_wide_and_ladder_matrices(
-        data_dir, monkeypatch):
+        data_dir, spy):
     yuzvinsky = load_matrix(data_dir / "yuzvinsky_a2.matrix")
     matrices = [seeded_wide_matrix(seed) for seed in range(150)]
     matrices += ladder_matrices()
     matrices.append(ExactMatrix.build(PrimeField(11), yuzvinsky.entries))
     assert len(matrices) == 161
-    kernel_calls = []
-
-    def counting(a, _original=kernel_basis):
-        kernel_calls.append(a)
-        return _original(a)
-
-    monkeypatch.setattr(linalg, "kernel_basis", counting)
+    kernel_calls = spy(linalg, "kernel_basis")
     early, not_formal, later_rows = 0, 0, 0
     for a in matrices:
         kernel_calls.clear()
-        got, want = weight3_subspace(a), reference_weight3_subspace(a)
+        got, want = weight3_subspace(a), oracles.reference_weight3_subspace(a)
         assert (got.vectors, got.pivots) == (want.vectors, want.pivots), a.entries
         rank = a.rank()
         if rank < 3 or rank == a.cols:
@@ -401,7 +356,7 @@ def test_weight3_matches_subset_kernels_on_wide_and_ladder_matrices(
         # line found before it, and its minor vanishes on echelon rows 0, 1
         later_rows += 1
         if got.dim == a.cols - rank > 0:
-            assert kernel_calls == [a]
+            assert kernel_calls == [(a,)]
             early += 1
         else:
             assert kernel_calls == []
@@ -409,49 +364,6 @@ def test_weight3_matches_subset_kernels_on_wide_and_ladder_matrices(
     assert later_rows >= 140 and early >= 90 and not_formal >= 40
     assert not is_formal(matrices[-1])
     assert all(is_formal(a) for a in matrices[150:160])
-
-
-def reference_rref(field, rows, cols):
-    """Reference: Gauss-Jordan with one field operation per entry."""
-    p = getattr(field, "p", 0)
-
-    def inv(a):
-        return pow(a, p - 2, p) if p else 1 / a
-
-    def reduce(a):
-        return a % p if p else a
-
-    mat = [list(row) for row in rows]
-    pivots = []
-    pr = 0
-    for c in range(cols):
-        if pr == len(mat):
-            break
-        pivot_row = next((r for r in range(pr, len(mat)) if mat[r][c]), None)
-        if pivot_row is None:
-            continue
-        mat[pr], mat[pivot_row] = mat[pivot_row], mat[pr]
-        scale = inv(mat[pr][c])
-        mat[pr] = [reduce(scale * v) for v in mat[pr]]
-        lead = mat[pr]
-        for r in range(len(mat)):
-            if r != pr and mat[r][c]:
-                factor = mat[r][c]
-                mat[r] = [reduce(v - factor * w) for v, w in zip(mat[r], lead)]
-        pivots.append(c)
-        pr += 1
-    return mat[:pr], pivots
-
-
-def reference_column_matroid(a):
-    """Reference: one reference rank per r-subset of columns."""
-    def rank(m):
-        return len(reference_rref(m.field, m.entries, m.cols)[1])
-
-    r = rank(a)
-    bases = [mask_of(combo) for combo in combinations(range(a.cols), r)
-             if rank(a.columns_submatrix(combo)) == r]
-    return Matroid(a.cols, r, bases, _validated=True)
 
 
 def seeded_fraction_matrix(seed):
@@ -474,11 +386,11 @@ def seeded_fraction_matrix(seed):
 
 def assert_matches_reference(a, label):
     got = _rref(a.field, list(a.entries), a.cols)
-    want = reference_rref(a.field, a.entries, a.cols)
+    want = oracles.reference_rref(a.field, a.entries, a.cols)
     assert got == want, label
     if a.field == Rationals():
         assert all(type(v) is Fraction for row in got[0] for v in row), label
-    assert column_matroid(a).basis_masks == reference_column_matroid(a).basis_masks, label
+    assert column_matroid(a).basis_masks == oracles.reference_column_matroid(a).basis_masks, label
 
 
 def test_rref_and_column_matroid_match_reference_on_seeded_matrices():
@@ -543,7 +455,7 @@ def test_membership_matches_reference_rank_over_rationals():
     q = Rationals()
 
     def rank(vectors, n):
-        return len(reference_rref(q, vectors, n)[1])
+        return len(oracles.reference_rref(q, vectors, n)[1])
 
     rng = random.Random("span:Q")
     for n in range(1, 5):
@@ -560,14 +472,6 @@ def test_membership_matches_reference_rank_over_rationals():
             for t_gens, t in spaces:
                 want = rank(t_gens + s_gens, n) == rank(t_gens, n)
                 assert s.is_subspace_of(t) == want, (n, s_gens, t_gens)
-
-
-def cofactor_determinant(m):
-    if not m:
-        return 1
-    return sum((-1) ** j * m[0][j]
-               * cofactor_determinant([row[:j] + row[j + 1:] for row in m[1:]])
-               for j in range(len(m)))
 
 
 def seeded_square(seed):
@@ -587,7 +491,7 @@ def test_determinant_matches_cofactor_expansion():
     singular = 0
     for seed in range(600):
         m = seeded_square(seed)
-        want = cofactor_determinant(m)
+        want = oracles.cofactor_determinant(m)
         assert _determinant([list(row) for row in m]) == want, seed
         singular += want == 0
         for p in (2, 3, 5, 7, 1_000_003):
@@ -638,7 +542,7 @@ def test_giant_rational_constants_answer_fast(capsys, tmp_path):
     assert elapsed < 2.0
     giant = load_matrix(path)
     m = column_matroid(giant)
-    assert m == reference_column_matroid(giant)
+    assert m == oracles.reference_column_matroid(giant)
     assert m == column_matroid(ExactMatrix.build(Rationals(), GIANT_BASE))
 
 
@@ -654,20 +558,14 @@ def generic_giant_rows():
             for _ in range(4)]
 
 
-def test_each_question_takes_one_elimination(monkeypatch, capsys, tmp_path, data_dir):
-    calls = []
-
-    def counting(*args, _original=_rref):
-        calls.append(args)
-        return _original(*args)
-
+def test_each_question_takes_one_elimination(spy, capsys, tmp_path, data_dir):
     def rank3():
         # built afresh, so that each count measures a first question
         return [load_matrix(data_dir / name) for name in
                 ("A.matrix", "yuzvinsky_a1.matrix", "yuzvinsky_a2.matrix")
                 ] + [ExactMatrix.build(Rationals(), GIANT_BASE)]
 
-    monkeypatch.setattr(linalg, "_rref", counting)
+    calls = spy(linalg, "_rref")
     for a in rank3() + [ExactMatrix.build(PrimeField(3), [[1, 2, 0]])]:
         calls.clear()
         kernel_basis(a)
@@ -694,14 +592,8 @@ def test_each_question_takes_one_elimination(monkeypatch, capsys, tmp_path, data
     ]
 
 
-def test_a_repeated_question_makes_no_elimination(monkeypatch, data_dir):
-    calls = []
-
-    def counting(*args, _original=_rref):
-        calls.append(args)
-        return _original(*args)
-
-    monkeypatch.setattr(linalg, "_rref", counting)
+def test_a_repeated_question_makes_no_elimination(spy, data_dir):
+    calls = spy(linalg, "_rref")
     names = ("A.matrix", "yuzvinsky_a1.matrix", "yuzvinsky_a2.matrix")
     for ask in (ExactMatrix.rank, kernel_basis, weight3_subspace, column_matroid,
                 is_formal, formalization):
@@ -741,14 +633,8 @@ def test_a_relation_space_matrix_starts_with_its_elimination(data_dir):
         assert_kept_is_fresh(formalization(a), path.name)
 
 
-def test_reproduce_eliminations(monkeypatch):
-    calls = []
-
-    def counting(*args, _original=_rref):
-        calls.append(args)
-        return _original(*args)
-
-    monkeypatch.setattr(linalg, "_rref", counting)
+def test_reproduce_eliminations(spy):
+    calls = spy(linalg, "_rref")
     assert run_reproduce().overall
     # 27 while each formalization G was eliminated again, 6 of them
     assert len(calls) == 21
@@ -763,7 +649,7 @@ def test_elimination_entries_stay_bounded_on_dense_rows():
     start = time.perf_counter()
     got = _rref(Rationals(), rows, 14)
     assert time.perf_counter() - start < 1.0
-    assert got == reference_rref(Rationals(), rows, 14)
+    assert got == oracles.reference_rref(Rationals(), rows, 14)
     assert got[1] == list(range(12))
 
 
@@ -824,29 +710,11 @@ def _polynomial_from_roots(roots):
     return p
 
 
-def _splits_by_full_divisor_walk(p):
-    """Reference: try every divisor 1..|c| of each constant term."""
-    roots, work = [], p
-    while work.degree > 0:
-        c = work.coeffs[0]
-        candidates = [0] if c == 0 else [
-            s * d for d in range(1, abs(c) + 1) if c % d == 0 for s in (1, -1)]
-        for cand in candidates:
-            quotient, remainder = work.divide_by_root(cand)
-            if remainder == 0:
-                roots.append(cand)
-                work = quotient
-                break
-        else:
-            return None
-    return tuple(sorted(roots))
-
-
 def test_split_matches_full_divisor_walk():
     polys = [_polynomial_from_roots(r) for r in product(range(-6, 7), repeat=3)]
     polys += [IntPolynomial((c, b, 1)) for c in range(-40, 41) for b in range(-9, 10)]
     for p in polys:
-        assert splits_over_integers(p) == _splits_by_full_divisor_walk(p), p
+        assert splits_over_integers(p) == oracles.splits_by_full_divisor_walk(p), p
 
 
 def test_split_with_large_roots_is_fast():
@@ -865,7 +733,7 @@ def test_no_split_with_large_constant_is_fast():
 
 
 def test_charpoly_requires_simple():
-    parallel = Matroid.from_bases(3, [(0, 1), (0, 2)])
+    parallel = host("parallel-pair")
     with pytest.raises(ValidationError):
         characteristic_polynomial(parallel)
 

@@ -3,6 +3,7 @@
 import random
 import sys
 import time
+from functools import cache
 
 import pytest
 
@@ -26,7 +27,6 @@ from matroid_forge.errors import (
     SearchBudgetExceeded,
     ValidationError,
 )
-from matroid_forge.formats import bundled_data_dir, load_matroid
 from matroid_forge.matroid import (
     RANK_TABLE_LIMIT,
     Matroid,
@@ -44,21 +44,14 @@ from matroid_forge.matroid import (
     truncation,
 )
 from matroid_forge.minors import fano_matroid, non_fano_matroid
-from conftest import SMALL_HOSTS, loops_and_parallels
-from test_erection import CENSUS_HOSTS
 
 from itertools import combinations
 
-
-def uniform(rank, n):
-    return Matroid.from_bases(n, combinations(range(n), rank))
+from hosts import CENSUS_HOSTS, LATTICE_HOSTS, SMALL_HOSTS, TABLE_HOSTS, fresh, host, uniform
+import oracles
 
 
 # -- canonical subset order ---------------------------------------------------
-
-def reference_canonical_key(mask):
-    return (mask.bit_count(), elements_of(mask))
-
 
 def test_sort_masks_orders_by_size_then_element_tuple():
     rng = random.Random("canonical-key")
@@ -66,7 +59,7 @@ def test_sort_masks_orders_by_size_then_element_tuple():
     masks += [0, (1 << MAX_GROUND) - 1, 1, 1 << (MAX_GROUND - 1)]
     masks += [mask_of(c) for c in combinations(range(13), 4)]
     rng.shuffle(masks)
-    assert sort_masks(masks) == tuple(sorted(masks, key=reference_canonical_key))
+    assert sort_masks(masks) == tuple(sorted(masks, key=oracles.reference_canonical_key))
 
 
 def test_mask_mapper_unions_the_images_of_the_elements():
@@ -144,87 +137,29 @@ def test_fano_rank_and_closure():
     assert f.closure_of(()) == ()
 
 
-def rank_and_closure_by_bases(m, x):
-    """rank(x) = max |x ∩ B| over bases; e ∉ x is in cl(x) iff rank(x + e) = rank(x).
-
-    rank(x + e) exceeds rank(x) exactly when e lies in a basis meeting x
-    in rank(x) elements, which evaluates the definition for every e at once.
-    """
-    r = max((x & b).bit_count() for b in m.basis_masks)
-    grows = 0
-    for b in m.basis_masks:
-        if (x & b).bit_count() == r:
-            grows |= b
-    return r, m.full & ~(grows & ~x)
-
-
 @pytest.mark.parametrize("name", SMALL_HOSTS)
-def test_rank_and_closure_match_definitions_on_every_mask(name, gf5_column_matroid):
-    m = SMALL_HOSTS[name](gf5_column_matroid)
+def test_rank_and_closure_match_definitions_on_every_mask(name):
+    m, table = host(name), oracles.subsets_by_bases(name)
     for x in range(m.full + 1):
-        assert (m.rank_of_mask(x), m.closure_mask(x)) == rank_and_closure_by_bases(m, x)
+        assert (m.rank_of_mask(x), m.closure_mask(x)) == table[x]
 
 
-def test_rank_and_closure_match_definitions_above_table_limit(gf5_column_matroid):
-    m = gf5_column_matroid(18, 3, 1)
+def test_rank_and_closure_match_definitions_above_table_limit():
+    m = host("gf5-18-3-1")
     assert m.n > RANK_TABLE_LIMIT
     rng = random.Random(18)
     for _ in range(2000):
         x = mask_of(rng.sample(range(m.n), rng.randint(0, m.n)))
-        assert (m.rank_of_mask(x), m.closure_mask(x)) == rank_and_closure_by_bases(m, x)
-
-
-def _bundled(name):
-    return load_matroid(bundled_data_dir() / f"{name}.matroid")
-
-
-def reference_rank_table(m):
-    """The old subset DP, kept as a test oracle: entry X is the size of the
-    largest independent subset of X, so |X| when X is independent and else
-    the largest entry of X minus one element."""
-    size = 1 << m.n
-    table = bytearray(size)
-    indep = m.independent_masks
-    for x in range(1, size):
-        best = x.bit_count() if x in indep else 0
-        rest = x
-        while rest:
-            low = rest & -rest
-            best = max(best, table[x ^ low])
-            rest ^= low
-        table[x] = best
-    return table
-
-
-def greedy_walk(m, x):
-    """The greedy basis of x: each element, in increasing order, joins when
-    it extends the basis so far."""
-    ext = m._extensions()
-    basis = 0
-    for e in iter_elements(x):
-        if ext[basis] >> e & 1:
-            basis |= 1 << e
-    return basis
-
-
-# every host with a table: the small and census hosts, bundled M and N, and
-# one column matroid of exactly RANK_TABLE_LIMIT elements
-TABLE_HOSTS = {
-    **SMALL_HOSTS,
-    **CENSUS_HOSTS,
-    "M": lambda gf5: _bundled("M"),
-    "N": lambda gf5: _bundled("N"),
-    "gf5-16-3": lambda gf5: gf5(RANK_TABLE_LIMIT, 3, 2),
-}
+        assert (m.rank_of_mask(x), m.closure_mask(x)) == oracles.rank_and_closure_by_bases(m, x)
 
 
 @pytest.mark.parametrize("name", TABLE_HOSTS)
-def test_greedy_basis_table_matches_walk_and_reference(name, gf5_column_matroid):
-    m = TABLE_HOSTS[name](gf5_column_matroid)
-    walks = [greedy_walk(m, x) for x in range(m.full + 1)]
+def test_greedy_basis_table_matches_walk_and_reference(name):
+    m = host(name)
+    walks = [oracles.greedy_basis(m.independent_masks, x) for x in range(m.full + 1)]
     ext = m._extensions()
     closures = [m.full & ~ext[b] for b in walks]
-    reference = reference_rank_table(m)
+    reference = oracles.reference_rank_table(name)
     table = m._rank_table()
     assert table == walks
     for x in range(m.full + 1):
@@ -232,8 +167,9 @@ def test_greedy_basis_table_matches_walk_and_reference(name, gf5_column_matroid)
         assert m.closure_mask(x) == closures[x], x
 
 
-def test_only_rank_queries_build_the_table(gf5_column_matroid):
-    m = gf5_column_matroid(RANK_TABLE_LIMIT, 3, 2)
+def test_only_rank_queries_build_the_table():
+    m = fresh("gf5-16-3")
+    assert m.n == RANK_TABLE_LIMIT
     for x in range(0, m.full + 1, 97):
         m.closure_mask(x)
     derived = [contract(m, 0b11), contract(m, 1 << 5), delete(m, 0b101),
@@ -259,85 +195,40 @@ def test_rank_is_the_greedy_basis_size_on_both_sides_of_the_table_limit(n):
             assert grows == (not fake.closure_mask(x) >> e & 1), (x, e)
 
 
-# the small hosts, the rest of the properties suite's small corpus, bundled
-# M and N, and one column matroid above RANK_TABLE_LIMIT (n = 17)
-LATTICE_HOSTS = {
-    **SMALL_HOSTS,
-    "U(3,3)": lambda gf5: uniform(3, 3),
-    "N-contract-6-simple": lambda gf5: simplify(contract(_bundled("N"), (6,)))[0],
-    "M": lambda gf5: _bundled("M"),
-    "N": lambda gf5: _bundled("N"),
-    "gf5-17-2": lambda gf5: gf5(17, 2, 1),
-}
-
-
 @pytest.mark.parametrize("name", LATTICE_HOSTS)
-def test_flat_lattice_matches_definitions_on_every_mask(name, gf5_column_matroid):
+def test_flat_lattice_matches_definitions_on_every_mask(name):
     """X is a rank-k flat of the lattice iff by the bases cl(X) = X and r(X) = k."""
-    m = LATTICE_HOSTS[name](gf5_column_matroid)
+    m, table = host(name), oracles.subsets_by_bases(name)
     levels = m.flat_lattice().by_rank
     rank_of_flat = {f: k for k, level in enumerate(levels) for f in level}
     assert len(rank_of_flat) == sum(map(len, levels))
     for x in range(m.full + 1):
-        rank, closure = rank_and_closure_by_bases(m, x)
+        rank, closure = table[x]
         assert rank_of_flat.get(x) == (rank if closure == x else None), x
-
-
-def independent_by_definition(m):
-    """Every set lying in a basis."""
-    return {mask_of(c) for b in m.bases() for k in range(m.rank + 1)
-            for c in combinations(b, k)}
-
-
-def restriction_by_definition(indep, keep):
-    """(rank, bases) of M|keep: its inclusion-maximal independent subsets.
-
-    ``indep`` is M's independent family; the bases are relabelled to the
-    kept elements' positions in increasing order, as delete does.
-    """
-    kept = [e for e in range(keep.bit_length()) if keep >> e & 1]
-    maximal = [i for i in indep if i & ~keep == 0
-               and not any(i | 1 << e in indep for e in kept if not i >> e & 1)]
-    ranks = {i.bit_count() for i in maximal}
-    assert len(ranks) == 1
-    pos = {e: j for j, e in enumerate(kept)}
-    bases = {mask_of(pos[e] for e in kept if i >> e & 1) for i in maximal}
-    return ranks.pop(), bases
 
 
 def assert_delete_matches_definition(m, indep, x):
     d = delete(m, x)
     keep = m.full & ~x
     assert d.n == keep.bit_count()
-    assert (d.rank, set(d.basis_masks)) == restriction_by_definition(indep, keep)
+    assert (d.rank, set(d.basis_masks)) == oracles.restriction_by_definition(indep, keep)
 
 
 @pytest.mark.parametrize("name", SMALL_HOSTS)
-def test_delete_matches_definition_on_every_mask(name, gf5_column_matroid):
-    m = SMALL_HOSTS[name](gf5_column_matroid)
-    indep = independent_by_definition(m)
+def test_delete_matches_definition_on_every_mask(name):
+    m = host(name)
+    indep = oracles.independent_by_definition(m)
     for x in range(m.full):
         assert_delete_matches_definition(m, indep, x)
 
 
-def test_delete_matches_definition_above_table_limit(gf5_column_matroid):
-    m = gf5_column_matroid(18, 3, 1)
-    indep = independent_by_definition(m)
+def test_delete_matches_definition_above_table_limit():
+    m = host("gf5-18-3-1")
+    indep = oracles.independent_by_definition(m)
     rng = random.Random(1818)
     for _ in range(300):
         x = mask_of(rng.sample(range(m.n), rng.randint(0, m.n - 1)))
         assert_delete_matches_definition(m, indep, x)
-
-
-def rank_by_bases(m):
-    """rank(x) = max |x ∩ B| over the bases, memoized per mask."""
-    ranks = {}
-
-    def rank(x):
-        if x not in ranks:
-            ranks[x] = max((x & b).bit_count() for b in m.basis_masks)
-        return ranks[x]
-    return rank
 
 
 def assert_contract_matches_definition(m, rank, x):
@@ -352,50 +243,33 @@ def assert_contract_matches_definition(m, rank, x):
 
 
 @pytest.mark.parametrize("name", SMALL_HOSTS)
-def test_contract_matches_definition_on_every_mask(name, gf5_column_matroid):
-    m = SMALL_HOSTS[name](gf5_column_matroid)
-    rank = rank_by_bases(m)
+def test_contract_matches_definition_on_every_mask(name):
+    m, table = host(name), oracles.subsets_by_bases(name)
     for x in range(m.full):
-        assert_contract_matches_definition(m, rank, x)
+        assert_contract_matches_definition(m, lambda y: table[y][0], x)
 
 
-def test_contract_matches_definition_above_table_limit(gf5_column_matroid):
-    m = gf5_column_matroid(18, 3, 1)
-    rank = rank_by_bases(m)
+def test_contract_matches_definition_above_table_limit():
+    m = host("gf5-18-3-1")
+    rank = cache(lambda y: oracles.rank_and_closure_by_bases(m, y)[0])
     rng = random.Random(1819)
     for _ in range(300):
         x = mask_of(rng.sample(range(m.n), rng.randint(0, m.n - 1)))
         assert_contract_matches_definition(m, rank, x)
 
 
-def greedy_basis_minor(m, x, contracting):
-    """contract or delete through the greedy basis of X (or of E - X): the
-    reference for the versions that read both from the basis list."""
-    keep = m.full & ~x
-    if contracting:
-        i = m._maximal_independent_mask(x)
-        rank, bases = m.rank - i.bit_count(), [b ^ i for b in m.basis_masks if b & x == i]
-    else:
-        rank = m._maximal_independent_mask(keep).bit_count()
-        bases = [b & keep for b in m.basis_masks if (b & keep).bit_count() == rank]
-    kept = elements_of(keep)
-    return Matroid(len(kept), rank,
-                   [mask_of(j for j, e in enumerate(kept) if b >> e & 1) for b in bases],
-                   _validated=True)
-
-
 @pytest.mark.parametrize("name", CENSUS_HOSTS)
-def test_minors_equal_the_greedy_basis_versions(name, gf5_column_matroid):
-    m = CENSUS_HOSTS[name](gf5_column_matroid)
+def test_minors_equal_the_greedy_basis_versions(name):
+    m = host(name)
     rng = random.Random(f"greedy-minors:{name}")
     xs = range(m.full) if m.n <= 8 else [rng.randrange(m.full) for _ in range(300)]
     for x in xs:
-        assert contract(m, x) == greedy_basis_minor(m, x, True), x
-        assert delete(m, x) == greedy_basis_minor(m, x, False), x
+        assert contract(m, x) == oracles.greedy_basis_minor(m, x, True), x
+        assert delete(m, x) == oracles.greedy_basis_minor(m, x, False), x
 
 
-def test_minors_of_minors_build_no_table(rank3_matroid, rank4_matroid):
-    for m in (rank3_matroid, rank4_matroid):
+def test_minors_of_minors_build_no_table():
+    for m in (fresh("M"), fresh("N")):
         # X = {2,6} and Y = {0,1,4}, relabelled after the other removal
         d, c = delete(m, 0b10011), contract(m, 0b1000100)
         assert contract(d, 0b1001) == delete(c, 0b1011)
@@ -497,7 +371,7 @@ def _outcome(build):
 
 @pytest.mark.parametrize("n, rank, bases", [
     (7, 3, fano_matroid().basis_masks),
-    (5, 2, loops_and_parallels().basis_masks),
+    (5, 2, host("loops-and-parallels").basis_masks),
     (4, 2, (0b0011, 0b1100)),                 # fails exchange
     (4, 2, (0b0011, 0b0101, 0b0110, 0b10000)),  # out of range
     (4, 2, (0b0011, 0b0101, 0b0111)),          # mixed sizes
@@ -532,8 +406,8 @@ def no_walk(*args):
 
 @pytest.mark.parametrize("name", SMALL_HOSTS)
 def test_minors_filter_the_canonical_tuple_without_sorting(
-        name, gf5_column_matroid, no_constructor_sort, monkeypatch):
-    m = SMALL_HOSTS[name](gf5_column_matroid)
+        name, no_constructor_sort, monkeypatch):
+    m = fresh(name)
     monkeypatch.setattr(matroid, "combinations", no_walk)
     for x in range(m.full):
         contract(m, x)
@@ -544,38 +418,15 @@ def test_minors_filter_the_canonical_tuple_without_sorting(
 
 def test_parsing_the_bundled_matroids_does_not_sort(no_constructor_sort):
     for name in ("M", "N"):
-        assert _bundled(name).n == 13
-
-
-def parent_simplify(m):
-    """Collapse each parallel class onto its least element, basis by basis:
-    the construction simplify used before it became a deletion."""
-    nonloops = m.full & ~m.loops_mask
-    class_masks = []
-    seen = 0
-    for e in iter_elements(nonloops):
-        if not seen >> e & 1:
-            class_masks.append(m.closure_mask(1 << e) & nonloops)
-            seen |= class_masks[-1]
-    class_masks.sort(key=lambda c: c & -c)
-    point_of = [0] * m.n
-    for i, cls in enumerate(class_masks):
-        for e in iter_elements(cls):
-            point_of[e] = 1 << i
-    collapse = mask_mapper(point_of)
-    simple = Matroid(len(class_masks), m.rank,
-                     {collapse(b) for b in m.basis_masks}, _validated=True)
-    pmap = PointedMap(tuple(min(iter_elements(c)) for c in class_masks),
-                      tuple(elements_of(c) for c in class_masks))
-    return simple, pmap
+        assert fresh(name).n == 13
 
 
 @pytest.mark.parametrize("name", LATTICE_HOSTS)
-def test_simplify_matches_the_class_collapse(name, gf5_column_matroid):
-    m = LATTICE_HOSTS[name](gf5_column_matroid)
+def test_simplify_matches_the_class_collapse(name):
+    m = host(name)
     for e in range(m.n):
         c = contract(m, 1 << e)
-        assert simplify(c) == parent_simplify(c), e
+        assert simplify(c) == oracles.parent_simplify(c), e
 
 
 # -- order relations ---------------------------------------------------------
@@ -587,21 +438,22 @@ def test_weak_map_and_quotient(rank3_matroid, rank4_matroid):
     assert truncation(rank4_matroid) == rank3_matroid
 
 
-def test_weak_map_matches_definition(gf5_column_matroid):
+def test_weak_map_matches_definition():
     """Every independent set of the first is independent in the second."""
     fano = fano_matroid()
     # Fano without its first or its last basis: only that basis tells
     # Fano apart from them
-    hosts = [fano, non_fano_matroid(), uniform(2, 7), uniform(3, 7),
-             truncation(non_fano_matroid()), gf5_column_matroid(7, 3, 2),
-             gf5_column_matroid(7, 2, 3), loops_and_parallels(),
+    hosts = [*map(host, ("fano", "non-fano", "U(2,7)", "U(3,7)", "gf5-7-3-2",
+                         "gf5-7-2-3", "loops-and-parallels")),
+             truncation(non_fano_matroid()),
              Matroid(7, 3, fano.basis_masks[1:], _validated=True),
              Matroid(7, 3, fano.basis_masks[:-1], _validated=True)]
     verdicts = set()
     for a in hosts:
         for b in hosts:
             if a.n == b.n:
-                expected = independent_by_definition(a) <= independent_by_definition(b)
+                expected = (oracles.independent_by_definition(a)
+                            <= oracles.independent_by_definition(b))
                 assert is_weak_map_image(a, b) == expected, (a, b)
                 verdicts.add(expected)
     assert verdicts == {False, True}
@@ -688,33 +540,6 @@ def test_free_matroid_from_no_flats():
     assert free.rank == 4
 
 
-def reference_formula_rank(rank, listed, x):
-    """min(|x|, rank, least k with x inside a listed rank-k flat)."""
-    return min([x.bit_count(), rank]
-               + [k for k, flats in listed.items() if any(x & ~f == 0 for f in flats)])
-
-
-def reference_consistency_failure(rank, listing):
-    """The listed-flat consistency pass, which matroid_from_flats leaves out.
-
-    Under the formula rank, each listed rank-k flat must have rank k, and
-    two distinct listed rank-k flats must meet in a set of rank below k.
-    Returns a description of the first failure, or None.
-    """
-    listed = {}
-    for k, flat in listing:
-        listed.setdefault(k, set()).add(mask_of(flat))
-    for k in sorted(listed):
-        flats_k = sort_masks(listed[k])
-        for f in flats_k:
-            if reference_formula_rank(rank, listed, f) != k:
-                return f"listed rank-{k} flat {sorted(iter_elements(f))} has another rank"
-        for f, g in combinations(flats_k, 2):
-            if reference_formula_rank(rank, listed, f & g) >= k:
-                return f"rank-{k} flats share the rank-{k} set {sorted(iter_elements(f & g))}"
-    return None
-
-
 def flat_listings():
     """(n, rank, listing) cases for the differential test below.
 
@@ -748,11 +573,11 @@ def test_certificate_and_round_trip_imply_the_consistency_pre_pass():
         except ValidationError:
             continue
         accepted[rank] = accepted.get(rank, 0) + 1
-        assert reference_consistency_failure(rank, listing) is None, (n, rank, listing)
+        assert oracles.reference_consistency_failure(rank, listing) is None, (n, rank, listing)
         listed = {}
         for k, flat in listing:
             listed.setdefault(k, set()).add(mask_of(flat))
-        assert all(m.rank_of_mask(x) == reference_formula_rank(rank, listed, x)
+        assert all(m.rank_of_mask(x) == oracles.reference_formula_rank(rank, listed, x)
                    for x in range(m.full + 1)), (n, rank, listing)
     assert sorted(accepted) == [2, 3, 4] and min(accepted.values()) >= 10, accepted
 
@@ -765,7 +590,7 @@ def test_rejected_listings_name_the_check_that_fails():
     # a family of rank-1 flats all holding 0 certifies, with 0 a loop
     for n, listing in ((3, [(1, (0, 1)), (1, (0, 2))]),
                        (4, [(1, (0, 1, 2)), (1, (0, 3))])):
-        assert reference_consistency_failure(2, listing) is not None
+        assert oracles.reference_consistency_failure(2, listing) is not None
         with pytest.raises(ValidationError) as exc:
             matroid_from_flats(n, 2, listing)
         assert str(exc.value) == "rank-0 flats do not round-trip (unlisted: {0})"

@@ -17,12 +17,16 @@ import matroid_forge
 from matroid_forge.charpoly import IntPolynomial
 from matroid_forge.erection import ErectionCheck, ErectionFamily
 from matroid_forge.linalg import ExactMatrix, PrimeField, Rationals, RelationSpace
-from matroid_forge.matroid import FlatLattice, Matroid, PointedMap
+from matroid_forge.matroid import FlatLattice, PointedMap
 from matroid_forge.minors import MinorWitness, ObstructionReport
 from matroid_forge.reproduce import CheckResult, ReproReport
 
+import hosts
+from hosts import fresh
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 SOURCES = sorted(Path(matroid_forge.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def test_all_lists_no_modules():
@@ -47,9 +51,9 @@ def test_readme_library_example_names_are_exported():
     assert set(names) <= set(matroid_forge.__all__)
 
 
-def _parsed_sources():
+def _parsed_sources(paths=SOURCES):
     return {path.name: ast.parse(path.read_text(encoding="utf-8"))
-            for path in SOURCES}
+            for path in paths}
 
 
 def _referenced_names(tree):
@@ -82,19 +86,65 @@ def test_sources_import_only_names_they_use():
     assert unused == []
 
 
+def _referenced_anywhere(trees):
+    """Names read, or imported by name, in any of the modules."""
+    return set().union(*map(_referenced_names, trees), *(
+        {alias.name for node in ast.walk(tree)
+         if isinstance(node, ast.ImportFrom) for alias in node.names}
+        for tree in trees))
+
+
 def test_private_definitions_are_referenced():
     trees = _parsed_sources()
-    referenced = set()
-    for tree in trees.values():
-        referenced |= _referenced_names(tree)
-        referenced |= {alias.name for node in ast.walk(tree)
-                       if isinstance(node, ast.ImportFrom) for alias in node.names}
+    referenced = _referenced_anywhere(trees.values())
     dead = [f"{name}: {node.name}"
             for name, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name.startswith("_") and not node.name.startswith("__")
             and node.name not in referenced]
     assert dead == []
+
+
+def _top_level_names(tree):
+    """Functions, classes and assigned names at a module's top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+
+def test_test_helpers_are_defined_once():
+    """A host builder or a reference lives in one module, references in
+    oracles.py; tests import them instead of redefining them."""
+    defined = {}
+    for name, tree in _parsed_sources(TESTS).items():
+        for helper in set(_top_level_names(tree)):
+            if not helper.startswith("test_"):
+                defined.setdefault(helper, []).append(name)
+    assert {h: where for h, where in defined.items() if len(where) > 1} == {}
+    assert {h: where for h, where in defined.items()
+            if h.startswith("reference_") and where != ["oracles.py"]} == {}
+
+
+def test_every_catalogue_host_and_oracle_is_used():
+    trees = _parsed_sources(TESTS)
+    oracles = trees.pop("oracles.py")
+    del trees["hosts.py"]
+    referenced = _referenced_anywhere(trees.values())
+    # an oracle counts as used when a test or another oracle calls it
+    functions = [node for node in oracles.body if isinstance(node, ast.FunctionDef)]
+    referenced = referenced.union(*(_referenced_names(f) - {f.name} for f in functions))
+    assert [f.name for f in functions if f.name not in referenced] == []
+    # a host counts as used when a test names it, or a host list holding it
+    lists = {name: value for name, value in vars(hosts).items()
+             if name.endswith("_HOSTS")}
+    assert sorted(set(lists) - referenced) == []
+    literals = {node.value for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    used = literals.union(*lists.values())
+    used |= {hosts.ALIASES[name] for name in used & hosts.ALIASES.keys()}
+    assert [name for name in hosts.CATALOGUE if name not in used] == []
 
 
 # -- immutable value classes -----------------------------------------------------
@@ -105,23 +155,18 @@ def _witness():
                         PointedMap((0, 1, 3, 2)))
 
 
-def _u24():
-    return Matroid.from_bases(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-
-
 # Each factory builds a fresh value from scratch, so two calls give equal
 # values that share no object.
 RECORDS = {
     IntPolynomial: lambda: IntPolynomial((2, -3, 1)),
     ErectionCheck: lambda: ErectionCheck(False, 2, "block {0,1}"),
-    ErectionFamily: lambda: ErectionFamily(_u24(), (_u24(),)),
+    ErectionFamily: lambda: ErectionFamily(fresh("U(2,4)"), (fresh("U(2,4)"),)),
     ExactMatrix: lambda: ExactMatrix.build(Rationals(), [[1, Fraction(1, 2)], [3, 4]]),
     RelationSpace: lambda: RelationSpace.from_vectors(PrimeField(5), 3, [(1, 2, 3)]),
     PointedMap: lambda: PointedMap((0, 2), ((0, 3), (2,))),
     FlatLattice: lambda: FlatLattice(3, 2, ((0,), (1, 2, 4), (7,))),
     MinorWitness: _witness,
-    ObstructionReport: lambda: ObstructionReport(False, None, True, _witness(),
-                                                 "char-not-2-only"),
+    ObstructionReport: lambda: ObstructionReport(None, _witness()),
     CheckResult: lambda: CheckResult("fano-matrices", True, "ok", 0.5),
     ReproReport: lambda: ReproReport((CheckResult("erections", False, "x", 0.25),)),
 }

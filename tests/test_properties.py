@@ -2,36 +2,25 @@
 
 import hashlib
 import random
-from itertools import chain, combinations, islice, permutations
+from itertools import chain, combinations, islice
 from types import SimpleNamespace
 
 import pytest
 
 from matroid_forge import properties
-from matroid_forge.bitsets import format_set, iter_elements, mask_of, sort_masks
+from matroid_forge.bitsets import mask_of, sort_masks
 from matroid_forge.erection import ErectionFamily
 from matroid_forge.errors import ValidationError
-from matroid_forge.formats import bundled_data_dir, load_matroid
-from matroid_forge.matroid import (
-    RANK_TABLE_LIMIT,
-    Matroid,
-    contract,
-    exchange_failure,
-    simplify,
-    truncation,
-)
+from matroid_forge.matroid import RANK_TABLE_LIMIT, Matroid, exchange_failure, truncation
 from matroid_forge.minors import fano_matroid, non_fano_matroid
 
-
-def uniform(rank, n):
-    return Matroid.from_bases(n, combinations(range(n), rank))
+from hosts import CORPUS_HOSTS, gfp_column_matroid, host, singer_lines, uniform
+import oracles
 
 
 @pytest.fixture(scope="module")
-def small_corpus(rank4_matroid):
-    simple, _ = simplify(contract(rank4_matroid, (6,)))
-    return [fano_matroid(), non_fano_matroid(), uniform(2, 4),
-            uniform(3, 3), simple]
+def small_corpus():
+    return [host(name) for name in CORPUS_HOSTS]
 
 
 def test_closure_axioms_exhaustive(small_corpus):
@@ -42,25 +31,7 @@ def test_closure_axioms_exhaustive(small_corpus):
 def test_rank_axioms_exhaustive(small_corpus):
     for m in small_corpus:
         assert properties.rank_axiom_failures(m) == []
-        assert reference_rank_axiom_failures(m) == []
-
-
-def reference_rank_axiom_failures(m):
-    """The plain loop over all 4^n pairs (X, Y), kept as a test oracle."""
-    full = (1 << m.n) - 1
-    for x in range(full + 1):
-        for y in range(full + 1):
-            rx = m.rank_of_mask(x)
-            if not 0 <= rx <= min(x.bit_count(), m.rank):
-                return [f"rank out of bounds at {format_set(x)}"]
-            e = (y % m.n) if m.n else 0
-            if m.rank_of_mask(x | (1 << e)) - rx not in (0, 1):
-                return [f"rank not unit-increasing at {format_set(x)} + {e}"]
-            if (m.rank_of_mask(x | y) + m.rank_of_mask(x & y)
-                    > rx + m.rank_of_mask(y)):
-                return [f"rank not submodular at {format_set(x)}, "
-                        f"{format_set(y)}"]
-    return []
+        assert oracles.reference_rank_axiom_failures(m) == []
 
 
 class TableSetFunction:
@@ -98,7 +69,7 @@ def test_rank_battery_matches_reference_on_bumped_functions():
     verdicts = []
     for f in _bumped_truncations(3000, seed=44):
         failed = assert_lanes_match_walk(f) != []
-        assert failed == (reference_rank_axiom_failures(f) != []), f.values
+        assert failed == (oracles.reference_rank_axiom_failures(f) != []), f.values
         verdicts.append(failed)
     assert any(verdicts) and not all(verdicts)
 
@@ -114,29 +85,6 @@ def test_values_that_fit_no_lane_go_to_the_walk(value):
                 assert assert_lanes_match_walk(TableSetFunction(n, rank, values))
 
 
-def axioms_hold_around(ranks, n, rank, x):
-    """The local rank inequalities at every Y whose instances can read r(x).
-
-    Those are Y = x minus at most two of its elements.  When a function
-    that passes the battery changes at x alone, no other inequality can
-    change, so this is the subset walk's verdict at O(n^4) comparisons
-    instead of 2^n n^2.
-    """
-    inside = [1 << e for e in range(n) if x >> e & 1]
-    ys = {x} | {x ^ a for a in inside} | {x ^ a ^ b for a, b in combinations(inside, 2)}
-    for y in ys:
-        ry = ranks[y]
-        if not 0 <= ry <= min(y.bit_count(), rank):
-            return False
-        outside = [1 << e for e in range(n) if not y >> e & 1]
-        if any(ranks[y | b] - ry not in (0, 1) for b in outside):
-            return False
-        if any(ranks[y | b] + ranks[y | c] < ranks[y | b | c] + ry
-               for b, c in combinations(outside, 2)):
-            return False
-    return True
-
-
 def test_axioms_around_a_change_match_the_walk():
     verdicts = set()
     for f in _bumped_truncations(1000, seed=45):
@@ -144,19 +92,19 @@ def test_axioms_around_a_change_match_the_walk():
         for x in (x for x in range(1 << f.n) if f.values[x] != base[x]):
             one = base.copy()
             one[x] = f.values[x]
-            verdict = axioms_hold_around(one, f.n, f.rank, x)
+            verdict = oracles.axioms_hold_around(one, f.n, f.rank, x)
             assert verdict == (properties._rank_walk(one, f.n, f.rank) == []), (one, x)
             verdicts.add(verdict)
     assert verdicts == {False, True}
 
 
 @pytest.mark.parametrize("n, rank, seed", [(14, 3, 1), (15, 4, 2), (16, 3, 3), (17, 3, 4)])
-def test_byte_lanes_match_the_walk_on_column_matroids(n, rank, seed, gf5_column_matroid):
+def test_byte_lanes_match_the_walk_on_column_matroids(n, rank, seed):
     """Lane masks around the 2^n rank-table limit: n = 17 answers each rank
     by a walk.  A rejection by the lanes would make the battery walk, find
     nothing on this matroid and raise; each one-value change is checked
     against the walk's verdict at that value."""
-    m = gf5_column_matroid(n, rank, seed)
+    m = gfp_column_matroid(5, n, rank, seed)
     assert (m._rank_table() is None) == (n > RANK_TABLE_LIMIT)
     assert properties.rank_axiom_failures(m) == []
     if n == 14:
@@ -169,7 +117,7 @@ def test_byte_lanes_match_the_walk_on_column_matroids(n, rank, seed, gf5_column_
             bumped = ranks.copy()
             bumped[x] += step
             verdicts.append(properties._lanes_accept(bumped, n, m.rank))
-            assert verdicts[-1] == axioms_hold_around(bumped, n, m.rank, x), (x, step)
+            assert verdicts[-1] == oracles.axioms_hold_around(bumped, n, m.rank, x), (x, step)
     assert not all(verdicts)
 
 
@@ -212,19 +160,6 @@ def test_exchange_detects_non_matroid():
     assert properties.exchange_failures(fake) != []
 
 
-def reference_exchange_failure(m):
-    """The plain pairwise basis-exchange loop, kept as a test oracle."""
-    basis_set = set(m.basis_masks)
-    for b1 in m.basis_masks:
-        for b2 in m.basis_masks:
-            for f in iter_elements(b2 & ~b1):
-                if not any((b1 ^ (1 << e)) | (1 << f) in basis_set
-                           for e in iter_elements(b1 & ~b2)):
-                    return (f"basis exchange fails for B={format_set(b1)}, "
-                            f"B'={format_set(b2)}, f={f}")
-    return None
-
-
 def _families(n, k):
     subsets = [mask_of(c) for c in combinations(range(n), k)]
     for choice in range(1, 1 << len(subsets)):
@@ -264,33 +199,28 @@ def _one_triple_additions(m):
             yield m.n, m.rank, list(m.basis_masks) + [tmask]
 
 
-def _bundled(name):
-    return load_matroid(bundled_data_dir() / name)
-
-
 @pytest.mark.parametrize("families, all_matroids", [
-    (lambda gfp: _families(5, 2), False),
-    (lambda gfp: _families(5, 3), False),
-    (lambda gfp: _one_basis_removals(fano_matroid()), False),
-    (lambda gfp: _one_basis_removals(non_fano_matroid()), False),
-    (lambda gfp: _random_families(2000, seed=8), False),
-    (lambda gfp: chain(_one_triple_additions(fano_matroid()),
+    (lambda: _families(5, 2), False),
+    (lambda: _families(5, 3), False),
+    (lambda: _one_basis_removals(fano_matroid()), False),
+    (lambda: _one_basis_removals(non_fano_matroid()), False),
+    (lambda: _random_families(2000, seed=8), False),
+    (lambda: chain(_one_triple_additions(fano_matroid()),
                        _one_triple_additions(non_fano_matroid())), True),
-    (lambda gfp: chain(_one_basis_removals(_bundled("M.matroid"), 10, seed=3),
-                       _one_basis_removals(_bundled("N.matroid"), 4, seed=4)),
+    (lambda: chain(_one_basis_removals(host("M"), 10, seed=3),
+                       _one_basis_removals(host("N"), 4, seed=4)),
      False),
     # rank 5 on 10 points: each basis's five outside elements can fall into
     # five different parts of the swap-set split
-    (lambda gfp: _one_basis_removals(gfp(3, 10, 5, 1), 40, seed=6), False),
+    (lambda: _one_basis_removals(gfp_column_matroid(3, 10, 5, 1), 40, seed=6), False),
 ], ids=["2-subsets-of-5", "3-subsets-of-5", "fano-less-one", "non-fano-less-one",
         "random-families-n-le-8", "fano-and-non-fano-plus-one",
         "M-and-N-less-one", "gf3-10-5-less-one"])
-def test_exchange_certificate_matches_reference(families, all_matroids,
-                                                gfp_column_matroid):
+def test_exchange_certificate_matches_reference(families, all_matroids):
     rejected = 0
-    for n, rank, family in families(gfp_column_matroid):
+    for n, rank, family in families():
         m = Matroid(n, rank, family, _validated=True)
-        expected = reference_exchange_failure(m)
+        expected = oracles.reference_exchange_failure(m)
         assert exchange_failure(m) == expected, family
         assert properties.exchange_failures(m) == (
             [] if expected is None else [expected])
@@ -301,35 +231,13 @@ def test_exchange_certificate_matches_reference(families, all_matroids,
         assert rejected > 0
 
 
-def failing_links(m):
-    """Every independent S, |S| <= r - 2, whose link is not complete multipartite.
-
-    The link of S joins y and z outside S when S + y + z is independent; it
-    is complete multipartite iff non-adjacency is transitive.
-    """
-    indep = down_closure(m)
-    failing = []
-    for s in sort_masks(indep):
-        if s.bit_count() > m.rank - 2:
-            continue
-        link = [y for y in range(m.n) if not s >> y & 1 and s | 1 << y in indep]
-
-        def apart(y, z):
-            return s | 1 << y | 1 << z not in indep
-
-        if any(apart(x, y) and apart(x, z) and not apart(y, z)
-               for x, y, z in permutations(link, 3)):
-            failing.append(s)
-    return failing
-
-
 def test_links_characterize_matroids():
     families = chain(_families(5, 2), _families(5, 3), _random_families(500, seed=13))
     rejected = 0
     for n, rank, family in families:
         m = Matroid(n, rank, family, _validated=True)
-        expected = reference_exchange_failure(m)
-        assert (failing_links(m) == []) == (expected is None), family
+        expected = oracles.reference_exchange_failure(m)
+        assert (oracles.failing_links(m) == []) == (expected is None), family
         rejected += expected is not None
     assert rejected > 0
 
@@ -341,8 +249,8 @@ def test_links_characterize_matroids():
 ], ids=["two-triangles", "two-quadruples", "only-pair-links-fail"])
 def test_link_certificate_rejects_a_single_failing_level(n, rank, family, failing_sizes):
     m = Matroid(n, rank, [mask_of(map(int, b)) for b in family], _validated=True)
-    assert {s.bit_count() for s in failing_links(m)} == failing_sizes
-    expected = reference_exchange_failure(m)
+    assert {s.bit_count() for s in oracles.failing_links(m)} == failing_sizes
+    expected = oracles.reference_exchange_failure(m)
     assert expected is not None
     assert exchange_failure(m) == expected
     with pytest.raises(ValidationError) as raised:
@@ -355,50 +263,29 @@ def test_link_certificate_accepts_every_family_of_rank_at_most_one():
         for rank in (0, 1):
             for _, _, family in _families(n, rank):
                 m = Matroid(n, rank, family, _validated=True)
-                assert reference_exchange_failure(m) is None
+                assert oracles.reference_exchange_failure(m) is None
                 assert exchange_failure(m) is None, family
 
 
 def test_link_certificate_accepts_pg27():
     # the 57 lines of PG(2,7), translates of a perfect difference set
-    lines = [mask_of((d + i) % 57 for d in (0, 1, 3, 13, 32, 36, 43, 52))
-             for i in range(57)]
+    lines = [mask_of(line) for line in singer_lines(7)]
     bases = [b for b in map(mask_of, combinations(range(57), 3))
              if not any(b & ~line == 0 for line in lines)]
     assert len(bases) == 26068
     assert exchange_failure(Matroid(57, 3, bases, _validated=True)) is None
 
 
-def down_closure(m):
-    """Every subset of a basis."""
-    return {mask_of(c) for b in m.bases() for k in range(m.rank + 1)
-            for c in combinations(b, k)}
-
-
-def reference_closure_mask(indep, n, x):
-    """The per-element closure loop, kept as a test oracle.
-
-    x plus every e outside x whose addition to the greedy basis of x, grown
-    in element order inside the family ``indep``, is dependent.
-    """
-    basis = 0
-    for e in iter_elements(x):
-        if basis | 1 << e in indep:
-            basis |= 1 << e
-    return x | mask_of(e for e in range(n)
-                       if not x >> e & 1 and basis | 1 << e not in indep)
-
-
 def test_closure_and_lattice_match_the_loop_on_down_closed_families():
     rejected = 0
     for n, rank, family in _random_families(400, seed=21):
         m = Matroid(n, rank, family, _validated=True)
-        indep = down_closure(m)
+        indep = oracles.independent_by_definition(m)
         assert m.independent_masks == indep, family
         for x in range(1 << n):
-            assert m.closure_mask(x) == reference_closure_mask(indep, n, x), (family, x)
+            assert m.closure_mask(x) == oracles.reference_closure_mask(indep, n, x), (family, x)
         assert m.flat_lattice().by_rank == tuple(
-            sort_masks({reference_closure_mask(indep, n, i)
+            sort_masks({oracles.reference_closure_mask(indep, n, i)
                         for i in indep if i.bit_count() == k})
             for k in range(rank + 1)), family
         rejected += exchange_failure(m) is not None
