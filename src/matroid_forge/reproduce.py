@@ -162,8 +162,8 @@ def _check_m_wellformed(ctx: _Ctx):
     lines = m.flats_at(2, min_size=3)
     # independent brute-force scan: a triple is dependent iff inside a line
     line_masks = [mask_of(L) for L in lines]
-    dependent = sum(1 for t in combinations(range(13), 3)
-                    if any(mask_of(t) & ~lm == 0 for lm in line_masks))
+    dependent = sum(1 for t in map(mask_of, combinations(range(13), 3))
+                    if any(t & ~lm == 0 for lm in line_masks))
     n_bases = len(m.basis_masks)
     ok = (n_bases == 271 and len(lines) == 15
           and dependent == 15 and comb(13, 3) - dependent == n_bases)
@@ -317,12 +317,9 @@ def _check_properties(ctx: _Ctx):
     free3 = matroid_from_flats(3, 3, [])
     p_simple, _ = simplify(contract(n, (6,)))
     failures: list[str] = []
-    for small in (fano_matroid(), non_fano_matroid(), free3, p_simple):
-        failures += properties.closure_axiom_failures(small)
-        failures += properties.rank_axiom_failures(small)
-    for big in (m, n):
-        failures += properties.closure_axiom_failures(big, samples=800)
-        failures += properties.rank_axiom_failures(big)
+    for matroid in (fano_matroid(), non_fano_matroid(), free3, p_simple, m, n):
+        failures += properties.closure_axiom_failures(matroid)
+        failures += properties.rank_axiom_failures(matroid)
     for matroid in (m, n, fano_matroid(), non_fano_matroid(), p_simple,
                     truncation(n)):
         failures += properties.exchange_failures(matroid)

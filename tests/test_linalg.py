@@ -17,7 +17,12 @@ from matroid_forge.charpoly import (
     splits_over_integers,
 )
 from matroid_forge.cli import main
-from matroid_forge.errors import GroundSetMismatch, ValidationError, ZeroFunctional
+from matroid_forge.errors import (
+    GroundSetMismatch,
+    SearchBudgetExceeded,
+    ValidationError,
+    ZeroFunctional,
+)
 from matroid_forge import linalg
 from matroid_forge.formats import load_matrix, parse_matrix_text
 from matroid_forge.linalg import (
@@ -25,7 +30,7 @@ from matroid_forge.linalg import (
     PrimeField,
     Rationals,
     RelationSpace,
-    _determinant,
+    _minors,
     _rref,
     column_matroid,
     formalization,
@@ -487,17 +492,31 @@ def seeded_square(seed):
     return m
 
 
-def test_determinant_matches_cofactor_expansion():
+def test_minor_pass_matches_cofactor_expansion():
     singular = 0
     for seed in range(600):
         m = seeded_square(seed)
+        full = (1 << len(m)) - 1
         want = oracles.cofactor_determinant(m)
-        assert _determinant([list(row) for row in m]) == want, seed
+        minors = _minors(m, 0)
+        assert set(minors) <= {full} and minors.get(full, 0) == want, seed
         singular += want == 0
         for p in (2, 3, 5, 7, 1_000_003):
             residues = [[v % p for v in row] for row in m]
-            assert _determinant(residues) % p == want % p, (seed, p)
+            assert _minors(residues, p).get(full, 0) == want % p, (seed, p)
     assert singular >= 200
+
+
+def test_column_matroid_charges_its_subsets_before_any_minor(monkeypatch):
+    rng = random.Random(3264)
+    rows = [[int(i == j) for j in range(32)] + [rng.randrange(2) for _ in range(32)]
+            for i in range(32)]
+    a = ExactMatrix.build(PrimeField(2), rows)
+    assert a.rank() == 32
+    monkeypatch.setattr(linalg, "_minors",
+                        lambda rows, p: pytest.fail("a minor was computed"))
+    with pytest.raises(SearchBudgetExceeded, match="^column matroid exceeded"):
+        column_matroid(a)
 
 
 GIANT_BASE = [[1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 1, 2],
