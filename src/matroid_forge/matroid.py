@@ -341,12 +341,8 @@ class Matroid:
         The first query builds the greedy-basis table when n is at most
         RANK_TABLE_LIMIT; above it each query walks.
         """
-        table = self._greedy
-        if table is None:
-            table = self._rank_table()
-            if table is None:
-                return self._maximal_independent_mask(x).bit_count()
-        return table[x].bit_count()
+        self._rank_table()
+        return self._maximal_independent_mask(x).bit_count()
 
     def rank_of(self, x: Iterable[int] | int) -> int:
         return self.rank_of_mask(coerce_mask(x, self.n))
@@ -360,7 +356,8 @@ class Matroid:
         keep it independent are exactly those outside the closure.  On any
         down-closed family none of them lies in x, so this is also the
         per-element definition on families that are not matroids.  The
-        tables are read directly: this is the closure battery's inner call.
+        tables are read directly: the erection census asks for one closure
+        per candidate.
         """
         ext = self._ext
         if ext is None:
@@ -371,6 +368,19 @@ class Matroid:
 
     def closure_of(self, x: Iterable[int] | int) -> tuple[int, ...]:
         return elements_of(self.closure_mask(coerce_mask(x, self.n)))
+
+    def ranks_and_closures(self) -> tuple[list[int], list[int]]:
+        """The rank and the closure of every subset, in subset order.
+
+        The same two lookups at a greedy basis G as :meth:`rank_of_mask`
+        and :meth:`closure_mask`, |G| and E ^ ext(G), made in C over the
+        greedy-basis table; above RANK_TABLE_LIMIT each subset walks to its
+        greedy basis first.  This is the axiom batteries' one read.
+        """
+        table = (self._rank_table()
+                 or list(map(self._maximal_independent_mask, range(1 << self.n))))
+        return (list(map(int.bit_count, table)),
+                list(map(self.full.__xor__, map(self._extensions().__getitem__, table))))
 
     def flat_lattice(self) -> FlatLattice:
         """Every flat, as the closure of an independent set of its rank.

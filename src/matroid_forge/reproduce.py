@@ -316,18 +316,18 @@ def _check_properties(ctx: _Ctx):
     fam = ctx.family()
     free3 = matroid_from_flats(3, 3, [])
     p_simple, _ = simplify(contract(n, (6,)))
+    n_truncated = truncation(n)
     failures: list[str] = []
     for matroid in (fano_matroid(), non_fano_matroid(), free3, p_simple, m, n):
-        failures += properties.closure_axiom_failures(matroid)
-        failures += properties.rank_axiom_failures(matroid)
+        failures += properties.rank_and_closure_failures(matroid)
     for matroid in (m, n, fano_matroid(), non_fano_matroid(), p_simple,
-                    truncation(n)):
+                    n_truncated):
         failures += properties.exchange_failures(matroid)
     failures += properties.erection_family_failures(fam)
     for name in ("A.matrix", "yuzvinsky_a1.matrix", "yuzvinsky_a2.matrix",
                  "fano.gf2.matrix", "fano.gf3.matrix"):
         failures += properties.formalization_quotient_failures(ctx.matrix(name))
-    failures += properties.quotient_order_failures([m, n, truncation(n)])
+    failures += properties.quotient_order_failures([m, n, n_truncated])
     failures += properties.minor_commutation_failures(m)
     if failures:
         return False, failures[0]

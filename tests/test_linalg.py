@@ -371,6 +371,44 @@ def test_weight3_matches_subset_kernels_on_wide_and_ladder_matrices(
     assert all(is_formal(a) for a in matrices[150:160])
 
 
+def seeded_giant_matrix(seed):
+    """P A D for a seeded wide rational A: P unit upper triangular with
+    100-digit entries, D a diagonal of 100- to 300-digit fractions.  Both
+    keep every dependency, so columns lie on lines and off them as in A,
+    but the echelon rows carry hundreds of digits."""
+    a = seeded_wide_matrix(len(WEIGHT3_FIELDS) * seed)
+    assert a.field == Rationals()
+    rng = random.Random(f"giant wide:{seed}")
+
+    def digits(low):
+        return rng.randrange(10 ** (low - 1), 10 ** rng.randint(low, 300))
+
+    p = [[0] * i + [1] + [digits(100) for _ in range(a.rows - 1 - i)]
+         for i in range(a.rows)]
+    d = [Fraction(rng.choice((1, -1)) * digits(100), digits(100)) for _ in range(a.cols)]
+    return ExactMatrix.build(Rationals(), [
+        [sum(p[i][k] * a.entries[k][j] for k in range(a.rows)) * d[j]
+         for j in range(a.cols)] for i in range(a.rows)])
+
+
+def test_weight3_matches_subset_kernels_on_giant_rationals():
+    """Columns are tested on a line modulo a word-size prime first; only
+    the exact products decide, so answers stay those of the subset kernels,
+    also where a minor is a nonzero multiple of that prime."""
+    q = linalg._SIEVE
+    matrices = [seeded_giant_matrix(seed) for seed in range(12)]
+    matrices += [ExactMatrix.build(Rationals(), [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, c]])
+                 for c in (q, -q, 3 * q, 0)]
+    dims = Counter()
+    for a in matrices:
+        got, want = weight3_subspace(a), oracles.reference_weight3_subspace(a)
+        assert (got.vectors, got.pivots) == (want.vectors, want.pivots), a.entries
+        dims[(got.dim > 0, got.dim == a.cols - a.rank())] += 1
+    assert min(len(str(abs(v.numerator))) for v in matrices[0].entries[0] if v) >= 100
+    assert [weight3_subspace(a).dim for a in matrices[-4:]] == [0, 0, 0, 1]
+    assert dims[(True, True)] and dims[(True, False)] and dims[(False, False)]
+
+
 def seeded_fraction_matrix(seed):
     """1-4 rows of small fractions, some rows repeated up to a factor or zero."""
     rng = random.Random(f"fractions:{seed}")

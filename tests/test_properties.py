@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from itertools import chain, combinations, islice
 from types import SimpleNamespace
 
@@ -13,8 +14,10 @@ from matroid_forge.erection import ErectionFamily
 from matroid_forge.errors import ValidationError
 from matroid_forge.matroid import RANK_TABLE_LIMIT, Matroid, exchange_failure, truncation
 from matroid_forge.minors import fano_matroid, non_fano_matroid
+from matroid_forge.reproduce import run_reproduce
 
-from hosts import CORPUS_HOSTS, gfp_column_matroid, host, singer_lines, uniform
+from hosts import (
+    CORPUS_HOSTS, TABLE_HOSTS, fresh, gfp_column_matroid, host, singer_lines, uniform)
 import oracles
 
 
@@ -40,13 +43,19 @@ def test_rank_axioms_exhaustive(small_corpus):
 
 
 class TableSetFunction:
-    """A duck-typed rank oracle: any integer set function given as a table."""
+    """A duck-typed rank oracle: any integer set function given as a table,
+    with cl(X) = X + {e : r(X+e) = r(X)} as its closure."""
 
     def __init__(self, n, rank, values):
         self.n, self.rank, self.values = n, rank, values
 
     def rank_of_mask(self, x):
         return self.values[x]
+
+    def ranks_and_closures(self):
+        v = self.values
+        return v, [x | sum(1 << e for e in range(self.n) if v[x | 1 << e] == v[x])
+                   for x in range(len(v))]
 
 
 def _bumped_truncations(count, seed):
@@ -63,7 +72,7 @@ def _bumped_truncations(count, seed):
 
 def assert_lanes_match_walk(f):
     """The byte-lane verdict equals the subset walk's; returns the walk's list."""
-    ranks = list(map(f.rank_of_mask, range(1 << f.n)))
+    ranks = f.ranks_and_closures()[0]
     walk = properties._rank_walk(ranks, f.n, f.rank)
     assert properties._lanes_accept(ranks, f.n, f.rank) == (walk == []), ranks
     assert properties.rank_axiom_failures(f) == walk
@@ -135,13 +144,21 @@ def test_rank_detects_non_matroid():
 
 
 def test_closure_battery_computes_each_closure_once(small_corpus):
+    """Each battery reads the tables once and asks for no single subset."""
+    def per_query(x):
+        raise AssertionError("a battery asked for one subset")
+
     for m in small_corpus:
-        calls = []
+        reads = []
         counting = SimpleNamespace(
-            n=m.n, rank=m.rank, rank_of_mask=m.rank_of_mask,
-            closure_mask=lambda x, m=m: calls.append(x) or m.closure_mask(x))
-        assert properties.closure_axiom_failures(counting) == []
-        assert len(calls) == len(set(calls)) <= 1 << m.n
+            n=m.n, rank=m.rank, rank_of_mask=per_query, closure_mask=per_query,
+            ranks_and_closures=lambda m=m: reads.append(m) or m.ranks_and_closures())
+        for battery in (properties.closure_axiom_failures,
+                        properties.rank_axiom_failures,
+                        properties.rank_and_closure_failures):
+            reads.clear()
+            assert battery(counting) == []
+            assert reads == [m]
 
 
 def test_axioms_exhaustive_on_bundled(rank3_matroid, rank4_matroid):
@@ -314,11 +331,11 @@ def _perturbed_closures(count, seed):
     hosts = [uniform(2, 4), uniform(3, 5), uniform(2, 5), fano_matroid()]
     for _ in range(count):
         m = rng.choice(hosts)
-        table = [m.closure_mask(x) for x in range(1 << m.n)]
+        ranks, table = m.ranks_and_closures()
         for _ in range(rng.randint(1, 2)):
             table[rng.randrange(1 << m.n)] ^= 1 << rng.randrange(m.n)
-        yield SimpleNamespace(n=m.n, rank=m.rank, rank_of_mask=m.rank_of_mask,
-                              closure_mask=table.__getitem__)
+        yield SimpleNamespace(n=m.n, rank=m.rank,
+                              ranks_and_closures=lambda t=(ranks, table): t)
 
 
 def _digest(lists):
@@ -359,13 +376,72 @@ def test_closure_lanes_accept_only_what_the_walk_accepts():
                    for n, rank, family in _random_families(2000, seed=8)))
     verdicts = set()
     for m in fakes:
-        ranks, closures = properties._closure_tables(m)
+        ranks, closures = m.ranks_and_closures()
         accepted = (properties._lanes_accept(ranks, m.n, m.rank)
                     and properties._closure_lanes_match(closures, ranks, m.n))
         walk = properties._closure_walk(closures, ranks, m.n)
         assert accepted == (walk == []), (m.n, list(closures))
         verdicts.add(accepted)
     assert verdicts == {False, True}
+
+
+# -- the batteries' one read ------------------------------------------------------
+
+def _per_query(m):
+    masks = range(m.full + 1)
+    return list(map(m.rank_of_mask, masks)), list(map(m.closure_mask, masks))
+
+
+@pytest.mark.parametrize("name", TABLE_HOSTS)
+def test_one_read_equals_the_per_query_methods(name):
+    """Every table host (the census hosts and bundled M and N among them)."""
+    m = fresh(name)
+    assert m.ranks_and_closures() == _per_query(m)
+
+
+def test_one_read_equals_the_per_query_methods_on_families():
+    families = [Matroid(n, rank, family, _validated=True)
+                for n, rank, family in _random_families(400, seed=21)]
+    assert any(exchange_failure(m) is not None for m in families)
+    for m in families:
+        assert m.ranks_and_closures() == _per_query(m), m.basis_masks
+
+
+def test_one_read_equals_the_per_query_methods_above_table_limit():
+    m = fresh("gf5-17-2")
+    assert m.n > RANK_TABLE_LIMIT
+    assert m.ranks_and_closures() == _per_query(m)
+    assert m._greedy is None
+
+
+def test_reproduce_reads_each_battery_matroid_once(monkeypatch):
+    """The six rank and closure battery matroids are read once each, and
+    inside the batteries nothing asks for a single subset."""
+    reads, asked, inside = Counter(), [], []
+    reader = Matroid.ranks_and_closures
+
+    def counting(m):
+        reads[m] += 1
+        return reader(m)
+    monkeypatch.setattr(Matroid, "ranks_and_closures", counting)
+    for name in ("rank_of_mask", "closure_mask"):
+        def query(m, x, original=getattr(Matroid, name), name=name):
+            if inside:
+                asked.append(name)
+            return original(m, x)
+        monkeypatch.setattr(Matroid, name, query)
+    battery = properties.rank_and_closure_failures
+
+    def marked(m):
+        inside.append(m)
+        try:
+            return battery(m)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(properties, "rank_and_closure_failures", marked)
+    assert run_reproduce().overall
+    assert sorted(reads.values()) == [1] * 6
+    assert asked == []
 
 
 def test_minor_commutation(rank3_matroid):
