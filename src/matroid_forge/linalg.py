@@ -399,11 +399,6 @@ def realizes(a: ExactMatrix, m: Matroid) -> bool:
     return column_matroid(a) == m
 
 
-# weight3_subspace tests each column modulo this prime first over Q; below
-# 2^30, each residue is one digit of a Python int
-_SIEVE = 1073741789
-
-
 @_memoized
 def weight3_subspace(a: ExactMatrix) -> RelationSpace:
     """Span of the kernel vectors with at most three nonzero entries.
@@ -416,13 +411,7 @@ def weight3_subspace(a: ExactMatrix) -> RelationSpace:
     dependent); for every other column x, Cramer's rule gives
     u = det[c_x c_j] and v = det[c_i c_x] on those rows, and x is on the
     line exactly when d c_x = u c_i + v c_j on the other r - 2 rows (zero
-    and parallel columns too).  On row k that residual is the 3 x 3 minor
-    of c_i, c_j, c_x on rows s, t, k, linear in c_x with cofactors found
-    once per pair.  Over Q it is first taken modulo the prime _SIEVE, on
-    residues of the rows: a nonzero residue proves x off the line, so only
-    a column that passes meets the exact products, whose factors can be
-    thousands of digits long.  Over GF(p) the residue test is the test.
-    Each relation u e_i + v e_j - d e_x, times
+    and parallel columns too).  Each relation u e_i + v e_j - d e_x, times
     the column scales, joins a running reduced-echelon basis; once that
     reaches dimension cols - rank the relations fill the kernel.
     """
@@ -433,9 +422,6 @@ def weight3_subspace(a: ExactMatrix) -> RelationSpace:
         return kernel_basis(a)
     rows, scales, p = _integer_rows(f, reduced, n)
     cols = list(zip(*rows))
-    q = p or _SIEVE
-    half = q // 2
-    residues = cols if p else [[(v + half) % q - half for v in c] for c in cols]
     basis: dict[int, list[int]] = {}
     covered: set[tuple[int, int]] = set()
     for i, j in combinations(range(n), 2):
@@ -453,21 +439,15 @@ def weight3_subspace(a: ExactMatrix) -> RelationSpace:
                 break
         else:
             continue
-        # the residual d c_x - u c_i - v c_j on row k, modulo q, is
-        # d c_x[k] + b c_x[s] + c c_x[t]
-        ri, rj, dq = residues[i], residues[j], d % q
-        sieve = [(k, ri[t] * rj[k] - rj[t] * ri[k], rj[s] * ri[k] - ri[s] * rj[k])
-                 for k in range(rank) if k != s and k != t]
+        others = [k for k in range(rank) if k != s and k != t]
         line = [i, j]
-        for x, rx in enumerate(residues):
+        for x, cx in enumerate(cols):
             if x == i or x == j:
                 continue
-            if any((dq * rx[k] + b * rx[s] + c * rx[t]) % q for k, b, c in sieve):
-                continue
-            cx = cols[x]
             u = cx[s] * cj[t] - cj[s] * cx[t]
             v = ci[s] * cx[t] - cx[s] * ci[t]
-            if not p and any(d * cx[k] != u * ci[k] + v * cj[k] for k, _, _ in sieve):
+            if any((d * cx[k] - u * ci[k] - v * cj[k]) % p if p
+                   else d * cx[k] != u * ci[k] + v * cj[k] for k in others):
                 continue
             line.append(x)
             relation = [0] * n

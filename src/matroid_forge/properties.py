@@ -68,8 +68,12 @@ def rank_and_closure_failures(m: Matroid) -> list[str]:
     it accepts :func:`_closure_lanes_match` checks the closures against
     the same ranks.  Only a table the lanes reject is walked.
     """
-    closure, rank = _batteries(m)
-    return closure + rank
+    ranks, closures = m.ranks_and_closures()
+    if not _lanes_accept(ranks, m.n, m.rank):
+        return _closure_walk(closures, ranks, m.n) + _rejected_rank_walk(ranks, m.n, m.rank)
+    if _closure_lanes_match(closures, ranks, m.n):
+        return []
+    return _closure_walk(closures, ranks, m.n)
 
 
 def closure_axiom_failures(m: Matroid) -> list[str]:
@@ -84,21 +88,10 @@ def closure_axiom_failures(m: Matroid) -> list[str]:
     :func:`_closure_walk` visits the subsets in order on the same two
     tables and names what fails.
     """
-    return _batteries(m)[0]
-
-
-def _batteries(m: Matroid) -> tuple[list[str], list[str]]:
-    """The closure and the rank battery's failures, from one table read."""
     ranks, closures = m.ranks_and_closures()
-    if _lanes_accept(ranks, m.n, m.rank):
-        if _closure_lanes_match(closures, ranks, m.n):
-            return [], []
-        return _closure_walk(closures, ranks, m.n), []
-    rank = _rank_walk(ranks, m.n, m.rank)
-    if not rank:
-        raise AssertionError("the byte lanes reject a rank function "
-                             "the walk accepts")
-    return _closure_walk(closures, ranks, m.n), rank
+    if _lanes_accept(ranks, m.n, m.rank) and _closure_lanes_match(closures, ranks, m.n):
+        return []
+    return _closure_walk(closures, ranks, m.n)
 
 
 def _closure_lanes_match(closures: list[int], ranks: list[int], n: int) -> bool:
@@ -176,7 +169,8 @@ def _closure_walk(closures: list[int], ranks: list[int], n: int) -> list[str]:
 def rank_axiom_failures(m: Matroid) -> list[str]:
     """Bounds, unit increase, and submodularity of the rank function.
 
-    The check is exhaustive but local: the 2^n ranks are read once, and
+    The check is exhaustive but local: the 2^n ranks are read once
+    (:meth:`Matroid.ranks_and_closures`; its closures go unused), and
     for every X and distinct e, f outside X it checks
     0 <= r(X) <= min(|X|, rank), r(X+e) - r(X) in {0, 1} and
     r(X+e) + r(X+f) >= r(X+e+f) + r(X).  The local inequality for all X, e, f
@@ -188,7 +182,19 @@ def rank_axiom_failures(m: Matroid) -> list[str]:
     name its first failure.  A failure names the pair (X+e, X+f), which
     breaks the global inequality too.
     """
-    return _batteries(m)[1]
+    ranks = m.ranks_and_closures()[0]
+    if _lanes_accept(ranks, m.n, m.rank):
+        return []
+    return _rejected_rank_walk(ranks, m.n, m.rank)
+
+
+def _rejected_rank_walk(ranks: list[int], n: int, rank: int) -> list[str]:
+    """:func:`_rank_walk` on ranks the byte lanes reject, which must name a failure."""
+    failures = _rank_walk(ranks, n, rank)
+    if not failures:
+        raise AssertionError("the byte lanes reject a rank function "
+                             "the walk accepts")
+    return failures
 
 
 def _lanes_accept(ranks: list[int], n: int, rank: int) -> bool:

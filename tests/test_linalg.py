@@ -392,10 +392,10 @@ def seeded_giant_matrix(seed):
 
 
 def test_weight3_matches_subset_kernels_on_giant_rationals():
-    """Columns are tested on a line modulo a word-size prime first; only
-    the exact products decide, so answers stay those of the subset kernels,
-    also where a minor is a nonzero multiple of that prime."""
-    q = linalg._SIEVE
+    """The subset kernels' answers on rationals of hundreds of digits.  The
+    last four matrices have one 3 x 3 minor, 0 or a nonzero multiple of the
+    prime q = 2^30 - 35, which a line test modulo q alone would misread."""
+    q = (1 << 30) - 35
     matrices = [seeded_giant_matrix(seed) for seed in range(12)]
     matrices += [ExactMatrix.build(Rationals(), [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, c]])
                  for c in (q, -q, 3 * q, 0)]
