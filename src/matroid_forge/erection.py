@@ -125,7 +125,7 @@ def is_k_closed(m: Matroid, x, k: int) -> bool:
     return _k_closed_hull(_closure_index(m, k), xmask) == xmask
 
 
-def spanning_k_closed_masks(m: Matroid, k: int, *, proper_only: bool = True) -> tuple[int, ...]:
+def spanning_k_closed_masks(m: Matroid, k: int) -> tuple[int, ...]:
     if m.n > EXHAUSTIVE_LIMIT:
         raise GroundSetTooLarge(
             f"exhaustive scan caps at {EXHAUSTIVE_LIMIT} elements, got {m.n}")
@@ -135,11 +135,9 @@ def spanning_k_closed_masks(m: Matroid, k: int, *, proper_only: bool = True) -> 
     # NextClosure (Ganter 1984): each k-closed set once, in lectic order.
     # A candidate is canonical when its hull adds no element below i.
     x = _k_closed_hull(index, 0)
-    while True:
-        if (x != full or not proper_only) and m.closure_mask(x) == full:
+    while x != full:
+        if m.closure_mask(x) == full:
             out.append(x)
-        if x == full:
-            break
         for i in range(m.n - 1, -1, -1):
             bit = 1 << i
             if x & bit:
@@ -152,18 +150,16 @@ def spanning_k_closed_masks(m: Matroid, k: int, *, proper_only: bool = True) -> 
     return sort_masks(out)
 
 
-def spanning_k_closed_sets(m: Matroid, k: int, *, proper_only: bool = True
-                           ) -> tuple[tuple[int, ...], ...]:
-    """All spanning k-closed subsets of the ground set, canonically sorted.
+def spanning_k_closed_sets(m: Matroid, k: int) -> tuple[tuple[int, ...], ...]:
+    """All proper spanning k-closed subsets of the ground set, canonically sorted.
 
     The k-closed sets are the closed sets of the hull operator, so
     NextClosure lists each of them once, never visiting the other subsets.
     The output itself can have 2^n sets (every subset of U(2, n) is
-    1-closed), so n stays capped at 20.  With ``proper_only`` the full
-    ground set itself is excluded.
+    1-closed), so n stays capped at 20.  The full ground set, always
+    spanning and k-closed, is left out.
     """
-    return tuple(elements_of(x)
-                 for x in spanning_k_closed_masks(m, k, proper_only=proper_only))
+    return tuple(elements_of(x) for x in spanning_k_closed_masks(m, k))
 
 
 def check_erection_blocks(m: Matroid, family) -> ErectionCheck:
@@ -275,7 +271,7 @@ def enumerate_erections(m: Matroid, *, budget: int | None = None) -> ErectionFam
     matroids.
     """
     _require_erectable(m)
-    candidates = spanning_k_closed_masks(m, m.rank - 1, proper_only=True)
+    candidates = spanning_k_closed_masks(m, m.rank - 1)
     if not candidates:  # then no basis is held, so nothing but m erects
         return ErectionFamily(m, (m,))
     # a basis is held by the candidates that hold each of its elements

@@ -819,9 +819,8 @@ def are_isomorphic(m1: Matroid, m2: Matroid) -> PointedMap | None:
     return None
 
 
-def relabel(m: Matroid, pmap: PointedMap, n_target: int | None = None) -> Matroid:
+def relabel(m: Matroid, pmap: PointedMap) -> Matroid:
     """Apply a PointedMap to every element: element e becomes pmap(e)."""
-    n = n_target if n_target is not None else m.n
     image = mask_mapper([1 << pmap(e) for e in range(m.n)])
     new_bases = [image(b) for b in m.basis_masks]
-    return Matroid(n, m.rank, new_bases, _validated=True)
+    return Matroid(m.n, m.rank, new_bases, _validated=True)

@@ -243,7 +243,7 @@ def replay_witness(host: Matroid, target: Matroid, w: MinorWitness) -> bool:
     else:
         drop = mask_of(i for i in range(simple.n) if i not in kept)
         restricted = delete(simple, drop)
-    mapped = relabel(restricted, w.iso, target.n)
+    mapped = relabel(restricted, w.iso)
     return mapped == target
 
 

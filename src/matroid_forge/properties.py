@@ -2,21 +2,19 @@
 
 Each function returns a list of human-readable failure strings (empty means
 clean), so the same battery can run inside the reproduction report and the
-test suite.  The rank and closure batteries are exhaustive, and both run
-word-parallel: one big-int operation checks a condition on all 2^n
-subsets at once, each subset's value held in a lane of the int.  Both
-read one table pair, :meth:`Matroid.ranks_and_closures`, the 2^n ranks
-and the 2^n closures read in C, and :func:`rank_and_closure_failures`
-runs the two on that one read with one pass of the rank lanes.  The rank
-battery checks submodularity locally,
+test suite.  :func:`rank_and_closure_failures` is the one rank and closure
+battery.  It is exhaustive and runs word-parallel: one big-int operation
+checks a condition on all 2^n subsets at once, each subset's value held in
+a lane of the int.  It reads one table pair,
+:meth:`Matroid.ranks_and_closures`, the 2^n ranks and the 2^n closures read
+in C.  The rank side checks submodularity locally,
 r(X+e) + r(X+f) >= r(X+e+f) + r(X) for every X and distinct e, f outside
 it, which is equivalent to the inequality for all pairs, with each rank
-packed one byte per subset.  The closure battery accepts when the rank
-lanes do and every closure is X plus the e with r(X+e) = r(X), a few
-big-int operations per element.  Together they take about 1.2 ms at
-n = 13 (CPython 3.11, one AMD EPYC core), where apart, each with its own
-read, they took 0.75 and 1.85 ms, and the subset-by-subset walks 65-100
-and about 50 ms.  A battery walks subset by subset only when its lanes
+packed one byte per subset.  The closure side accepts when the rank lanes
+do and every closure is X plus the e with r(X+e) = r(X), a few big-int
+operations per element.  Both take about 1.2 ms at n = 13 (CPython 3.11,
+one AMD EPYC core), where the subset-by-subset walks took 65-100 and
+about 50 ms.  The battery walks subset by subset only when its lanes
 reject, to name the first failure.
 """
 
@@ -25,8 +23,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from functools import partial, reduce
-from itertools import islice
+from functools import reduce
 from operator import and_, or_
 
 from .bitsets import format_set, full_mask, iter_elements, mask_of
@@ -42,7 +39,6 @@ from .matroid import (
     Matroid,
     contract,
     delete,
-    exchange_failure,
     is_quotient,
     is_weak_map_image,
     removal_map,
@@ -50,48 +46,30 @@ from .matroid import (
 )
 
 
-def _draws(rng: random.Random, full: int):
-    """Endless uniform subsets of ``full`` = 2^n - 1, drawn in C.
-
-    ``rng.randrange(full + 1)`` draws n + 1 random bits until the value is
-    at most ``full``; this is the same loop, so it yields the same values
-    and leaves ``rng`` in the same state.
-    """
-    return filter(full.__ge__, iter(partial(rng.getrandbits, full.bit_length() + 1), -1))
-
-
 def rank_and_closure_failures(m: Matroid) -> list[str]:
-    """The closure battery's failures, then the rank battery's, on one read.
+    """The closure axioms' failures, then the rank axioms', on one read.
 
     :meth:`Matroid.ranks_and_closures` reads the 2^n ranks and the 2^n
-    closures once, :func:`_lanes_accept` runs once on the ranks, and when
-    it accepts :func:`_closure_lanes_match` checks the closures against
-    the same ranks.  Only a table the lanes reject is walked.
+    closures once, and :func:`_lanes_accept` runs once on the ranks.  When
+    the lanes accept, r is a matroid's rank function, and
+    :func:`_closure_lanes_match` checks in all lanes at once that
+    cl(X) = X + {e : r(X+e) = r(X)}.  Then cl is a matroid's closure,
+    which is extensive, idempotent, monotone, keeps rank and has exchange,
+    so there is nothing to report.  Otherwise :func:`_closure_walk` visits
+    the subsets in order on the same two tables and names what fails, and
+    when the lanes reject the ranks, :func:`_rank_walk` names the rank
+    function's first failure, which it must find.
     """
     ranks, closures = m.ranks_and_closures()
-    if not _lanes_accept(ranks, m.n, m.rank):
-        return _closure_walk(closures, ranks, m.n) + _rejected_rank_walk(ranks, m.n, m.rank)
-    if _closure_lanes_match(closures, ranks, m.n):
-        return []
-    return _closure_walk(closures, ranks, m.n)
-
-
-def closure_axiom_failures(m: Matroid) -> list[str]:
-    """Extensive, monotone, idempotent closure plus the exchange property,
-    on every subset.
-
-    When the byte lanes accept the ranks (:func:`_lanes_accept`), r is a
-    matroid's rank function, and :func:`_closure_lanes_match` checks in all
-    lanes at once that cl(X) = X + {e : r(X+e) = r(X)}.  Then cl is a
-    matroid's closure, which is extensive, idempotent, monotone, keeps rank
-    and has exchange, so there is nothing to report.  Otherwise
-    :func:`_closure_walk` visits the subsets in order on the same two
-    tables and names what fails.
-    """
-    ranks, closures = m.ranks_and_closures()
-    if _lanes_accept(ranks, m.n, m.rank) and _closure_lanes_match(closures, ranks, m.n):
-        return []
-    return _closure_walk(closures, ranks, m.n)
+    if _lanes_accept(ranks, m.n, m.rank):
+        if _closure_lanes_match(closures, ranks, m.n):
+            return []
+        return _closure_walk(closures, ranks, m.n)
+    rank_failures = _rank_walk(ranks, m.n, m.rank)
+    if not rank_failures:
+        raise AssertionError("the byte lanes reject a rank function "
+                             "the walk accepts")
+    return _closure_walk(closures, ranks, m.n) + rank_failures
 
 
 def _closure_lanes_match(closures: list[int], ranks: list[int], n: int) -> bool:
@@ -166,39 +144,14 @@ def _closure_walk(closures: list[int], ranks: list[int], n: int) -> list[str]:
     return failures
 
 
-def rank_axiom_failures(m: Matroid) -> list[str]:
-    """Bounds, unit increase, and submodularity of the rank function.
-
-    The check is exhaustive but local: the 2^n ranks are read once
-    (:meth:`Matroid.ranks_and_closures`; its closures go unused), and
-    for every X and distinct e, f outside X it checks
-    0 <= r(X) <= min(|X|, rank), r(X+e) - r(X) in {0, 1} and
-    r(X+e) + r(X+f) >= r(X+e+f) + r(X).  The local inequality for all X, e, f
-    is equivalent to submodularity for all pairs (Schrijver, *Combinatorial
-    Optimization*, §44.1), and costs C(n,2) 2^(n-2) comparisons instead
-    of 4^n pairs.  Those comparisons run in byte lanes (see
-    :func:`_lanes_accept`), a few big-int operations per element and per
-    pair; only a rank function they reject is walked subset by subset, to
-    name its first failure.  A failure names the pair (X+e, X+f), which
-    breaks the global inequality too.
-    """
-    ranks = m.ranks_and_closures()[0]
-    if _lanes_accept(ranks, m.n, m.rank):
-        return []
-    return _rejected_rank_walk(ranks, m.n, m.rank)
-
-
-def _rejected_rank_walk(ranks: list[int], n: int, rank: int) -> list[str]:
-    """:func:`_rank_walk` on ranks the byte lanes reject, which must name a failure."""
-    failures = _rank_walk(ranks, n, rank)
-    if not failures:
-        raise AssertionError("the byte lanes reject a rank function "
-                             "the walk accepts")
-    return failures
-
-
 def _lanes_accept(ranks: list[int], n: int, rank: int) -> bool:
     """Does the exhaustive local rank battery pass, checked in byte lanes?
+
+    The battery checks 0 <= r(X) <= min(|X|, rank), r(X+e) - r(X) in
+    {0, 1} and r(X+e) + r(X+f) >= r(X+e+f) + r(X) for every X and distinct
+    e, f outside X.  The local inequality for all X, e, f is equivalent to
+    submodularity for all pairs (Schrijver, *Combinatorial Optimization*,
+    §44.1), and costs C(n,2) 2^(n-2) comparisons instead of 4^n pairs.
 
     Byte X of one int holds r(X) (Lamport, "Multiple byte processing with
     full-word instructions", 1975), so one big-int operation compares all
@@ -247,7 +200,11 @@ def _lanes_accept(ranks: list[int], n: int, rank: int) -> bool:
 
 
 def _rank_walk(ranks: list[int], n: int, rank: int) -> list[str]:
-    """The exhaustive local rank battery, subset by subset: [] or the first failure."""
+    """The exhaustive local rank battery, subset by subset: [] or the first failure.
+
+    A submodularity failure names the pair (X+e, X+f), which breaks the
+    global inequality too.
+    """
     bits = [1 << e for e in range(n)]
     for x, rx in enumerate(ranks):
         if not 0 <= rx <= min(x.bit_count(), rank):
@@ -265,23 +222,17 @@ def _rank_walk(ranks: list[int], n: int, rank: int) -> list[str]:
     return []
 
 
-def exchange_failures(m: Matroid) -> list[str]:
-    """The matroid certificate as a list: [] or its one basis-exchange message."""
-    failure = exchange_failure(m)
-    return [] if failure is None else [failure]
-
-
-def minor_commutation_failures(m: Matroid, *, samples: int = 30,
-                               seed: int = 0xD7) -> list[str]:
-    """(M/X) - Y equals (M - Y)/X for sampled disjoint X, Y.
+def minor_commutation_failures(m: Matroid) -> list[str]:
+    """(M/X) - Y equals (M - Y)/X for 30 sampled disjoint X, Y.
 
     Both orders remove the same elements, so after the order-preserving
     re-indexings the two results must be canonically equal.
     """
     failures = []
     full = full_mask(m.n)
-    draws = _draws(random.Random(seed), full)
-    for a, b, c, d in islice(zip(draws, draws, draws, draws), samples):
+    rng = random.Random(0xD7)
+    for _ in range(30):
+        a, b, c, d = (rng.randrange(full + 1) for _ in range(4))
         x = a & b
         y = c & d & ~x
         if x | y == full or (x | y) == 0:

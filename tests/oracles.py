@@ -344,16 +344,14 @@ def reference_is_k_closed(table, x):
     return all(cl & ~x == 0 for s, cl in table if s & ~x == 0)
 
 
-def reference_census(m, k, *, proper_only=True):
-    """Spanning k-closed sets by NextClosure over full-table fixpoint hulls."""
+def reference_census(m, k):
+    """Proper spanning k-closed sets by NextClosure over full-table fixpoint hulls."""
     table = closure_table(m, k)
     out = []
     x = reference_k_closed_hull(table, 0)
-    while True:
-        if (x != m.full or not proper_only) and m.closure_mask(x) == m.full:
+    while x != m.full:
+        if m.closure_mask(x) == m.full:
             out.append(x)
-        if x == m.full:
-            return sort_masks(out)
         for i in range(m.n - 1, -1, -1):
             bit = 1 << i
             if x & bit:
@@ -363,6 +361,7 @@ def reference_census(m, k, *, proper_only=True):
             if y & (bit - 1) == below:
                 x = y
                 break
+    return sort_masks(out)
 
 
 def census_by_scan(m, k):

@@ -22,6 +22,7 @@ from matroid_forge.matroid import (
     are_isomorphic,
     contract,
     delete,
+    exchange_failure,
     removal_map,
     simplify,
     truncation,
@@ -182,5 +183,5 @@ def test_criterion_11_non_freeness(capsys, report, rank3_matroid):
 
 def test_criterion_12_property_suites(capsys, report, erection_family):
     facts = (properties.erection_family_failures(erection_family) == []
-             and properties.exchange_failures(fano_matroid()) == [])
+             and exchange_failure(fano_matroid()) is None)
     verdict(capsys, report, 12, "property-suites", facts)

@@ -53,8 +53,6 @@ def test_spanning_k_closed_on_four_point_line():
     assert len(sets) == 10
     assert (0, 1) in sets and (0, 1, 2) in sets
     assert (0, 1, 2, 3) not in sets
-    with_full = spanning_k_closed_sets(u24, 1, proper_only=False)
-    assert (0, 1, 2, 3) in with_full
 
 
 def assert_same_masks(got, expected):
@@ -69,8 +67,6 @@ def assert_same_masks(got, expected):
 def assert_census_matches_scan(m):
     for k in range(1, m.rank):
         reference = oracles.census_by_scan(m, k)
-        assert_same_masks(spanning_k_closed_masks(m, k, proper_only=False),
-                          reference)
         assert_same_masks(spanning_k_closed_masks(m, k),
                           tuple(x for x in reference if x != m.full))
 
@@ -139,9 +135,7 @@ def test_census_matches_reference_on_pg25_point_sets(n):
     # k = 1 is left out: on a simple host every subset is 1-closed, so its
     # census is about 2^n sets
     m = pg25_point_set(n, 1)
-    for proper_only in (True, False):
-        assert_same_masks(spanning_k_closed_masks(m, 2, proper_only=proper_only),
-                          oracles.reference_census(m, 2, proper_only=proper_only))
+    assert_same_masks(spanning_k_closed_masks(m, 2), oracles.reference_census(m, 2))
 
 
 def test_exhaustive_scan_caps_ground_set():

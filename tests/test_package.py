@@ -94,15 +94,25 @@ def _referenced_anywhere(trees):
         for tree in trees))
 
 
-def test_private_definitions_are_referenced():
+def _unreferenced_definitions(selected):
+    """Selected top-level functions and classes that no source module reads;
+    a name in ``__all__`` counts as read (see :func:`_referenced_names`)."""
     trees = _parsed_sources()
     referenced = _referenced_anywhere(trees.values())
-    dead = [f"{name}: {node.name}"
+    return [f"{name}: {node.name}"
             for name, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")
-            and node.name not in referenced]
-    assert dead == []
+            and selected(node.name) and node.name not in referenced]
+
+
+def test_private_definitions_are_referenced():
+    assert _unreferenced_definitions(
+        lambda name: name.startswith("_") and not name.startswith("__")) == []
+
+
+def test_public_definitions_are_exported_or_referenced():
+    """A public function or class that only tests call is a second code path."""
+    assert _unreferenced_definitions(lambda name: not name.startswith("_")) == []
 
 
 def _top_level_names(tree):

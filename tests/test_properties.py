@@ -3,7 +3,7 @@
 import hashlib
 import random
 from collections import Counter
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from types import SimpleNamespace
 
 import pytest
@@ -27,18 +27,21 @@ def small_corpus():
 
 
 def test_closure_axioms_exhaustive(monkeypatch, small_corpus, rank3_matroid, rank4_matroid):
-    """The lanes accept every matroid, so the subset walk never runs."""
+    """The lanes accept every matroid, so neither subset walk runs."""
     def walk(*args):
-        raise AssertionError("the closure walk ran on a matroid")
+        raise AssertionError("a subset walk ran on a matroid")
 
     monkeypatch.setattr(properties, "_closure_walk", walk)
+    monkeypatch.setattr(properties, "_rank_walk", walk)
     for m in small_corpus + [rank3_matroid, rank4_matroid]:
-        assert properties.closure_axiom_failures(m) == []
+        assert properties.rank_and_closure_failures(m) == []
 
 
 def test_rank_axioms_exhaustive(small_corpus):
     for m in small_corpus:
-        assert properties.rank_axiom_failures(m) == []
+        ranks = m.ranks_and_closures()[0]
+        assert properties._lanes_accept(ranks, m.n, m.rank)
+        assert properties._rank_walk(ranks, m.n, m.rank) == []
         assert oracles.reference_rank_axiom_failures(m) == []
 
 
@@ -70,12 +73,23 @@ def _bumped_truncations(count, seed):
         yield TableSetFunction(n, k, values)
 
 
+def assert_battery_is_both_walks(f):
+    """The battery's list is the closure walk's, then the rank walk's;
+    returns it."""
+    ranks, closures = f.ranks_and_closures()
+    failures = properties.rank_and_closure_failures(f)
+    assert failures == (properties._closure_walk(closures, ranks, f.n)
+                        + properties._rank_walk(ranks, f.n, f.rank)), (f.n, list(closures))
+    return failures
+
+
 def assert_lanes_match_walk(f):
-    """The byte-lane verdict equals the subset walk's; returns the walk's list."""
+    """The byte-lane verdict equals the subset walk's, and the battery's
+    list ends with the walk's; returns the walk's list."""
     ranks = f.ranks_and_closures()[0]
     walk = properties._rank_walk(ranks, f.n, f.rank)
     assert properties._lanes_accept(ranks, f.n, f.rank) == (walk == []), ranks
-    assert properties.rank_axiom_failures(f) == walk
+    assert_battery_is_both_walks(f)
     return walk
 
 
@@ -120,7 +134,7 @@ def test_byte_lanes_match_the_walk_on_column_matroids(n, rank, seed):
     against the walk's verdict at that value."""
     m = gfp_column_matroid(5, n, rank, seed)
     assert (m._rank_table() is None) == (n > RANK_TABLE_LIMIT)
-    assert properties.rank_axiom_failures(m) == []
+    assert properties.rank_and_closure_failures(m) == []
     if n == 14:
         assert assert_lanes_match_walk(m) == []
     ranks = list(map(m.rank_of_mask, range(1 << n)))
@@ -139,42 +153,71 @@ def test_rank_detects_non_matroid():
     fake = Matroid(4, 2, [0b0011, 0b1100], _validated=True)
     # rank is the greedy basis size, and the greedy basis of {0,1,2} is
     # {0,1}: X = {2}, e = 0, f = 1 gives r({0,2}) + r({1,2}) = 1 + 1 < 2 + 1
-    assert properties.rank_axiom_failures(fake) == [
+    ranks = fake.ranks_and_closures()[0]
+    assert not properties._lanes_accept(ranks, fake.n, fake.rank)
+    assert properties._rank_walk(ranks, fake.n, fake.rank) == [
         "rank not submodular at {0,2}, {1,2}"]
 
 
+def test_battery_lists_both_sides_on_the_four_element_fake():
+    """The 4-element twin of the 17-element family whose list CI pins."""
+    fake = Matroid(4, 2, [0b0011, 0b1100], _validated=True)
+    assert properties.rank_and_closure_failures(fake) == [
+        "closure not idempotent at {2}", "closure changes rank at {2}",
+        "closure not monotone at {2} + 0", "closure not monotone at {2} + 1",
+        "rank not submodular at {0,2}, {1,2}"]
+
+
+def test_battery_is_the_closure_walk_then_the_rank_walk():
+    """On rejected and accepted inputs alike, lanes or no lanes."""
+    fakes = chain(_bumped_truncations(3000, seed=44),
+                  (Matroid(n, rank, family, _validated=True)
+                   for n, rank, family in _random_families(400, seed=21)),
+                  _perturbed_closures(300, seed=5))
+    verdicts = set()
+    for f in fakes:
+        verdicts.add(assert_battery_is_both_walks(f) == [])
+    assert verdicts == {False, True}
+
+
+def test_battery_names_a_walk_that_contradicts_the_lanes(monkeypatch):
+    monkeypatch.setattr(properties, "_lanes_accept", lambda *args: False)
+    with pytest.raises(AssertionError, match="the byte lanes reject a rank function"):
+        properties.rank_and_closure_failures(uniform(2, 4))
+
+
 def test_closure_battery_computes_each_closure_once(small_corpus):
-    """Each battery reads the tables once and asks for no single subset."""
+    """The battery reads the tables once and asks for no single subset."""
     def per_query(x):
-        raise AssertionError("a battery asked for one subset")
+        raise AssertionError("the battery asked for one subset")
 
     for m in small_corpus:
         reads = []
         counting = SimpleNamespace(
             n=m.n, rank=m.rank, rank_of_mask=per_query, closure_mask=per_query,
             ranks_and_closures=lambda m=m: reads.append(m) or m.ranks_and_closures())
-        for battery in (properties.closure_axiom_failures,
-                        properties.rank_axiom_failures,
-                        properties.rank_and_closure_failures):
-            reads.clear()
-            assert battery(counting) == []
-            assert reads == [m]
+        assert properties.rank_and_closure_failures(counting) == []
+        assert reads == [m]
 
 
 def test_axioms_exhaustive_on_bundled(rank3_matroid, rank4_matroid):
+    """Both subset walks accept M and N, as the lanes do."""
     for m in (rank3_matroid, rank4_matroid):
-        assert properties.closure_axiom_failures(m) == []
-        assert properties.rank_axiom_failures(m) == []
+        ranks, closures = m.ranks_and_closures()
+        assert properties._lanes_accept(ranks, m.n, m.rank)
+        assert properties._closure_lanes_match(closures, ranks, m.n)
+        assert properties._closure_walk(closures, ranks, m.n) == []
+        assert properties._rank_walk(ranks, m.n, m.rank) == []
 
 
 def test_exchange_exhaustive(small_corpus, rank3_matroid, rank4_matroid):
     for m in small_corpus + [rank3_matroid, rank4_matroid]:
-        assert properties.exchange_failures(m) == []
+        assert exchange_failure(m) is None
 
 
 def test_exchange_detects_non_matroid():
     fake = Matroid(4, 2, [0b0011, 0b1100], _validated=True)
-    assert properties.exchange_failures(fake) != []
+    assert exchange_failure(fake) is not None
 
 
 def _families(n, k):
@@ -239,8 +282,6 @@ def test_exchange_certificate_matches_reference(families, all_matroids):
         m = Matroid(n, rank, family, _validated=True)
         expected = oracles.reference_exchange_failure(m)
         assert exchange_failure(m) == expected, family
-        assert properties.exchange_failures(m) == (
-            [] if expected is None else [expected])
         rejected += expected is not None
     if all_matroids:
         assert rejected == 0
@@ -309,20 +350,11 @@ def test_closure_and_lattice_match_the_loop_on_down_closed_families():
     assert rejected > 0
 
 
-@pytest.mark.parametrize("seed", [0xC10, 0xA5, 0xD7])
-def test_draws_repeat_randrange(seed):
-    """The batteries' C-level draws are the subsets randrange would give."""
-    for n in range(1, 21):
-        full = (1 << n) - 1
-        ours, theirs = random.Random(seed), random.Random(seed)
-        drawn = list(islice(properties._draws(ours, full), 200))
-        assert drawn == [theirs.randrange(full + 1) for _ in range(200)], n
-        assert ours.getstate() == theirs.getstate(), n
-
-
 def test_closure_detects_non_matroid():
     fake = Matroid(4, 2, [0b0011, 0b1100], _validated=True)
-    assert properties.closure_axiom_failures(fake) != []
+    ranks, closures = fake.ranks_and_closures()
+    assert not properties._closure_lanes_match(closures, ranks, fake.n)
+    assert properties._closure_walk(closures, ranks, fake.n) != []
 
 
 def _perturbed_closures(count, seed):
@@ -342,14 +374,21 @@ def _digest(lists):
     return hashlib.sha256(repr(lists).encode()).hexdigest()
 
 
+def _closure_battery(m):
+    """The battery's closure side: the closure walk, which is empty exactly
+    where the lanes accept (see the test below)."""
+    ranks, closures = m.ranks_and_closures()
+    return properties._closure_walk(closures, ranks, m.n)
+
+
 def test_closure_failure_lists_are_pinned():
-    """The battery's exact lists, recorded before the per-subset map.
+    """The closure battery's exact lists, recorded before the per-subset map.
 
     A non-extensive subset is reported and skipped without stopping the
     walk, so its list runs on to the next subset that is checked in full.
     """
     fake = Matroid(4, 2, [0b0011, 0b1100], _validated=True)
-    assert properties.closure_axiom_failures(fake) == [
+    assert _closure_battery(fake) == [
         "closure not idempotent at {2}", "closure changes rank at {2}",
         "closure not monotone at {2} + 0", "closure not monotone at {2} + 1"]
     families = [Matroid(n, rank, family, _validated=True)
@@ -361,7 +400,7 @@ def test_closure_failure_lists_are_pinned():
                         "60f07f785e5953d3495990e58d6cf7e7860024ac3a92115330f075a94adc64f0")),
             (perturbed, ((300, 390),
                          "fb91e890e7d90cdaea5918b2c49310d8fceb0b1c8d0f84d892dfa04671026000"))):
-        exhaustive = [properties.closure_axiom_failures(m) for m in ms]
+        exhaustive = [_closure_battery(m) for m in ms]
         assert ((len(ms), sum(map(len, exhaustive))), _digest(exhaustive)) == pins
     assert ["closure not extensive at {0}",
             "closure exchange fails at {1}, e=4, f=0"] in exhaustive
@@ -454,6 +493,34 @@ def test_minor_commutation_detects_a_broken_delete(monkeypatch):
     failures = properties.minor_commutation_failures(fano_matroid())
     assert len(failures) == 1
     assert failures[0].startswith("contract/delete disagree for X=")
+
+
+# the (X, Y) pairs the commutation battery checks on bundled M: 30 samples,
+# each of four randrange draws from random.Random(0xD7)
+M_COMMUTATION_PAIRS = [
+    (17, 580), (1330, 0), (245, 768), (130, 6405), (2115, 512), (2112, 4098),
+    (1248, 256), (2056, 4), (526, 2208), (73, 2690), (17, 1476), (33, 384),
+    (7746, 272), (0, 524), (581, 5378), (129, 32), (1316, 594), (2074, 96),
+    (112, 2432), (2305, 728), (3104, 130), (3072, 296), (32, 272), (577, 3360),
+    (0, 6), (5889, 24), (704, 2336), (264, 4160), (48, 2562), (2308, 1091)]
+
+
+def test_minor_commutation_checks_the_pinned_pairs(monkeypatch):
+    m = host("M")
+    handed = []
+    for name in ("contract", "delete"):
+        def op(a, x, original=getattr(properties, name), name=name):
+            if a is m:
+                handed.append((name, x))
+            return original(a, x)
+        monkeypatch.setattr(properties, name, op)
+    assert properties.minor_commutation_failures(m) == []
+    # each sample hands M its X to contract, then its Y to delete, or,
+    # when Y is empty, X to contract again
+    assert [op for op, _ in handed[::2]] == ["contract"] * 30
+    pairs = [(x, y if op == "delete" else 0)
+             for (_, x), (op, y) in zip(handed[::2], handed[1::2])]
+    assert pairs == M_COMMUTATION_PAIRS
 
 
 def test_erection_family_properties(erection_family):
