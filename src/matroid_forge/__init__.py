@@ -43,7 +43,6 @@ from .matroid import (
     are_isomorphic,
     contract,
     delete,
-    flats_at,
     is_quotient,
     is_weak_map_image,
     matroid_from_flats,
@@ -85,7 +84,7 @@ __all__ = [
     "column_matroid", "formalization", "is_formal", "kernel_basis",
     "realizes", "weight3_subspace",
     "FlatLattice", "Matroid", "PointedMap", "are_isomorphic", "contract",
-    "delete", "flats_at", "is_quotient", "is_weak_map_image",
+    "delete", "is_quotient", "is_weak_map_image",
     "matroid_from_flats", "removal_map", "simplify", "truncation",
     "MinorWitness", "ObstructionReport", "fano_matroid", "find_minor",
     "non_fano_matroid", "realizability_obstruction",

@@ -24,7 +24,6 @@ from .erection import enumerate_erections, free_erection
 from .errors import MatroidForgeError
 from .formats import load_matrix, load_matroid, serialize_matroid
 from .linalg import _reject_zero_functionals, weight3_subspace
-from .matroid import flats_at
 from .minors import MinorWitness, find_minor, realizability_obstruction
 from .reproduce import run_reproduce
 
@@ -65,7 +64,7 @@ def _cmd_validate(args, budget) -> int:
 
 def _cmd_flats(args, budget) -> int:
     m = load_matroid(args.file)
-    found = flats_at(m, args.rank, min_size=args.min_size)
+    found = m.flats_at(args.rank, min_size=args.min_size)
     if args.json:
         _print_json({"rank": args.rank, "min_size": args.min_size,
                      "flats": [list(f) for f in found]})

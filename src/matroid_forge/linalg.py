@@ -241,10 +241,6 @@ class ExactMatrix(Record):
             raise ValidationError("matrix rows have uneven length")
         return ExactMatrix(field, rows, cols, entries)
 
-    def columns_submatrix(self, indices: Sequence[int]) -> "ExactMatrix":
-        ents = tuple(tuple(row[j] for j in indices) for row in self.entries)
-        return ExactMatrix(self.field, self.rows, len(indices), ents)
-
     def zero_columns(self) -> tuple[int, ...]:
         return tuple(j for j in range(self.cols)
                      if not any(row[j] for row in self.entries))
@@ -286,10 +282,6 @@ class RelationSpace(Record):
     @property
     def dim(self) -> int:
         return len(self.vectors)
-
-    def contains(self, vec: Sequence) -> bool:
-        stacked = self.vectors + (tuple(vec),)
-        return RelationSpace.from_vectors(self.field, self.ambient, stacked).dim == self.dim
 
     def is_subspace_of(self, other: "RelationSpace") -> bool:
         stacked = other.vectors + self.vectors

@@ -5,13 +5,13 @@ the canonically sorted tuple of basis bitmasks.  Everything else — rank
 function, closure, flats, minors — is derived on demand and memoized.  One
 lazily built table carries most of it: each independent set I maps to
 ext(I), the mask of the elements e outside I with I + e independent.  Its
-keys are the independent sets, a closure is one lookup at a greedy basis,
-the flat lattice is one pass over it, and the matroid certificate reads
-the link of each small independent set from it.  A rank query on at most
-RANK_TABLE_LIMIT elements builds a second table from the first: the greedy
-basis of every subset, in 2^n steps.  Rank is the size of a greedy basis
-at every n, so it is the rank function on a matroid and agrees with
-closure on any family.
+keys are the independent sets, and it is the one rank oracle: the rank of
+X is the size of the greedy basis of X, walked through the table, and the
+closure is one more lookup at that basis.  The flat lattice is one pass
+over the table, and the matroid certificate reads the link of each small
+independent set from it.  Rank is the size of a greedy basis at every n,
+so it is the rank function on a matroid and agrees with closure on any
+family.
 
 The representation is deliberately explicit: desk-scale instances
 (n <= 13 in the bundled data, n <= 64 as a hard cap) make enumeration the
@@ -68,8 +68,8 @@ from .errors import (
     charger,
 )
 
-# The 2^n greedy-basis table is built, by the first rank query, up to this
-# ground-set size; above it each rank query walks the greedy basis itself.
+# Matroid.ranks_and_closures builds the greedy basis of every subset by
+# doubling up to this ground-set size; above it each subset walks its own.
 RANK_TABLE_LIMIT = 16
 
 
@@ -174,17 +174,6 @@ class PointedMap(Record):
     def __call__(self, element: int) -> int:
         return self.images[element]
 
-    def apply_set(self, elements: Iterable[int]) -> tuple[int, ...]:
-        return tuple(sorted(self.images[e] for e in elements))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(img == i for i, img in enumerate(self.images))
-
-    @staticmethod
-    def identity(n: int) -> "PointedMap":
-        return PointedMap(tuple(range(n)))
-
 
 class FlatLattice(Record):
     """All flats of a matroid, grouped by rank, masks in canonical order."""
@@ -208,9 +197,9 @@ class FlatLattice(Record):
 class Matroid:
     """An immutable matroid given by its bases.
 
-    Public surface works with element iterables (or raw bitmasks); the
-    ``*_mask`` methods are the internal fast path.  Instances compare equal
-    exactly when ground size, rank and canonical basis list coincide.
+    Ranks and closures are asked for by bitmask (the ``*_mask`` methods);
+    bases and flats are also listed as element tuples.  Instances compare
+    equal exactly when ground size, rank and canonical basis list coincide.
 
     The constructor keeps a basis list that is already distinct and in
     canonical order, which it checks in C; any other list, repeats
@@ -218,7 +207,7 @@ class Matroid:
     all run in C.
     """
 
-    __slots__ = ("n", "rank", "basis_masks", "_ext", "_greedy", "_lattice")
+    __slots__ = ("n", "rank", "basis_masks", "_ext", "_lattice")
 
     def __init__(self, n: int, rank: int, basis_masks: Sequence[int], *,
                  _validated: bool = False):
@@ -239,7 +228,6 @@ class Matroid:
         self.rank = rank
         self.basis_masks = masks
         self._ext = None
-        self._greedy = None
         self._lattice = None
         if not _validated:
             failure = exchange_failure(self)
@@ -294,39 +282,14 @@ class Matroid:
         """Every independent set, as masks: the keys of the extension table."""
         return self._extensions().keys()
 
-    def _rank_table(self) -> list[int] | None:
-        """The greedy basis of every subset, or None above RANK_TABLE_LIMIT.
-
-        Entry X is the basis :meth:`_maximal_independent_mask` walks to:
-        element by element in increasing order, each joins when it extends
-        the basis so far.  So the greedy basis of X + h, for h above every
-        element of X, is G[X] + h when h is in ext(G[X]) and G[X]
-        otherwise, and the entries of the subsets with top element h,
-        2^h..2^(h+1) - 1 in order, are one pass over the first 2^h: 2^n
-        steps in all.
-        """
-        if self.n > RANK_TABLE_LIMIT:
-            return None
-        if self._greedy is None:
-            ext = self._extensions()
-            table = [0]
-            for h in range(self.n):
-                bit = 1 << h
-                table += [g | bit if ext[g] & bit else g for g in table]
-            self._greedy = table
-        return self._greedy
-
     def _maximal_independent_mask(self, x: int) -> int:
         """A basis of x, grown greedily in element order (exact for matroids).
 
         Each step adds the least element of x that extends the basis so far.
         In any down-closed family ext only shrinks as the basis grows, so an
-        element passed over once is never a candidate again.  Once a rank
-        query has built the greedy-basis table, this is one lookup.
+        element passed over once is never a candidate again.  This walk is
+        the one rank and closure oracle: at most rank + 1 lookups per query.
         """
-        table = self._greedy
-        if table is not None:
-            return table[x]
         ext = self._extensions()
         basis = 0
         grow = x & ext[0]
@@ -336,51 +299,47 @@ class Matroid:
         return basis
 
     def rank_of_mask(self, x: int) -> int:
-        """The size of the greedy basis of x (the rank, on a matroid).
-
-        The first query builds the greedy-basis table when n is at most
-        RANK_TABLE_LIMIT; above it each query walks.
-        """
-        self._rank_table()
+        """The size of the greedy basis of x (the rank, on a matroid)."""
         return self._maximal_independent_mask(x).bit_count()
-
-    def rank_of(self, x: Iterable[int] | int) -> int:
-        return self.rank_of_mask(coerce_mask(x, self.n))
 
     # -- closure and flats ----------------------------------------------
 
     def closure_mask(self, x: int) -> int:
         """x plus every e whose addition to a basis of x is dependent.
 
-        One table lookup: outside the greedy basis of x, the elements that
+        One lookup at the greedy basis of x: outside it, the elements that
         keep it independent are exactly those outside the closure.  On any
         down-closed family none of them lies in x, so this is also the
-        per-element definition on families that are not matroids.  The
-        tables are read directly: the erection census asks for one closure
-        per candidate.
+        per-element definition on families that are not matroids.  The walk
+        has built the extension table, which is read directly: the erection
+        census asks for one closure per candidate.
         """
-        ext = self._ext
-        if ext is None:
-            ext = self._extensions()
-        table = self._greedy
-        basis = table[x] if table is not None else self._maximal_independent_mask(x)
-        return ((1 << self.n) - 1) ^ ext[basis]
-
-    def closure_of(self, x: Iterable[int] | int) -> tuple[int, ...]:
-        return elements_of(self.closure_mask(coerce_mask(x, self.n)))
+        basis = self._maximal_independent_mask(x)
+        return ((1 << self.n) - 1) ^ self._ext[basis]
 
     def ranks_and_closures(self) -> tuple[list[int], list[int]]:
         """The rank and the closure of every subset, in subset order.
 
         The same two lookups at a greedy basis G as :meth:`rank_of_mask`
         and :meth:`closure_mask`, |G| and E ^ ext(G), made in C over the
-        greedy-basis table; above RANK_TABLE_LIMIT each subset walks to its
-        greedy basis first.  This is the axiom batteries' one read.
+        greedy bases of all subsets.  Up to RANK_TABLE_LIMIT elements those
+        come from one doubling pass instead of 2^n walks: the walk goes
+        element by element in increasing order, so the greedy basis of
+        X + h, for h above every element of X, is G[X] + h when h is in
+        ext(G[X]) and G[X] otherwise, and the entries of the subsets with
+        top element h, 2^h..2^(h+1) - 1 in order, are one pass over the
+        first 2^h: 2^n steps in all.  This is the axiom batteries' one read.
         """
-        table = (self._rank_table()
-                 or list(map(self._maximal_independent_mask, range(1 << self.n))))
-        return (list(map(int.bit_count, table)),
-                list(map(self.full.__xor__, map(self._extensions().__getitem__, table))))
+        ext = self._extensions()
+        if self.n <= RANK_TABLE_LIMIT:
+            greedy = [0]
+            for h in range(self.n):
+                bit = 1 << h
+                greedy += [g | bit if ext[g] & bit else g for g in greedy]
+        else:
+            greedy = list(map(self._maximal_independent_mask, range(1 << self.n)))
+        return (list(map(int.bit_count, greedy)),
+                list(map(self.full.__xor__, map(ext.__getitem__, greedy))))
 
     def flat_lattice(self) -> FlatLattice:
         """Every flat, as the closure of an independent set of its rank.
@@ -610,10 +569,6 @@ def matroid_from_flats(n: int, rank: int,
 
 # ---------------------------------------------------------------------------
 # the operation surface
-
-
-def flats_at(m: Matroid, k: int, *, min_size: int = 0) -> tuple[tuple[int, ...], ...]:
-    return m.flats_at(k, min_size=min_size)
 
 
 def removal_map(n: int, removed: Iterable[int] | int) -> PointedMap:

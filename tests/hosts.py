@@ -183,8 +183,9 @@ CENSUS_HOSTS = (
     "gf5-6-3-1", "gf5-8-3-2", "gf5-9-4-3", "gf5-10-3-4", "gf5-12-3-5", "gf5-12-4-6",
     "fano+loop", "U(3,6)+parallel", "U(2,5)+loop+parallel")
 
-# every host with a rank table: the small and census hosts, bundled M and
-# N, and one column matroid of exactly RANK_TABLE_LIMIT elements
+# every host on which ranks_and_closures doubles: the small and census
+# hosts, bundled M and N, and one column matroid of exactly
+# RANK_TABLE_LIMIT elements
 TABLE_HOSTS = tuple(dict.fromkeys(SMALL_HOSTS + CENSUS_HOSTS + ("M", "N", "gf5-16-3")))
 
 # the properties suite's small corpus

@@ -22,7 +22,7 @@ from matroid_forge.bitsets import (
     mask_of,
     sort_masks,
 )
-from matroid_forge.linalg import RelationSpace
+from matroid_forge.linalg import ExactMatrix, RelationSpace
 from matroid_forge.matroid import (
     Matroid,
     PointedMap,
@@ -494,6 +494,11 @@ def reference_span(field, n, vectors):
     return RelationSpace(field, n, tuple(map(tuple, reduced)), tuple(pivots))
 
 
+def span_contains(space, vec):
+    """Is vec in the space?  The span of vec alone is then a subspace of it."""
+    return RelationSpace.from_vectors(space.field, space.ambient, [vec]).is_subspace_of(space)
+
+
 def reference_kernel_basis(a):
     """One vector per free column of A's echelon form, whose span is then
     eliminated again."""
@@ -517,7 +522,8 @@ def reference_weight3_subspace(a):
     generators = []
     for k in (1, 2, 3):
         for combo in combinations(range(a.cols), k):
-            for v in reference_kernel_basis(a.columns_submatrix(combo)).vectors:
+            columns = tuple(tuple(row[j] for j in combo) for row in a.entries)
+            for v in reference_kernel_basis(ExactMatrix(f, a.rows, k, columns)).vectors:
                 big = [f.from_int(0)] * a.cols
                 for idx, j in enumerate(combo):
                     big[j] = v[idx]
@@ -527,12 +533,13 @@ def reference_weight3_subspace(a):
 
 def reference_column_matroid(a):
     """One reference rank per r-subset of columns."""
-    def rank(m):
-        return len(reference_rref(m.field, m.entries, m.cols)[1])
+    def rank(combo):
+        columns = [[row[j] for j in combo] for row in a.entries]
+        return len(reference_rref(a.field, columns, len(combo))[1])
 
-    r = rank(a)
+    r = rank(range(a.cols))
     bases = [mask_of(combo) for combo in combinations(range(a.cols), r)
-             if rank(a.columns_submatrix(combo)) == r]
+             if rank(combo) == r]
     return Matroid(a.cols, r, bases, _validated=True)
 
 

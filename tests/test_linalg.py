@@ -133,11 +133,12 @@ def test_build_rejects_entries_that_are_not_exact(entry):
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(3)])
 def test_relation_vectors_must_have_the_ambient_length(field):
     space = RelationSpace.from_vectors(field, 2, [(1, 0)])
-    assert space.contains((2, 0)) and not space.contains((0, 1))
+    assert oracles.span_contains(space, (2, 0))
+    assert not oracles.span_contains(space, (0, 1))
     # an extra coordinate was once dropped, and a short vector raised IndexError
     for vec in ((1, 0, 2), (1,)):
         with pytest.raises(ValidationError, match="ambient dimension 2"):
-            space.contains(vec)
+            oracles.span_contains(space, vec)
         with pytest.raises(ValidationError, match="ambient dimension 2"):
             RelationSpace.from_vectors(field, 2, [(0, 1), vec])
 
@@ -146,8 +147,8 @@ def test_kernel_basis_small():
     a = ExactMatrix.build(Rationals(), [[1, 0, 1], [0, 1, 1]])
     ker = kernel_basis(a)
     assert ker.dim == 1
-    assert ker.contains((Fraction(-2), Fraction(-2), Fraction(2)))
-    assert not ker.contains((Fraction(1), Fraction(0), Fraction(0)))
+    assert oracles.span_contains(ker, (Fraction(-2), Fraction(-2), Fraction(2)))
+    assert not oracles.span_contains(ker, (Fraction(1), Fraction(0), Fraction(0)))
 
 
 def test_perp_is_involutive():
@@ -483,12 +484,12 @@ def test_membership_matches_span_enumeration_over_prime_fields(p):
                     for coeffs in product(range(p), repeat=len(gens))}
             assert len(span) == p ** space.dim
             for v in product(range(p), repeat=n):
-                assert space.contains(v) == (v in span), (p, n, gens, v)
+                assert oracles.span_contains(space, v) == (v in span), (p, n, gens, v)
             spaces.append((space, span))
         for s, s_span in spaces:
             for t, t_span in spaces:
                 got = s.is_subspace_of(t)
-                assert got == all(t.contains(v) for v in s.vectors)
+                assert got == all(oracles.span_contains(t, v) for v in s.vectors)
                 assert got == (s_span <= t_span), (p, n, s, t)
                 outcomes[got, s_span == t_span] += 1
     assert min(outcomes[True, False], outcomes[False, False]) >= 20
@@ -507,10 +508,11 @@ def test_membership_matches_reference_rank_over_rationals():
             coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in gens]
             inside = [sum((c * g[i] for c, g in zip(coeffs, gens)), Fraction(0))
                       for i in range(n)]
-            assert space.contains(inside)
+            assert oracles.span_contains(space, inside)
             for _ in range(5):
                 v = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-                assert space.contains(v) == (rank(gens + [v], n) == rank(gens, n))
+                want = rank(gens + [v], n) == rank(gens, n)
+                assert oracles.span_contains(space, v) == want
         for s_gens, s in spaces:
             for t_gens, t in spaces:
                 want = rank(t_gens + s_gens, n) == rank(t_gens, n)

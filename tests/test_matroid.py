@@ -3,6 +3,7 @@
 import random
 import sys
 import time
+import tracemalloc
 from functools import cache
 
 import pytest
@@ -34,7 +35,6 @@ from matroid_forge.matroid import (
     are_isomorphic,
     contract,
     delete,
-    flats_at,
     is_quotient,
     is_weak_map_image,
     matroid_from_flats,
@@ -47,7 +47,16 @@ from matroid_forge.minors import fano_matroid, non_fano_matroid
 
 from itertools import combinations
 
-from hosts import CENSUS_HOSTS, LATTICE_HOSTS, SMALL_HOSTS, TABLE_HOSTS, fresh, host, uniform
+from hosts import (
+    CENSUS_HOSTS,
+    LATTICE_HOSTS,
+    SMALL_HOSTS,
+    TABLE_HOSTS,
+    fresh,
+    host,
+    pg25_point_set,
+    uniform,
+)
 import oracles
 
 
@@ -79,10 +88,9 @@ def test_mask_mapper_unions_the_images_of_the_elements():
 # -- pointed maps -----------------------------------------------------------
 
 def test_pointed_map_identity():
-    pm = PointedMap.identity(4)
-    assert pm.is_identity
-    assert pm(2) == 2
-    assert pm.apply_set([3, 0]) == (0, 3)
+    pm = PointedMap(tuple(range(4)))
+    assert pm.classes is None
+    assert list(map(pm, range(4))) == [0, 1, 2, 3]
 
 
 def test_pointed_map_rejects_repeats():
@@ -131,10 +139,10 @@ def test_from_bases_infers_rank():
 def test_fano_rank_and_closure():
     f = fano_matroid()
     assert f.rank == 3
-    assert f.rank_of((0, 1)) == 2
-    assert f.closure_of((0, 1)) == (0, 1, 5)
-    assert f.rank_of(range(7)) == 3
-    assert f.closure_of(()) == ()
+    assert f.rank_of_mask(0b11) == 2
+    assert elements_of(f.closure_mask(0b11)) == (0, 1, 5)
+    assert f.rank_of_mask(f.full) == 3
+    assert f.closure_mask(0) == 0
 
 
 @pytest.mark.parametrize("name", SMALL_HOSTS)
@@ -155,31 +163,34 @@ def test_rank_and_closure_match_definitions_above_table_limit():
 
 @pytest.mark.parametrize("name", TABLE_HOSTS)
 def test_greedy_basis_table_matches_walk_and_reference(name):
+    """The bulk read's doubling pass and each query's walk reach the same
+    greedy basis of every subset, and its size is the reference rank."""
     m = host(name)
     walks = [oracles.greedy_basis(m.independent_masks, x) for x in range(m.full + 1)]
     ext = m._extensions()
     closures = [m.full & ~ext[b] for b in walks]
     reference = oracles.reference_rank_table(name)
-    table = m._rank_table()
-    assert table == walks
+    assert [b.bit_count() for b in walks] == list(reference)
+    assert m.ranks_and_closures() == (list(reference), closures)
     for x in range(m.full + 1):
         assert m.rank_of_mask(x) == reference[x], x
         assert m.closure_mask(x) == closures[x], x
 
 
-def test_only_rank_queries_build_the_table():
-    m = fresh("gf5-16-3")
+def test_rank_and_closure_queries_allocate_no_subset_table():
+    """One walk per query: at n = 16 a 2^n table of greedy bases would take
+    hundreds of KiB, the walk a few small ints."""
+    m = pg25_point_set(16, 3)
     assert m.n == RANK_TABLE_LIMIT
-    for x in range(0, m.full + 1, 97):
-        m.closure_mask(x)
-    derived = [contract(m, 0b11), contract(m, 1 << 5), delete(m, 0b101),
-               delete(m, m.full ^ 0b11)]
-    derived += [simplify(d)[0] for d in derived] + [simplify(m)[0]]
-    assert [d.rank for d in derived[:4]] == [1, 2, 3, 2]
-    assert m._greedy is None
-    assert all(d._greedy is None for d in derived)
-    m.rank_of_mask(0b111)
-    assert len(m._greedy) == 1 << RANK_TABLE_LIMIT
+    m._extensions()
+    tracemalloc.start()
+    try:
+        rank, closure = m.rank_of_mask(0b111), m.closure_mask(0b111)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rank, closure) == oracles.rank_and_closure_by_bases(m, 0b111)
+    assert peak < 64 * 1024, peak
 
 
 @pytest.mark.parametrize("n", [4, RANK_TABLE_LIMIT, RANK_TABLE_LIMIT + 1])
@@ -278,12 +289,12 @@ def test_minors_of_minors_build_no_table():
 
 def test_fano_flats():
     f = fano_matroid()
-    assert flats_at(f, 0) == ((),)
-    assert flats_at(f, 1) == tuple((e,) for e in range(7))
-    lines = flats_at(f, 2, min_size=3)
+    assert f.flats_at(0) == ((),)
+    assert f.flats_at(1) == tuple((e,) for e in range(7))
+    lines = f.flats_at(2, min_size=3)
     assert len(lines) == 7
     assert (0, 1, 5) in lines
-    assert flats_at(f, 3) == (tuple(range(7)),)
+    assert f.flats_at(3) == (tuple(range(7)),)
 
 
 def test_bases_listing():
@@ -326,7 +337,7 @@ def test_simplify_of_simple_is_identity_map():
     f = fano_matroid()
     simple, pmap = simplify(f)
     assert simple == f
-    assert pmap.is_identity
+    assert pmap.images == tuple(range(7))
 
 
 def test_truncation_of_plane_is_line():
@@ -493,7 +504,7 @@ def test_relabelled_plane_is_isomorphic():
 def test_equal_matroids_give_identity_iso():
     f = fano_matroid()
     iso = are_isomorphic(f, f)
-    assert iso is not None and iso.is_identity
+    assert iso is not None and iso.images == tuple(range(7))
 
 
 def test_plane_and_relaxation_not_isomorphic():
@@ -503,22 +514,22 @@ def test_plane_and_relaxation_not_isomorphic():
 # -- construction from flats -------------------------------------------------
 
 def test_flats_roundtrip_seven_lines():
-    lines = flats_at(fano_matroid(), 2, min_size=3)
+    lines = fano_matroid().flats_at(2, min_size=3)
     rebuilt = matroid_from_flats(7, 3, [(2, L) for L in lines])
     assert rebuilt == fano_matroid()
 
 
 def test_removed_line_relaxes_to_valid_matroid():
     # dropping one line from the seven-line plane's list just relaxes it
-    lines = flats_at(fano_matroid(), 2, min_size=3)
+    lines = fano_matroid().flats_at(2, min_size=3)
     relaxed = matroid_from_flats(7, 3, [(2, L) for L in lines if L != (3, 4, 5)])
     assert relaxed == non_fano_matroid()
 
 
 def test_missing_flat_detected(rank4_matroid):
     # dropping one plane from the rank-4 matroid's list breaks exchange
-    spec = [(2, L) for L in flats_at(rank4_matroid, 2, min_size=3)]
-    planes = flats_at(rank4_matroid, 3, min_size=4)
+    spec = [(2, L) for L in rank4_matroid.flats_at(2, min_size=3)]
+    planes = rank4_matroid.flats_at(3, min_size=4)
     spec += [(3, P) for P in planes[1:]]
     with pytest.raises(ValidationError):
         matroid_from_flats(13, 4, spec)
@@ -609,7 +620,7 @@ def test_basis_listing_too_large_to_walk_fails_fast():
 
 def test_basis_listing_charges_subsets_and_listed_flats(monkeypatch):
     fano = fano_matroid()
-    lines = [(2, line) for line in flats_at(fano, 2, min_size=3)]
+    lines = [(2, line) for line in fano.flats_at(2, min_size=3)]
     # C(7, 3) rank-subsets plus C(3, 3) inside each of the seven lines
     monkeypatch.setattr(errors, "DEFAULT_BUDGET", 35 + 7)
     assert matroid_from_flats(7, 3, lines) == fano

@@ -128,12 +128,11 @@ def test_axioms_around_a_change_match_the_walk():
 
 @pytest.mark.parametrize("n, rank, seed", [(14, 3, 1), (15, 4, 2), (16, 3, 3), (17, 3, 4)])
 def test_byte_lanes_match_the_walk_on_column_matroids(n, rank, seed):
-    """Lane masks around the 2^n rank-table limit: n = 17 answers each rank
-    by a walk.  A rejection by the lanes would make the battery walk, find
+    """Lane masks either side of the bulk read's limit: at n = 17 the one
+    read walks each subset to its greedy basis.  A rejection by the lanes would make the battery walk, find
     nothing on this matroid and raise; each one-value change is checked
     against the walk's verdict at that value."""
     m = gfp_column_matroid(5, n, rank, seed)
-    assert (m._rank_table() is None) == (n > RANK_TABLE_LIMIT)
     assert properties.rank_and_closure_failures(m) == []
     if n == 14:
         assert assert_lanes_match_walk(m) == []
@@ -450,7 +449,6 @@ def test_one_read_equals_the_per_query_methods_above_table_limit():
     m = fresh("gf5-17-2")
     assert m.n > RANK_TABLE_LIMIT
     assert m.ranks_and_closures() == _per_query(m)
-    assert m._greedy is None
 
 
 def test_reproduce_reads_each_battery_matroid_once(monkeypatch):
