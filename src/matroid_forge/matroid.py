@@ -700,19 +700,17 @@ def nontrivial_levels(m: Matroid) -> list[tuple[int, ...]]:
     return [lattice.nontrivial_at(k) for k in range(1, m.rank)]
 
 
-def flat_profile(elements: Iterable[int],
-                 levels: Sequence[Sequence[int]]) -> tuple[tuple, list[tuple]]:
-    """Isomorphism invariants read from nontrivial flats given by rank.
+def flat_profile(m: Matroid) -> tuple[tuple, list[tuple]]:
+    """Isomorphism invariants read from the nontrivial flats by rank.
 
-    ``levels`` lists the flat masks of ranks 1..r-1 (as
-    :func:`nontrivial_levels` does).  Returns each rank's sorted flat sizes
-    and, for each of ``elements`` in order, its signature: per rank, the
-    sorted sizes of the flats containing it.
+    Returns each rank's sorted flat sizes and, for each element in order,
+    its signature: per rank, the sorted sizes of the flats containing it.
     """
+    levels = nontrivial_levels(m)
     sizes = tuple(tuple(sorted(f.bit_count() for f in level)) for level in levels)
     sigs = [tuple(tuple(sorted(f.bit_count() for f in level if f >> e & 1))
                   for level in levels)
-            for e in elements]
+            for e in range(m.n)]
     return sizes, sigs
 
 
@@ -729,8 +727,8 @@ def are_isomorphic(m1: Matroid, m2: Matroid) -> PointedMap | None:
         return None
     if len(m1.basis_masks) != len(m2.basis_masks):
         return None
-    sizes1, sig1 = flat_profile(range(m1.n), nontrivial_levels(m1))
-    sizes2, sig2 = flat_profile(range(m2.n), nontrivial_levels(m2))
+    sizes1, sig1 = flat_profile(m1)
+    sizes2, sig2 = flat_profile(m2)
     if sizes1 != sizes2:
         return None
     candidates = [[t for t in range(m2.n) if sig2[t] == sig1[d]]

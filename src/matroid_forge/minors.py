@@ -8,14 +8,14 @@ a subset of the surviving points and match it against the target up to
 isomorphism.  The search does not build the simplification of M/C: its
 points, parallel classes, loops and nontrivial flats are read from M's
 flat lattice, since the flats of M/C are those of M that contain cl(C)
-(Oxley, *Matroid Theory*, §3.3).  Only a kept set K that passes the
-screen below is restricted, straight from the host: with R the least
-elements of K's classes, si(M/C)|K is (M|(C ∪ R))/C, two filters of M's
-basis list.  The returned witness replays deterministically, contracting
-and simplifying M/C from scratch, and is verified before it is handed
-back.  Since only points of a simplification are kept, the target must be
-simple; a target with loops or parallel elements is refused with
-:class:`ValidationError` rather than answered "not found".
+(Oxley, *Matroid Theory*, §3.3).  A kept set K is restricted straight
+from the host: with R the least elements of K's classes, si(M/C)|K is
+(M|(C ∪ R))/C, two filters of M's basis list.  The returned witness
+replays deterministically, contracting and simplifying M/C from scratch,
+and is verified before it is handed back.  Since only points of a
+simplification are kept, the target must be simple; a target with loops
+or parallel elements is refused with :class:`ValidationError` rather
+than answered "not found".
 
 Kept sets K are generated depth-first in increasing element order, the
 order of :func:`itertools.combinations`, and a prefix is cut as soon as
@@ -24,13 +24,10 @@ points on one flat, too many pairs bound to be 2-point lines, or more
 pairs still needing a third point than the points to come can serve.  The
 search budget counts kept sets in that order, each cut charged with the
 kept sets below it, so a budget means the same as for a plain loop over
-every K.  A surviving K is screened before its restriction is built.  The
-flats of M|K are the sets F ∩ K over the flats F of M, each of the rank
-of the lowest-rank F giving it, so the restriction's nontrivial flats, and
-the isomorphism invariants read from them, come from M's flat lattice
-alone.  Only a K whose invariants equal the target's is restricted and
-handed to :func:`are_isomorphic`; every K a cut skips holds too many
-dependent r-sets or fails that screen.
+every K.  A K that survives the walk with the target's count of
+dependent r-sets is restricted and handed to :func:`are_isomorphic`.
+Every K a cut skips fails that count or that match, so the search
+returns the witness a plain loop over every K would.
 
 The seven-point projective plane and its relaxation are built in: one is
 realizable only in characteristic two, the other only away from it, so
@@ -65,7 +62,6 @@ from .matroid import (
     are_isomorphic,
     contract,
     delete,
-    flat_profile,
     matroid_from_flats,
     nontrivial_levels,
     relabel,
@@ -247,43 +243,6 @@ def replay_witness(host: Matroid, target: Matroid, w: MinorWitness) -> bool:
     return mapped == target
 
 
-def restriction_flats(levels: Sequence[Sequence[int]], kmask: int,
-                      rank: int) -> list[list[int]]:
-    """Nontrivial flats of M|K of ranks 1..rank-1, in M's labels, by rank.
-
-    ``levels`` holds M's nontrivial flats by rank (see
-    :func:`nontrivial_levels`); ``rank``, the target's in the search, bounds
-    the ranks read, and the result is exact for any K of at least that
-    rank.  Every flat X of M|K is F ∩ K for a flat F of M, and cl(X) is the
-    lowest-rank such F, so X's rank is the least rank of an F giving it.  A
-    nontrivial X has a nontrivial closure, so M's nontrivial flats alone
-    find it at its true rank; a trivial X they give gets a rank no lower
-    than its true one, so it still has no more elements than that rank and
-    is dropped.
-    """
-    first: dict[int, int] = {}
-    for k, level in enumerate(levels[:rank - 1], 1):
-        for f in level:
-            first.setdefault(f & kmask, k)
-    out: list[list[int]] = [[] for _ in range(rank - 1)]
-    for x, k in first.items():
-        if x.bit_count() > k:
-            out[k - 1].append(x)
-    return out
-
-
-def restriction_invariants(levels: Sequence[Sequence[int]], kmask: int,
-                           rank: int) -> tuple[tuple, list[tuple]]:
-    """Per-rank flat sizes and sorted element signatures of M|K.
-
-    Arguments as in :func:`restriction_flats`.  Isomorphic restrictions of
-    rank ``rank`` get equal values, and K = E gives M's own when M has it.
-    """
-    sizes, sigs = flat_profile(iter_elements(kmask),
-                               restriction_flats(levels, kmask, rank))
-    return sizes, sorted(sigs)
-
-
 def find_minor(host: Matroid, target: Matroid, *,
                budget: int | None = None) -> MinorWitness | None:
     """First minor witness in canonical order, or None (search is exhaustive).
@@ -294,12 +253,10 @@ def find_minor(host: Matroid, target: Matroid, *,
     flat lattice, are walked in subsets K of the target's size,
     depth-first in combinations order (:func:`_kept_sets`), cutting every
     prefix whose dependent r-sets (r the target's rank), flat sizes or
-    2-point lines already rule out the target.  A K that survives the walk
-    with the target's count of dependent r-sets is compared by the
-    per-rank flat sizes and per-element flat signatures of the
-    restriction, read from the same flats by
-    :func:`restriction_invariants`; only a K passing them is restricted
-    and matched by :func:`are_isomorphic`.
+    2-point lines already rule out the target.  Each K that survives the
+    walk with the target's count of dependent r-sets is restricted and
+    matched by :func:`are_isomorphic`, so the witness is the one a plain
+    loop over every K returns.
 
     ``budget`` (default :data:`~.errors.DEFAULT_BUDGET`) bounds the kept sets
     over all contraction classes: each K reached costs one node and each
@@ -318,14 +275,10 @@ def find_minor(host: Matroid, target: Matroid, *,
             "this target has loops or parallel elements")
     if target.rank > host.rank or target.n > host.n:
         return None
-    r = target.rank
     target_levels = nontrivial_levels(target)
-    target_invariants = restriction_invariants(target_levels, target.full, r)
     charge = charger(budget, "minor search")
     for c in _contraction_classes(host, target):
         for kmask in _kept_sets(c.n, c.levels, target, target_levels, charge):
-            if restriction_invariants(c.levels, kmask, r) != target_invariants:
-                continue
             witness = _witness(host, target, c, kmask)
             if witness is not None:
                 return witness
@@ -342,8 +295,8 @@ def _kept_sets(n: int, levels: Sequence[Sequence[int]],
     flats by rank.  A K is yielded when it holds exactly the target's
     number of dependent r-sets (r the target's rank), which are the
     r-subsets of the nontrivial flats of rank below r; every K it skips
-    holds another number or fails :func:`restriction_invariants`.  The
-    walk grows a prefix P depth-first, one element e above max P at a
+    holds another number or has no restriction isomorphic to the target.
+    The walk grows a prefix P depth-first, one element e above max P at a
     time, and cuts P + e, with all its completions, as soon as one of
     these holds:
 

@@ -32,7 +32,7 @@ from matroid_forge.matroid import (
     removal_map,
     simplify,
 )
-from matroid_forge.minors import MinorWitness, restriction_invariants
+from matroid_forge.minors import MinorWitness
 
 from hosts import host
 
@@ -265,25 +265,38 @@ def contraction_classes(name, rank):
     return MappingProxyType(out)
 
 
+def flat_invariants(m):
+    """Per-rank sorted sizes of the nontrivial flats, and the sorted
+    per-element signatures: per rank, the sorted sizes of the nontrivial
+    flats through the element.  Isomorphic matroids have equal values."""
+    levels = nontrivial_levels(m)
+    sizes = [sorted(f.bit_count() for f in level) for level in levels]
+    signatures = sorted(
+        [sorted(f.bit_count() for f in level if f >> e & 1) for level in levels]
+        for e in range(m.n))
+    return sizes, signatures
+
+
 def reference_find_minor(name, target):
     """(witness, nodes): the search over every kept set by combinations.
 
-    Each kept set costs one node, whether it is screened out or not, so
-    ``nodes`` is the least budget that does not raise.  Isomorphism is
-    asked through ``minors.are_isomorphic``, so a test can record it.
+    Each kept set costs one node, whether it is filtered out or not, so
+    ``nodes`` is the least budget that does not raise.  A kept set goes on
+    when it holds the target's number of dependent r-sets and, if its
+    restriction has the target's rank, that restriction's
+    :func:`flat_invariants` are the target's.  Isomorphism is asked
+    through ``minors.are_isomorphic``, so a test can record it.
     """
     m = host(name)
     nodes = 0
     if target.rank > m.rank or target.n > m.n:
         return None, nodes
     target_nonbases = comb(target.n, target.rank) - len(target.basis_masks)
-    target_invariants = restriction_invariants(
-        nontrivial_levels(target), target.full, target.rank)
+    target_invariants = flat_invariants(target)
     for combo, (simple, classes_host, loops_host) in \
             contraction_classes(name, target.rank).items():
         if simple.n < target.n or simple.rank < target.rank:
             continue
-        levels = nontrivial_levels(simple)
         indep = simple.independent_masks
         dependent = [s for s in map(mask_of, combinations(range(simple.n), target.rank))
                      if s not in indep]
@@ -292,12 +305,13 @@ def reference_find_minor(name, target):
             kmask = mask_of(keep)
             if sum(1 for nb in dependent if nb & ~kmask == 0) != target_nonbases:
                 continue
-            if restriction_invariants(levels, kmask, target.rank) != target_invariants:
-                continue
             if len(keep) == simple.n:
                 restricted = simple
             else:
                 restricted = delete(simple, simple.full & ~kmask)
+            if restricted.rank == target.rank and \
+                    flat_invariants(restricted) != target_invariants:
+                continue
             iso = minors.are_isomorphic(restricted, target)
             if iso is None:
                 continue

@@ -13,6 +13,7 @@ from matroid_forge.formats import parse_matroid_text, serialize_matroid
 from matroid_forge.minors import fano_matroid
 
 from hosts import host
+from test_formats import BAD_TEXTS, refusal_id
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +89,22 @@ def test_validate_invalid_exits_1(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", str(bad))
     assert code == 1
     assert out.startswith("invalid:")
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param(text, message, id=refusal_id(kind, message))
+    for kind, text, message in BAD_TEXTS if kind == "matroid"][::4])
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_validate_reports_the_exact_refusal(capsys, tmp_path, text, message, flags):
+    bad = tmp_path / "bad.matroid"
+    bad.write_text(text)
+    code, out, err = run(capsys, "validate", str(bad), *flags)
+    assert code == 1 and err == ""
+    error = message.format(source=bad)
+    if flags:
+        assert json.loads(out) == {"valid": False, "error": error}
+    else:
+        assert out == f"invalid: {error}\n"
 
 
 def test_basis_listing_past_the_budget_fails_fast(capsys, tmp_path):
@@ -229,6 +246,15 @@ def test_charpoly_text(capsys, paths):
     code, out, _ = run(capsys, "charpoly", paths["m"])
     assert code == 0
     assert out == "t^3 - 13*t^2 + 63*t - 51\ninteger roots: none\n"
+
+
+def test_charpoly_lists_integer_roots(capsys, tmp_path):
+    # U(3,3) is free: chi = (t - 1)^3
+    free = tmp_path / "u33.matroid"
+    free.write_text("n 3\nrank 3\n")
+    code, out, _ = run(capsys, "charpoly", str(free))
+    assert code == 0
+    assert out == "t^3 - 3*t^2 + 3*t - 1\ninteger roots: 1, 1, 1\n"
 
 
 def test_huge_prime_field_answers_fast(capsys, tmp_path):
@@ -392,6 +418,14 @@ def test_budget_env_invalid(capsys, monkeypatch, paths):
     assert "MATROID_FORGE_BUDGET" in err
 
 
+def test_budget_env_zero(capsys, monkeypatch, paths):
+    monkeypatch.setenv("MATROID_FORGE_BUDGET", "0")
+    code, out, err = run(capsys, "erect", paths["m"], "--all")
+    assert code == 2
+    assert out == ""
+    assert err == "error: MATROID_FORGE_BUDGET must be positive, got 0\n"
+
+
 def test_budget_env_tiny(capsys, monkeypatch, paths):
     monkeypatch.setenv("MATROID_FORGE_BUDGET", "1")
     code, _, err = run(capsys, "erect", paths["m"], "--all")
@@ -421,6 +455,10 @@ GOLDEN = {
                   "bc63318884deff31ed83c591ceddbb34366328d54b476e1a58f03552f6226066"),
     "erect-free": (["erect", "{m}", "--free"],
                    "f0f67922fc23d314271967a5c119df3957a170bfa71d479aacd41e066ad0edf1"),
+    "erect-all-json": (["erect", "{m}", "--all", "--json"],
+                       "47fe317e5b17444e122807786f635eb3dc18dd590e801b6ff4ad42c14609f99d"),
+    "erect-free-json": (["erect", "{m}", "--free", "--json"],
+                        "0d588c6babf9dd07af6e7c3063f4f4a72aa9d7632696da1e248e8902dba81b0d"),
     "formality-A": (["formality", "{a}"],
                     "8fca1687a0ea7a85ec8d4c53633c0cb704b8646fa042ff39a3d6b798431bc41e"),
     "formality-yuzvinsky": (["formality", "{a2}"],

@@ -1,8 +1,16 @@
 """Text formats: grammar, error positions, canonical round-trips."""
 
+import re
+
 import pytest
 
-from matroid_forge.errors import FormatError, ValidationError
+from matroid_forge.errors import (
+    EmptyGroundSet,
+    FormatError,
+    GroundSetTooLarge,
+    MatroidForgeError,
+    ValidationError,
+)
 from matroid_forge.formats import (
     bundled_data_dir,
     load_matrix,
@@ -16,7 +24,7 @@ from matroid_forge.formats import (
     serialize_sets,
 )
 from matroid_forge.linalg import PrimeField, Rationals
-from matroid_forge.matroid import contract
+from matroid_forge.matroid import Matroid, PointedMap, contract, matroid_from_flats
 from matroid_forge.minors import fano_matroid
 
 
@@ -178,6 +186,85 @@ def test_bundled_spurious_sets(data_dir):
     sets = load_sets(data_dir / "spurious_blocks.sets")
     assert len(sets) == 13
     assert all(len(s) in (3, 4) for s in sets)
+
+
+# -- every refusal, by its exact text ----------------------------------------------
+
+PARSERS = {"matroid": parse_matroid_text, "matrix": parse_matrix_text,
+           "sets": parse_sets_text}
+
+# (kind, text, the error's text with {source} for the file name); a file
+# that parses but builds no matroid is refused without a position
+BAD_TEXTS = [
+    ("matroid", "n x\nrank 2\n", "{source}:1: n must be an integer, got 'x'"),
+    ("matroid", "flat 1 0 1\nn 3\nrank 2\n",
+     "{source}:1: flat before n and rank declarations"),
+    ("matroid", "n 4\nrank 3\nbasis 0 1 2\nflat 2 0 1 2\n",
+     "{source}:4: cannot mix flat and basis lines"),
+    ("matroid", "n 4\nrank 3\nflat 2\n", "{source}:3: flat needs a rank and elements"),
+    ("matroid", "n 4\nrank 3\nflat 3 0 1 2 3\n", "{source}:3: flat rank 3 outside 1..2"),
+    ("matroid", "n 4\nrank 3\nflat 2 0 1 1\n", "{source}:3: flat repeats an element"),
+    ("matroid", "n 4\nrank 3\nflat 2 0 1 4\n", "{source}:3: flat element out of range"),
+    ("matroid", "n 3\nrank 2\nbasis 0\n", "{source}:3: basis must have 2 elements"),
+    ("matroid", "n 3\nrank 2\nbasis 1 1\n", "{source}:3: basis repeats an element"),
+    ("matroid", "n 3\n", "{source}: file must declare n and rank"),
+    ("matroid", "n 0\nrank 1\n", "matroid needs at least one element"),
+    ("matroid", "n 65\nrank 1\n", "ground set of size 65 exceeds the cap of 64"),
+    ("matroid", "n 65\nrank 1\nbasis 0\n", "ground set of size 65 exceeds the cap of 64"),
+    ("matroid", "n 3\nrank 4\n", "rank 4 outside 1..3"),
+    ("matrix", "field Q\nfield Q\n", "{source}:2: field declared twice"),
+    ("matrix", "field R\n", "{source}:1: field must be 'Q' or 'GF <p>'"),
+    ("matrix", "1 2\n", "{source}:1: matrix data before field/rows/cols header"),
+    ("matrix", "field Q\nrows 1\ncols 1\n1\n2\n", "{source}:5: more data rows than declared"),
+    ("matrix", "field Q\nrows 1\n", "{source}: file must declare field, rows and cols"),
+    ("sets", "0 1\n2 2\n", "{source}:2: set repeats an element"),
+]
+
+
+def refusal_id(kind, message):
+    where = re.sub(r"\{source\}:(\d+)", r"line \1", message)
+    return f"{kind}: " + where.replace("{source}", "file")
+
+
+@pytest.mark.parametrize("kind, text, message", BAD_TEXTS,
+                         ids=[refusal_id(kind, message) for kind, _, message in BAD_TEXTS])
+def test_bad_text_is_refused_with_its_exact_message(kind, text, message):
+    source = f"bad.{kind}"
+    with pytest.raises(MatroidForgeError) as err:
+        PARSERS[kind](text, source=source)
+    assert str(err.value) == message.format(source=source)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: matroid_from_flats(0, 1, []), EmptyGroundSet,
+                 "matroid needs at least one element", id="flats-no-element"),
+    pytest.param(lambda: matroid_from_flats(65, 1, []), GroundSetTooLarge,
+                 "ground set of size 65 exceeds the cap of 64", id="flats-65-elements"),
+    pytest.param(lambda: matroid_from_flats(3, 0, []), ValidationError,
+                 "rank 0 outside 1..3", id="flats-rank-0"),
+    pytest.param(lambda: matroid_from_flats(3, 2, [(1, 0b1000)]), FormatError,
+                 "flat element out of range", id="flats-mask-too-wide"),
+    pytest.param(lambda: matroid_from_flats(3, 2, [(1, -1)]), FormatError,
+                 "flat element out of range", id="flats-negative-mask"),
+    pytest.param(lambda: matroid_from_flats(3, 2, [(1, (0, 3))]), FormatError,
+                 "flat element out of range", id="flats-element-3-of-3"),
+    pytest.param(lambda: matroid_from_flats(3, 2, [(1, (0, 0))]), FormatError,
+                 "flat lists an element twice", id="flats-repeat"),
+    pytest.param(lambda: matroid_from_flats(3, 2, [(2, (0, 1, 2))]), ValidationError,
+                 "listed flat rank 2 outside 1..1", id="flats-rank-2-in-rank-2"),
+    pytest.param(lambda: matroid_from_flats(3, 2, [(1, (0,))]), ValidationError,
+                 "rank-1 flat {0} is trivial and must not be listed", id="flats-trivial"),
+    pytest.param(lambda: Matroid(65, 1, [1]), GroundSetTooLarge,
+                 "ground set of size 65 exceeds the cap of 64", id="matroid-65-elements"),
+    pytest.param(lambda: PointedMap((0, -1)), ValidationError,
+                 "PointedMap images must be non-negative", id="map-negative-image"),
+    pytest.param(lambda: PointedMap((0, 1), ((0,),)), ValidationError,
+                 "PointedMap classes must match images in length", id="map-short-classes"),
+])
+def test_bad_construction_is_refused_with_its_exact_message(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
 
 
 # -- bundled data directory --------------------------------------------------------

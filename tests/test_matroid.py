@@ -511,6 +511,71 @@ def test_plane_and_relaxation_not_isomorphic():
     assert are_isomorphic(fano_matroid(), non_fano_matroid()) is None
 
 
+# The three 9_3 configurations, nine points on nine 3-point lines, three
+# lines through each point (Grünbaum, *Configurations of Points and Lines*,
+# 2009, §2.2), with the cycle lengths of the graph joining each point to
+# the two points it shares no line with, which tells them apart.
+NINE_THREE = {
+    "(3,6)": ([(0, 1, 6), (0, 2, 8), (0, 4, 7), (1, 3, 7), (1, 4, 5),
+               (2, 3, 6), (2, 5, 7), (3, 4, 8), (5, 6, 8)], [3, 6]),
+    "(9)": ([(0, 1, 8), (0, 2, 6), (0, 3, 5), (1, 3, 4), (1, 6, 7),
+             (2, 3, 8), (2, 5, 7), (4, 5, 6), (4, 7, 8)], [9]),
+    "Pappus": ([(0, 1, 4), (0, 2, 5), (0, 3, 8), (1, 5, 7), (1, 6, 8),
+                (2, 4, 6), (2, 7, 8), (3, 4, 7), (3, 5, 6)], [3, 3, 3]),
+}
+
+
+def unjoined_cycles(lines):
+    """Sorted component sizes of the graph joining points on no common line;
+    every point has two such partners, so the components are cycles."""
+    joined = {(a, b) for line in lines for a in line for b in line}
+    seen, sizes = set(), []
+    for start in range(9):
+        stack, size = [start], 0
+        while stack:
+            a = stack.pop()
+            if a not in seen:
+                seen.add(a)
+                size += 1
+                stack += [b for b in range(9) if (a, b) not in joined]
+        if size:
+            sizes.append(size)
+    return sorted(sizes)
+
+
+def test_nine_three_configurations_are_told_apart_by_backtracking():
+    planes = {}
+    for name, (lines, cycles) in NINE_THREE.items():
+        assert unjoined_cycles(lines) == cycles, name
+        planes[name] = matroid_from_flats(9, 3, [(2, line) for line in lines])
+    # equal basis counts and flat profiles: only the backtracking decides
+    assert {len(m.basis_masks) for m in planes.values()} == {75}
+    assert len({(p[0], tuple(sorted(p[1])))
+                for p in map(matroid.flat_profile, planes.values())}) == 1
+    for first, second in combinations(planes.values(), 2):
+        assert are_isomorphic(first, second) is None
+        assert are_isomorphic(second, first) is None
+    rng = random.Random(93)
+    for name, m in planes.items():
+        images = list(range(9))
+        rng.shuffle(images)
+        shuffled = relabel(m, PointedMap(tuple(images)))
+        assert shuffled != m, name
+        iso = are_isomorphic(m, shuffled)
+        assert iso is not None and relabel(m, iso) == shuffled, name
+
+
+def test_an_element_without_a_candidate_image():
+    # equal basis counts and line sizes, but 0 lies on two lines of one
+    # and no element of the other does
+    meeting = matroid_from_flats(6, 3, [(2, (0, 1, 2)), (2, (0, 3, 4))])
+    apart = matroid_from_flats(6, 3, [(2, (0, 1, 2)), (2, (3, 4, 5))])
+    assert len(meeting.basis_masks) == len(apart.basis_masks) == 18
+    assert matroid.flat_profile(meeting)[0] == matroid.flat_profile(apart)[0]
+    assert are_isomorphic(meeting, apart) is None
+    assert are_isomorphic(apart, meeting) is None
+
+
 # -- construction from flats -------------------------------------------------
 
 def test_flats_roundtrip_seven_lines():

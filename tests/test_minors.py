@@ -5,7 +5,6 @@ import time
 
 import pytest
 
-from itertools import combinations
 from math import comb
 
 from matroid_forge import minors
@@ -13,11 +12,9 @@ from matroid_forge.bitsets import iter_elements, mask_of
 from matroid_forge.errors import SearchBudgetExceeded, ValidationError
 from matroid_forge.matroid import (
     Matroid,
-    are_isomorphic,
-    contract,
+    PointedMap,
     delete,
     nontrivial_levels,
-    removal_map,
     simplify,
 )
 from matroid_forge.minors import (
@@ -27,8 +24,6 @@ from matroid_forge.minors import (
     non_fano_matroid,
     realizability_obstruction,
     replay_witness,
-    restriction_flats,
-    restriction_invariants,
 )
 
 import hosts
@@ -129,6 +124,29 @@ def test_report_witnesses_replay(rank4_matroid):
                           report.nonfano_witness)
 
 
+def tampered(w, **fields):
+    """A copy of the witness with the given fields replaced."""
+    values = {name: getattr(w, name) for name in w._fields}
+    values.update(fields)
+    return MinorWitness(**values)
+
+
+# N/6 simplifies to eight points, {10,12} one of them; the witness drops it
+@pytest.mark.parametrize("tamper, target", [
+    (lambda w: tampered(w, delete_set=(10,)), fano_matroid()),
+    (lambda w: tampered(w, delete_set=(6, 10, 12)), fano_matroid()),
+    (lambda w: tampered(w, parallel_classes=PointedMap(
+        w.parallel_classes.images[::-1], w.parallel_classes.classes[::-1])),
+     fano_matroid()),
+    (lambda w: w, uniform(3, 6)),
+], ids=["half-a-class", "contracted-deleted", "classes-reordered", "six-points"])
+def test_replay_rejects_a_tampered_witness(rank4_matroid, tamper, target):
+    w = find_minor(rank4_matroid, fano_matroid())
+    assert (w.contract_set, w.delete_set) == ((6,), (10, 12))
+    assert replay_witness(rank4_matroid, fano_matroid(), w)
+    assert not replay_witness(rank4_matroid, target, tamper(w))
+
+
 # -- targets the search cannot match --------------------------------------------
 
 def loop_and_coloop():
@@ -148,61 +166,9 @@ def test_non_simple_target_is_refused(host, target):
         find_minor(host, target)
 
 
-# -- small seeded hosts: the restriction screen and pinned witnesses ----------
+# -- small seeded hosts: pinned witnesses and budgets ---------------------------
 
 TARGETS = {name: host(name) for name in ("fano", "non-fano", "U(2,4)", "U(3,6)")}
-
-
-def screened_hosts(m):
-    """si(M) and si(M/e) for each non-loop e: where a search for a target of
-    M's rank, or one lower, screens kept sets."""
-    yield simplify(m)[0]
-    for e in iter_elements(m.full & ~m.loops_mask):
-        yield simplify(contract(m, 1 << e))[0]
-
-
-def lift_levels(levels, back):
-    """Flat masks of a deletion, relabelled to the host, sorted per rank."""
-    return [sorted(mask_of(back(e) for e in iter_elements(f)) for f in level)
-            for level in levels]
-
-
-@pytest.mark.parametrize("name", hosts.PINNED_HOSTS)
-def test_restriction_flats_match_the_built_restriction(name):
-    for m in (host(name), *screened_hosts(host(name))):
-        levels = nontrivial_levels(m)
-        for kmask in range(1, m.full + 1):
-            rank = m.rank_of_mask(kmask)
-            if rank == 0:
-                continue
-            drop = m.full & ~kmask
-            restricted = delete(m, drop) if drop else m
-            expected = lift_levels(nontrivial_levels(restricted),
-                                   removal_map(m.n, drop))
-            got = [sorted(level) for level in restriction_flats(levels, kmask, rank)]
-            assert got == expected, (name, m, bin(kmask))
-
-
-def test_screen_keeps_every_isomorphic_restriction():
-    isomorphic = rejected = 0
-    for name in hosts.PINNED_HOSTS:
-        for m in screened_hosts(host(name)):
-            levels = nontrivial_levels(m)
-            for target in TARGETS.values():
-                wanted = restriction_invariants(nontrivial_levels(target),
-                                                target.full, target.rank)
-                for keep in combinations(range(m.n), target.n):
-                    kmask = mask_of(keep)
-                    if m.rank_of_mask(kmask) != target.rank:
-                        continue
-                    passes = restriction_invariants(levels, kmask, target.rank) == wanted
-                    restricted = delete(m, m.full & ~kmask) if kmask != m.full else m
-                    if are_isomorphic(restricted, target) is not None:
-                        assert passes, (name, m, keep, target)
-                        isomorphic += 1
-                    elif not passes:
-                        rejected += 1
-    assert isomorphic > 0 and rejected > 0
 
 
 def witness_literal(w):
@@ -212,8 +178,7 @@ def witness_literal(w):
 
 
 # (host, target): (witness as (contract, delete, classes, images) or None,
-# the least node budget that does not raise), recorded before kept sets
-# were screened by the host's flat lattice
+# the least node budget that does not raise)
 PINNED = {
     ("fano", "fano"): (
         ((), (), ((0,), (1,), (2,), (3,), (4,), (5,), (6,)), (0, 1, 2, 3, 4, 5, 6)), 1),
