@@ -37,7 +37,6 @@ from .linalg import (
     weight3_subspace,
 )
 from .matroid import (
-    FlatLattice,
     Matroid,
     PointedMap,
     are_isomorphic,
@@ -83,7 +82,7 @@ __all__ = [
     "ExactMatrix", "PrimeField", "Rationals", "RelationSpace",
     "column_matroid", "formalization", "is_formal", "kernel_basis",
     "realizes", "weight3_subspace",
-    "FlatLattice", "Matroid", "PointedMap", "are_isomorphic", "contract",
+    "Matroid", "PointedMap", "are_isomorphic", "contract",
     "delete", "is_quotient", "is_weak_map_image",
     "matroid_from_flats", "removal_map", "simplify", "truncation",
     "MinorWitness", "ObstructionReport", "fano_matroid", "find_minor",

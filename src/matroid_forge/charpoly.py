@@ -83,23 +83,13 @@ def characteristic_polynomial(m: Matroid) -> IntPolynomial:
     """Moebius sum over the lattice of flats of a simple matroid."""
     if not m.is_simple:
         raise ValidationError("characteristic polynomial expects a simple matroid")
-    lattice = m.flat_lattice()
+    # a flat's proper subflats have lower rank, so mu has them already
     mu: dict[int, int] = {}
-    rank_of_flat: dict[int, int] = {}
-    ordered: list[int] = []
-    for k in range(m.rank + 1):
-        for f in lattice.at(k):
-            rank_of_flat[f] = k
-            ordered.append(f)
-    for f in ordered:
-        below = 0
-        for g in ordered:
-            if g != f and g & ~f == 0:
-                below += mu[g]
-        mu[f] = 1 if not below and rank_of_flat[f] == 0 else -below
     coeffs = [0] * (m.rank + 1)
-    for f, value in mu.items():
-        coeffs[m.rank - rank_of_flat[f]] += value
+    for k, level in enumerate(m.flat_lattice()):
+        for f in level:
+            mu[f] = -sum(v for g, v in mu.items() if g & ~f == 0) if k else 1
+            coeffs[m.rank - k] += mu[f]
     return IntPolynomial(tuple(coeffs))
 
 

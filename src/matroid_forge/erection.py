@@ -164,6 +164,7 @@ def spanning_k_closed_sets(m: Matroid, k: int) -> tuple[tuple[int, ...], ...]:
 
 def check_erection_blocks(m: Matroid, family) -> ErectionCheck:
     """Test the three copoint conditions, reporting the first violation."""
+    _require_rank_two(m)
     blocks = sort_masks({coerce_mask(b, m.n, what="block") for b in family})
     k = m.rank - 1
     for b in blocks:
@@ -253,9 +254,13 @@ def _materialize(m: Matroid, blocks: tuple[int, ...]) -> Matroid:
     return matroid_from_flats(m.n, r + 1, flats)
 
 
-def _require_erectable(m: Matroid) -> None:
+def _require_rank_two(m: Matroid) -> None:
     if m.rank < 2:
         raise RankTooLow(f"erections need rank >= 2, got {m.rank}")
+
+
+def _require_erectable(m: Matroid) -> None:
+    _require_rank_two(m)
     if not m.is_simple:
         raise ValidationError("erection enumeration expects a simple matroid")
 

@@ -34,7 +34,7 @@ from pathlib import Path
 from .bitsets import MAX_GROUND, mask_of, sort_masks, elements_of
 from .errors import FormatError
 from .linalg import ExactMatrix, PrimeField, Rationals
-from .matroid import Matroid, matroid_from_flats
+from .matroid import Matroid, matroid_from_flats, nontrivial_levels
 
 
 def _logical_lines(text: str):
@@ -135,8 +135,8 @@ def serialize_matroid(m: Matroid) -> str:
     """Canonical text: flat lines for simple matroids, basis lines otherwise."""
     lines = [f"n {m.n}", f"rank {m.rank}"]
     if m.is_simple:
-        for k in range(1, m.rank):
-            for f in m.flat_lattice().nontrivial_at(k):
+        for k, level in enumerate(nontrivial_levels(m), 1):
+            for f in level:
                 lines.append(f"flat {k} " + " ".join(map(str, elements_of(f))))
     else:
         for b in m.basis_masks:

@@ -1,17 +1,18 @@
 """Matroids on small ground sets, represented by their bases.
 
-A matroid here is an immutable value: a ground-set size ``n``, a rank, and
-the canonically sorted tuple of basis bitmasks.  Everything else — rank
-function, closure, flats, minors — is derived on demand and memoized.  One
-lazily built table carries most of it: each independent set I maps to
-ext(I), the mask of the elements e outside I with I + e independent.  Its
-keys are the independent sets, and it is the one rank oracle: the rank of
-X is the size of the greedy basis of X, walked through the table, and the
-closure is one more lookup at that basis.  The flat lattice is one pass
-over the table, and the matroid certificate reads the link of each small
-independent set from it.  Rank is the size of a greedy basis at every n,
-so it is the rank function on a matroid and agrees with closure on any
-family.
+A matroid here is an immutable :class:`Record`: a ground-set size ``n``, a
+rank, and the canonically sorted tuple of basis bitmasks.  Everything else
+— rank function, closure, flats, minors — is derived on demand, and the
+two memos live in slots outside equality and hash.  One lazily built table
+carries most of it: each independent set I maps to ext(I), the mask of the
+elements e outside I with I + e independent.  Its keys are the independent
+sets, and it is the one rank oracle: the rank of X is the size of the
+greedy basis of X, walked through the table, and the closure is one more
+lookup at that basis.  The flat lattice is one pass over the table, kept
+as a plain tuple of flat masks per rank, and the matroid certificate reads
+the link of each small independent set from it.  Rank is the size of a
+greedy basis at every n, so it is the rank function on a matroid and
+agrees with closure on any family.
 
 The representation is deliberately explicit: desk-scale instances
 (n <= 13 in the bundled data, n <= 64 as a hard cap) make enumeration the
@@ -175,31 +176,14 @@ class PointedMap(Record):
         return self.images[element]
 
 
-class FlatLattice(Record):
-    """All flats of a matroid, grouped by rank, masks in canonical order."""
-
-    __slots__ = _fields = ("n", "rank", "by_rank")
-
-    def __init__(self, n: int, rank: int, by_rank: tuple[tuple[int, ...], ...]):
-        Record.__init__(self, n, rank, by_rank)
-
-    def at(self, k: int) -> tuple[int, ...]:
-        return self.by_rank[k]
-
-    def nontrivial_at(self, k: int) -> tuple[int, ...]:
-        """Flats of rank k with more than k elements."""
-        return tuple(f for f in self.by_rank[k] if f.bit_count() > k)
-
-    def all_flats(self) -> frozenset[int]:
-        return frozenset(f for level in self.by_rank for f in level)
-
-
-class Matroid:
+class Matroid(Record):
     """An immutable matroid given by its bases.
 
     Ranks and closures are asked for by bitmask (the ``*_mask`` methods);
-    bases and flats are also listed as element tuples.  Instances compare
-    equal exactly when ground size, rank and canonical basis list coincide.
+    flats are also listed as element tuples.  As a :class:`Record`,
+    instances compare equal exactly when ground size, rank and canonical
+    basis list coincide, and the extension table and flat lattice are
+    memo slots outside equality and hash.
 
     The constructor keeps a basis list that is already distinct and in
     canonical order, which it checks in C; any other list, repeats
@@ -207,7 +191,8 @@ class Matroid:
     all run in C.
     """
 
-    __slots__ = ("n", "rank", "basis_masks", "_ext", "_lattice")
+    _fields = ("n", "rank", "basis_masks")
+    __slots__ = _fields + ("_ext", "_lattice")
 
     def __init__(self, n: int, rank: int, basis_masks: Sequence[int], *,
                  _validated: bool = False):
@@ -224,11 +209,9 @@ class Matroid:
             raise ValidationError("all bases must have cardinality equal to the rank")
         if not _in_canonical_order(masks):
             masks = sort_masks(set(masks))
-        self.n = n
-        self.rank = rank
-        self.basis_masks = masks
-        self._ext = None
-        self._lattice = None
+        Record.__init__(self, n, rank, masks)
+        object.__setattr__(self, "_ext", None)
+        object.__setattr__(self, "_lattice", None)
         if not _validated:
             failure = exchange_failure(self)
             if failure is not None:
@@ -274,7 +257,7 @@ class Matroid:
                         rest ^= low
                 ext.update(below)
                 level = below
-            self._ext = ext
+            object.__setattr__(self, "_ext", ext)
         return self._ext
 
     @property
@@ -341,8 +324,9 @@ class Matroid:
         return (list(map(int.bit_count, greedy)),
                 list(map(self.full.__xor__, map(ext.__getitem__, greedy))))
 
-    def flat_lattice(self) -> FlatLattice:
-        """Every flat, as the closure of an independent set of its rank.
+    def flat_lattice(self) -> tuple[tuple[int, ...], ...]:
+        """Every flat by rank, as masks in canonical order: the closures of
+        the independent sets of each size.
 
         An independent set is its own greedy basis, so its closure is read
         straight from the extension table in one pass.
@@ -352,17 +336,13 @@ class Matroid:
             by_rank: list[set[int]] = [set() for _ in range(self.rank + 1)]
             for i, grow in self._extensions().items():
                 by_rank[i.bit_count()].add(full & ~grow)
-            self._lattice = FlatLattice(self.n, self.rank,
-                                        tuple(map(sort_masks, by_rank)))
+            object.__setattr__(self, "_lattice", tuple(map(sort_masks, by_rank)))
         return self._lattice
 
-    def flats_at_masks(self, k: int) -> tuple[int, ...]:
+    def flats_at(self, k: int, *, min_size: int = 0) -> tuple[tuple[int, ...], ...]:
         if not 0 <= k <= self.rank:
             raise ValueError(f"flat rank {k} outside 0..{self.rank}")
-        return self.flat_lattice().at(k)
-
-    def flats_at(self, k: int, *, min_size: int = 0) -> tuple[tuple[int, ...], ...]:
-        return tuple(elements_of(f) for f in self.flats_at_masks(k)
+        return tuple(elements_of(f) for f in self.flat_lattice()[k]
                      if f.bit_count() >= min_size)
 
     @property
@@ -371,25 +351,9 @@ class Matroid:
 
     @property
     def is_simple(self) -> bool:
-        if self.loops_mask:
-            return False
-        return all(f.bit_count() == 1 for f in self.flats_at_masks(1)) if self.rank >= 1 else True
-
-    # -- bases ------------------------------------------------------------
-
-    def bases(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(elements_of(b) for b in self.basis_masks)
-
-    # -- comparisons -------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Matroid)
-                and self.n == other.n
-                and self.rank == other.rank
-                and self.basis_masks == other.basis_masks)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.rank, self.basis_masks))
+        """Loopless (so of rank at least 1) with every rank-1 flat a point."""
+        return not self.loops_mask and all(f.bit_count() == 1
+                                           for f in self.flat_lattice()[1])
 
     def __repr__(self) -> str:
         return f"Matroid(n={self.n}, rank={self.rank}, bases={len(self.basis_masks)})"
@@ -549,11 +513,11 @@ def matroid_from_flats(n: int, rank: int,
 
     # Round-trip: derived nontrivial flats must equal the listed ones, at
     # rank 0 too, where none is listed.
-    for k in range(rank):
-        derived = m.flat_lattice().nontrivial_at(k)
-        if set(derived) != set(listed.get(k, ())):
-            missing = set(listed.get(k, ())) - set(derived)
-            extra = set(derived) - set(listed.get(k, ()))
+    for k, level in enumerate(m.flat_lattice()[:rank]):
+        derived = {f for f in level if f.bit_count() > k}
+        missing = listed.get(k, set()) - derived
+        extra = derived - listed.get(k, set())
+        if missing or extra:
             detail = []
             if missing:
                 detail.append("not realized: "
@@ -687,7 +651,7 @@ def is_quotient(m: Matroid, other: Matroid) -> bool:
     """Weak map image whose flats all remain flats of ``other``."""
     if not is_weak_map_image(m, other):
         return False
-    return m.flat_lattice().all_flats() <= other.flat_lattice().all_flats()
+    return set().union(*m.flat_lattice()) <= set().union(*other.flat_lattice())
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +661,7 @@ def is_quotient(m: Matroid, other: Matroid) -> bool:
 def nontrivial_levels(m: Matroid) -> list[tuple[int, ...]]:
     """The nontrivial flats of ranks 1..r-1, one tuple per rank."""
     lattice = m.flat_lattice()
-    return [lattice.nontrivial_at(k) for k in range(1, m.rank)]
+    return [tuple(f for f in lattice[k] if f.bit_count() > k) for k in range(1, m.rank)]
 
 
 def flat_profile(m: Matroid) -> tuple[tuple, list[tuple]]:

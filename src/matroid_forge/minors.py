@@ -158,8 +158,8 @@ def _contraction_classes(host: Matroid, target: Matroid) -> Iterator[_Contractio
     lattice = host.flat_lattice()
     host_levels = nontrivial_levels(host)
     for csize in range(host.rank - target.rank + 1):
-        above = lattice.at(csize + 1)
-        flat_of = {host._maximal_independent_mask(f): f for f in lattice.at(csize)}
+        above = lattice[csize + 1]
+        flat_of = {host._maximal_independent_mask(f): f for f in lattice[csize]}
         for cmask in sort_masks(flat_of):
             cl = flat_of[cmask]
             points = [g for g in above if g & cl == cl]

@@ -279,7 +279,7 @@ def erection_family_failures(family: ErectionFamily) -> list[str]:
     if [members[j] for j in maxima] != [free]:
         failures.append(f"free erection is not the unique weak-order "
                         f"maximum: maxima {maxima}")
-    copoints = free.flats_at_masks(base.rank) if free.rank > base.rank else (base.full,)
+    copoints = free.flat_lattice()[base.rank] if free.rank > base.rank else (base.full,)
     if copoints != _free_blocks(base):
         failures.append("free erection's copoints are not the merged hulls")
     return failures
@@ -303,7 +303,7 @@ def formalization_quotient_failures(a: ExactMatrix) -> list[str]:
         failures.append("column matroid is not a quotient of its formalization")
     for k in (1, 2):
         if ma.rank >= k and mg.rank >= k:
-            if ma.flats_at_masks(k) != mg.flats_at_masks(k):
+            if ma.flat_lattice()[k] != mg.flat_lattice()[k]:
                 failures.append(f"rank-{k} flats differ after formalization")
     formal = w3.dim == ker.dim
     if (g.rank() == a.rank()) != formal:

@@ -206,7 +206,7 @@ def _check_candidate_census(ctx: _Ctx):
 
 def _check_crapo(ctx: _Ctx):
     m = ctx.m()
-    blocks = ctx.n_matroid().flats_at_masks(3)
+    blocks = ctx.n_matroid().flat_lattice()[3]
     chk = check_erection_blocks(m, blocks)
     if not chk:
         return False, f"condition {chk.condition} fails: {chk.witness}"

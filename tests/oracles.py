@@ -47,8 +47,8 @@ def reference_canonical_key(mask):
 
 def independent_by_definition(m):
     """Every set lying in a basis."""
-    return {mask_of(c) for b in m.bases() for k in range(m.rank + 1)
-            for c in combinations(b, k)}
+    return {mask_of(c) for b in m.basis_masks for k in range(m.rank + 1)
+            for c in combinations(elements_of(b), k)}
 
 
 def rank_and_closure_by_bases(m, x):
@@ -565,7 +565,17 @@ def cofactor_determinant(m):
                for j in range(len(m)))
 
 
-# -- charpoly: integer roots ------------------------------------------------------
+# -- charpoly: Whitney's expansion and integer roots --------------------------------
+
+def reference_characteristic_polynomial(name):
+    """chi(t) = sum over X of (-1)^|X| t^(r - r(X)), coefficients ascending,
+    with every rank read from the bases."""
+    m = host(name)
+    coeffs = [0] * (m.rank + 1)
+    for x, (rank, _) in enumerate(subsets_by_bases(name)):
+        coeffs[m.rank - rank] += -1 if x.bit_count() & 1 else 1
+    return tuple(coeffs)
+
 
 def splits_by_full_divisor_walk(p):
     """Try every divisor 1..|c| of each constant term."""

@@ -102,7 +102,7 @@ def test_criterion_04_candidate_census(capsys, report, data_dir,
 
 def test_criterion_05_crapo_conditions(capsys, report, data_dir,
                                        rank3_matroid, rank4_matroid):
-    chk = check_erection_blocks(rank3_matroid, rank4_matroid.flats_at_masks(3))
+    chk = check_erection_blocks(rank3_matroid, rank4_matroid.flat_lattice()[3])
     census_masks = [mask_of(c)
                     for c in spanning_k_closed_sets(rank3_matroid, 2)]
     spurious3 = [s for s in load_sets(data_dir / "spurious_blocks.sets")

@@ -246,9 +246,14 @@ def test_tautness_witness_points_one_rank_up():
 
 
 def test_rank_one_cannot_erect():
-    for erect in (enumerate_erections, free_erection, tautness_witness):
-        with pytest.raises(RankTooLow):
-            erect(uniform(1, 3))
+    """Every erection entry point, the copoint check included, refuses rank 1
+    with one typed error."""
+    checks = (enumerate_erections, free_erection, tautness_witness,
+              lambda m: check_erection_blocks(m, [(0, 1, 2)]))
+    for check in checks:
+        with pytest.raises(RankTooLow) as raised:
+            check(uniform(1, 3))
+        assert str(raised.value) == "erections need rank >= 2, got 1"
 
 
 def test_non_simple_rejected():
@@ -337,7 +342,7 @@ def test_listing_materializes_each_erection_once(spy):
 
 def test_materialize_rejects_broken_copoint_families(data_dir, rank3_matroid,
                                                      rank4_matroid):
-    copoints = rank4_matroid.flats_at_masks(3)
+    copoints = rank4_matroid.flat_lattice()[3]
     assert erection._materialize(rank3_matroid, copoints) == rank4_matroid
     big = [c for c in copoints if c.bit_count() > 3]
     spurious = [mask_of(s) for s in load_sets(data_dir / "spurious_blocks.sets")

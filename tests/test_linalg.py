@@ -43,7 +43,7 @@ from matroid_forge.matroid import delete
 from matroid_forge.minors import fano_matroid, non_fano_matroid
 from matroid_forge.reproduce import run_reproduce
 
-from hosts import host, uniform
+from hosts import LATTICE_HOSTS, host, pg_plane, uniform
 import oracles
 
 
@@ -758,6 +758,21 @@ def test_charpoly_no_integer_split(rank3_matroid):
     assert str(chi) == "t^3 - 13*t^2 + 63*t - 51"
     assert splits_over_integers(chi) is None
     assert chi.evaluate(1) == 0
+
+
+@pytest.mark.parametrize("name", [name for name in LATTICE_HOSTS
+                                  if host(name).n <= 13 and host(name).is_simple])
+def test_charpoly_matches_whitneys_expansion(name):
+    chi = characteristic_polynomial(host(name))
+    assert chi.coeffs == oracles.reference_characteristic_polynomial(name)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_charpoly_of_projective_plane_is_its_closed_form(q):
+    """chi of PG(2,q) is (t - 1)(t - q)(t - q^2)."""
+    chi = characteristic_polynomial(pg_plane(q))
+    assert chi == _polynomial_from_roots((1, q, q * q))
+    assert splits_over_integers(chi) == (1, q, q * q)
 
 
 def _polynomial_from_roots(roots):

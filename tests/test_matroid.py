@@ -210,7 +210,7 @@ def test_rank_is_the_greedy_basis_size_on_both_sides_of_the_table_limit(n):
 def test_flat_lattice_matches_definitions_on_every_mask(name):
     """X is a rank-k flat of the lattice iff by the bases cl(X) = X and r(X) = k."""
     m, table = host(name), oracles.subsets_by_bases(name)
-    levels = m.flat_lattice().by_rank
+    levels = m.flat_lattice()
     rank_of_flat = {f: k for k, level in enumerate(levels) for f in level}
     assert len(rank_of_flat) == sum(map(len, levels))
     for x in range(m.full + 1):
@@ -297,9 +297,21 @@ def test_fano_flats():
     assert f.flats_at(3) == (tuple(range(7)),)
 
 
+def test_the_cached_fano_matroid_refuses_every_change():
+    f = fano_matroid()
+    before = (f.n, f.rank, f.basis_masks, hash(f))
+    for name in ("n", "rank", "basis_masks"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, 2)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    assert fano_matroid() is f
+    assert (f.n, f.rank, f.basis_masks, hash(f)) == before
+
+
 def test_bases_listing():
     f = fano_matroid()
-    bs = f.bases()
+    bs = [elements_of(b) for b in f.basis_masks]
     assert len(bs) == 28
     assert (0, 1, 2) in bs
     assert (0, 1, 5) not in bs

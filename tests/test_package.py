@@ -17,7 +17,7 @@ import matroid_forge
 from matroid_forge.charpoly import IntPolynomial
 from matroid_forge.erection import ErectionCheck, ErectionFamily
 from matroid_forge.linalg import ExactMatrix, PrimeField, Rationals, RelationSpace
-from matroid_forge.matroid import FlatLattice, PointedMap
+from matroid_forge.matroid import Matroid, PointedMap
 from matroid_forge.minors import MinorWitness, ObstructionReport
 from matroid_forge.reproduce import CheckResult, ReproReport
 
@@ -109,13 +109,18 @@ def _definitions(tree):
 def _unreferenced_definitions(selected):
     """Selected definitions (see :func:`_definitions`) whose name no source
     module reads; a name in ``__all__`` counts as read (see
-    :func:`_referenced_names`)."""
+    :func:`_referenced_names`).  A method or property counts as read only
+    as an attribute (``x.name``), so a local variable of the same name does
+    not keep it."""
     trees = _parsed_sources()
     referenced = _referenced_anywhere(trees.values())
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
     return [f"{name}: {qualified}"
             for name, tree in trees.items()
             for qualified, bare in _definitions(tree)
-            if selected(bare) and bare not in referenced]
+            if selected(bare)
+            and bare not in (attributes if "." in qualified else referenced)]
 
 
 def test_private_definitions_are_referenced():
@@ -200,7 +205,7 @@ RECORDS = {
     ExactMatrix: lambda: ExactMatrix.build(Rationals(), [[1, Fraction(1, 2)], [3, 4]]),
     RelationSpace: lambda: RelationSpace.from_vectors(PrimeField(5), 3, [(1, 2, 3)]),
     PointedMap: lambda: PointedMap((0, 2), ((0, 3), (2,))),
-    FlatLattice: lambda: FlatLattice(3, 2, ((0,), (1, 2, 4), (7,))),
+    Matroid: lambda: fresh("U(2,4)"),
     MinorWitness: _witness,
     ObstructionReport: lambda: ObstructionReport(None, _witness()),
     CheckResult: lambda: CheckResult("fano-matrices", True, "ok", 0.5),
@@ -254,8 +259,6 @@ def test_values_survive_pickle_and_copies(cls):
 
 def test_value_reprs_read_like_dataclass_reprs():
     assert repr(PointedMap((0, 2, 1))) == "PointedMap(images=(0, 2, 1), classes=None)"
-    assert repr(RECORDS[FlatLattice]()) == (
-        "FlatLattice(n=3, rank=2, by_rank=((0,), (1, 2, 4), (7,)))")
     assert repr(ErectionCheck(True, None, "")) == (
         "ErectionCheck(ok=True, condition=None, witness='')")
     assert repr(RECORDS[ErectionCheck]()) == (
