@@ -38,7 +38,9 @@ from .bitsets import (
 from .errors import GroundSetTooLarge, RankTooLow, ValidationError, charger
 from .matroid import Matroid, Record, matroid_from_flats, nontrivial_levels
 
-# The census output alone can hold 2^n sets, so n stops here.
+# The census output alone can hold 2^n sets, so n stops here.  A host
+# whose first basis has the ground set as its hull is answered before the
+# census, so the cap binds only where the census runs.
 EXHAUSTIVE_LIMIT = 20
 
 
@@ -274,8 +276,15 @@ def enumerate_erections(m: Matroid, *, budget: int | None = None) -> ErectionFam
     back to m because the flat round-trip there fixes every flat of rank
     below r.  Distinct solutions are distinct copoint sets, so distinct
     matroids.
+
+    A nontrivial erection puts every basis in a proper copoint, which
+    holds the basis's (r-1)-closed hull (Crapo 1970).  So when the first
+    basis's hull is the ground set, m is its only erection, and it is
+    returned before the census, with no cap on n and nothing charged.
     """
     _require_erectable(m)
+    if _k_closed_hull(_closure_index(m, m.rank - 1), m.basis_masks[0]) == m.full:
+        return ErectionFamily(m, (m,))
     candidates = spanning_k_closed_masks(m, m.rank - 1)
     if not candidates:  # then no basis is held, so nothing but m erects
         return ErectionFamily(m, (m,))
@@ -296,7 +305,9 @@ def _free_blocks(m: Matroid) -> tuple[int, ...]:
     A basis in no kept block starts one at its (r-1)-closed hull, which
     absorbs, as the hull of the union, each kept block it shares a basis
     with.  The blocks meet the three conditions, and every erection's
-    copoints are unions of them, so no erection is finer.
+    copoints are unions of them, so no erection is finer.  A basis whose
+    hull is the ground set would absorb every block, so the merge stops
+    there with (E,).
     """
     _require_erectable(m)
     r, full = m.rank, m.full
@@ -314,6 +325,8 @@ def _free_blocks(m: Matroid) -> tuple[int, ...]:
         if reduce(and_, map(holding.__getitem__, iter_elements(basis))):
             continue
         h = _k_closed_hull(index, basis)
+        if h == full:
+            return (full,)
         while (g := next((g for g in blocks if shares_basis(g, h)), None)) is not None:
             blocks.remove(g)
             h = _k_closed_hull(index, g | h)

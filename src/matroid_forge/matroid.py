@@ -42,10 +42,12 @@ from the basis tuple as the largest intersections.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections.abc import KeysView
 from itertools import combinations, compress
 from math import comb
-from operator import and_, neg, sub, xor
+from operator import and_, neg, xor
 from typing import Iterable, Sequence
 
 from .bitsets import (
@@ -91,19 +93,30 @@ def _squeeze(masks: Iterable[int], keep: int) -> list[int]:
 
     Each gap of k missing positions from p upward moves every bit above it
     down by k: with h = b >> (p + k), b becomes b - h * (2^(p+k) - 2^p).
-    The gaps go from the top down, each in three C-level passes.  The map
-    is increasing on elements, so the lowest element where two masks
-    differ stays the lowest, and canonical order is kept.
+    The masks are packed as machine-order lanes of one int, each lane wide
+    enough for ``keep`` (Lamport, CACM 1975), so each gap, from the top
+    down, is one shift, mask, multiply and subtract over every lane: h
+    is masked to the lane's own bits, and b - h * (2^(p+k) - 2^p) lies
+    in [0, b], so nothing carries or borrows across lanes.  The map is
+    increasing on elements, so the lowest element where two masks differ
+    stays the lowest, and canonical order is kept.
     """
-    masks = list(masks)
-    gaps = ~keep & ((1 << keep.bit_length()) - 1)
+    width = keep.bit_length()
+    gaps = ~keep & ((1 << width) - 1)
+    if not gaps:
+        return list(masks)
+    code = next(c for c in "BHIQ" if array(c).itemsize * 8 >= width)
+    lanes = array(code, masks)
+    ones = int.from_bytes(array(code, [1]) * len(lanes), sys.byteorder)
+    packed = int.from_bytes(lanes, sys.byteorder)
     while gaps:
         top = gaps.bit_length()
         p = (~gaps & ((1 << top) - 1)).bit_length()
-        drop = (1 << top) - (1 << p)
-        masks = list(map(sub, masks, map(drop.__mul__, map(top.__rrshift__, masks))))
+        high = (packed >> top) & ones * ((1 << (width - top)) - 1)
+        packed -= high * ((1 << top) - (1 << p))
         gaps &= (1 << p) - 1
-    return masks
+    return array(code, packed.to_bytes(len(lanes) * lanes.itemsize,
+                                       sys.byteorder)).tolist()
 
 
 class Record:

@@ -185,11 +185,14 @@ def _witness(host: Matroid, target: Matroid, c: _ContractionClass,
     """The witness keeping the points ``kmask`` of si(M/C), when that
     restriction, built from the host by :func:`_restriction`, is isomorphic
     to the target, replayed (from a contraction of its own) before it is
-    returned."""
+    returned.  The restriction has rank r(C ∪ R) − |C|, C independent, so
+    a rank other than the target's is rejected before it is built."""
     kept_classes = tuple(c.classes[i] for i in iter_elements(kmask))
     reps = tuple(k[0] for k in kept_classes)
-    iso = are_isomorphic(_restriction(host, mask_of(c.contract_set), mask_of(reps)),
-                         target)
+    cmask, rmask = mask_of(c.contract_set), mask_of(reps)
+    if host.rank_of_mask(cmask | rmask) - len(c.contract_set) != target.rank:
+        return None
+    iso = are_isomorphic(_restriction(host, cmask, rmask), target)
     if iso is None:
         return None
     dropped = set(c.loops)

@@ -7,10 +7,13 @@ tuple of names, which become the test IDs.  To add a host, give
 name.  Tests parametrized by numbers call the builders directly.
 """
 
+import importlib.util
 import random
+import sys
 from functools import cache, reduce
 from itertools import combinations
 from operator import xor
+from pathlib import Path
 
 from matroid_forge.formats import bundled_data_dir, load_matroid
 from matroid_forge.matroid import Matroid, contract, matroid_from_flats, simplify
@@ -81,6 +84,20 @@ def pg25_point_set(n, seed):
     pos = {p: i for i, p in enumerate(points)}
     lines = [[pos[p] for p in line if p in pos] for line in singer_lines(5)]
     return matroid_from_flats(n, 3, [(2, line) for line in lines if len(line) > 2])
+
+
+def ladder_instances(seeds):
+    """The instances of the benchmark's ladder workload (PG(2,5) point sets
+    of 16 and 17 points) for the given seeds, from perfbench/generators.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("ladder_generators", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return [instance for seed in seeds for instance in module.ladder(seed)]
 
 
 def linear_space(n, seed):

@@ -232,6 +232,13 @@ def parent_simplify(m):
     return simple, pmap
 
 
+def reference_squeeze(masks, keep):
+    """Each mask inside ``keep``, in input order, with every element moved
+    to its position among keep's elements, one element at a time."""
+    position = {e: i for i, e in enumerate(iter_elements(keep))}
+    return [mask_of(position[e] for e in iter_elements(x)) for x in masks]
+
+
 def relabel_element_by_element(masks, image_of):
     return sort_masks({mask_of(image_of[e] for e in iter_elements(b)) for b in masks})
 
@@ -282,10 +289,10 @@ def reference_find_minor(name, target):
 
     Each kept set costs one node, whether it is filtered out or not, so
     ``nodes`` is the least budget that does not raise.  A kept set goes on
-    when it holds the target's number of dependent r-sets and, if its
-    restriction has the target's rank, that restriction's
-    :func:`flat_invariants` are the target's.  Isomorphism is asked
-    through ``minors.are_isomorphic``, so a test can record it.
+    when it holds the target's number of dependent r-sets and its
+    restriction has the target's rank and :func:`flat_invariants`.
+    Isomorphism is asked through ``minors.are_isomorphic``, so a test can
+    record it.
     """
     m = host(name)
     nodes = 0
@@ -309,7 +316,7 @@ def reference_find_minor(name, target):
                 restricted = simple
             else:
                 restricted = delete(simple, simple.full & ~kmask)
-            if restricted.rank == target.rank and \
+            if restricted.rank != target.rank or \
                     flat_invariants(restricted) != target_invariants:
                 continue
             iso = minors.are_isomorphic(restricted, target)

@@ -187,6 +187,18 @@ def test_erect_free_past_the_census_cap(capsys, tmp_path):
         assert outputs[name] == serialize_matroid(parse_matroid_text(texts[name]))
 
 
+def test_erect_all_past_the_census_cap_on_a_taut_plane(capsys, tmp_path):
+    path = tmp_path / "pg25.matroid"
+    path.write_text(serialize_matroid(host("PG(2,5)")))
+    code, out, _ = run(capsys, "erect", str(path), "--all")
+    assert code == 0
+    assert out.splitlines() == [
+        "1 erections of a rank-3 matroid on 31 elements",
+        "[0] rank 3, 3875 bases (trivial)",
+        "free erection: [0]",
+    ]
+
+
 def test_erect_requires_mode(paths):
     with pytest.raises(SystemExit):
         main(["erect", paths["m"]])

@@ -25,10 +25,18 @@ from matroid_forge.errors import (
     ValidationError,
 )
 from matroid_forge.matroid import PointedMap, delete, relabel, simplify, truncation
-from matroid_forge.formats import bundled_data_dir, load_sets
+from matroid_forge.formats import bundled_data_dir, load_sets, parse_matroid_text
 from matroid_forge.minors import fano_matroid
 
-from hosts import CENSUS_HOSTS, DIFFERENTIAL_HOSTS, fresh, host, pg25_point_set, uniform
+from hosts import (
+    CENSUS_HOSTS,
+    DIFFERENTIAL_HOSTS,
+    fresh,
+    host,
+    ladder_instances,
+    pg25_point_set,
+    uniform,
+)
 import oracles
 
 
@@ -313,6 +321,44 @@ def test_free_erection_needs_no_census(monkeypatch):
         assert plane.n > erection.EXHAUSTIVE_LIMIT
         assert free_erection(plane) is plane
         assert tautness_witness(plane) is None
+
+
+def test_a_first_basis_with_hull_e_settles_the_listing():
+    # a nontrivial erection puts the first basis in a proper copoint, which
+    # holds the basis's (r-1)-closed hull (Crapo 1970)
+    settled = with_candidates = 0
+    for m in [*map(host, DIFFERENTIAL_HOSTS), *(pg25_point_set(n, 1) for n in range(16, 21))]:
+        first, k = m.basis_masks[0], m.rank - 1
+        if oracles.reference_k_closed_hull(oracles.closure_table(m, k), first) != m.full:
+            continue
+        candidates = oracles.reference_census(m, k)
+        assert not [c for c in candidates if first & ~c == 0], m
+        assert enumerate_erections(m).erections == (m,)
+        settled += 1
+        with_candidates += bool(candidates)
+    assert settled >= 10 and with_candidates >= 3
+
+
+def test_taut_listing_runs_no_census(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a host settled by its first hull needs no census")
+    monkeypatch.setattr(erection, "spanning_k_closed_masks", forbidden)
+    planes = [fresh("PG(2,4)"), fresh("PG(2,5)")]
+    planes += [parse_matroid_text(i.texts["matroid"]) for i in ladder_instances((1,))]
+    assert sorted(m.n for m in planes) == [16, 17, 21, 31]
+    for m in planes:
+        family = enumerate_erections(m, budget=1)
+        assert family.erections == (m,) and family.free() is m
+
+
+# on small:gf5-10-3-a the second basis's hull is E, and the first's block
+# is not merged into it
+@pytest.mark.parametrize("name, hulls", [("PG(2,5)", 1), ("small:gf5-10-3-a", 2)])
+def test_free_blocks_stop_at_a_hull_of_e(spy, name, hulls):
+    m = fresh(name)
+    calls = spy(erection, "_k_closed_hull")
+    assert erection._free_blocks(m) == (m.full,)
+    assert len(calls) == hulls
 
 
 def test_enumeration_runs_no_hull_merge(monkeypatch, capsys, rank4_matroid):

@@ -2,14 +2,11 @@
 
 import pytest
 
-import importlib.util
 import random
-import sys
 import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from pathlib import Path
 
 from matroid_forge.charpoly import (
     IntPolynomial,
@@ -43,7 +40,7 @@ from matroid_forge.matroid import delete
 from matroid_forge.minors import fano_matroid, non_fano_matroid
 from matroid_forge.reproduce import run_reproduce
 
-from hosts import LATTICE_HOSTS, host, pg_plane, uniform
+from hosts import LATTICE_HOSTS, host, ladder_instances, pg_plane, uniform
 import oracles
 
 
@@ -330,16 +327,8 @@ def seeded_wide_matrix(seed):
 
 def ladder_matrices():
     """The GF(5) matrices of the benchmark's ladder workload, seeds 1-5."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
-    spec = importlib.util.spec_from_file_location("ladder_generators", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
     return [parse_matrix_text(instance.texts["matrix"])
-            for seed in range(1, 6) for instance in module.ladder(seed)]
+            for instance in ladder_instances(range(1, 6))]
 
 
 def test_weight3_matches_subset_kernels_on_wide_and_ladder_matrices(

@@ -287,6 +287,22 @@ def test_minors_of_minors_build_no_table():
         assert d._ext is None and c._ext is None
 
 
+def test_squeeze_matches_the_element_by_element_map():
+    rng = random.Random("squeeze")
+    # empty lists, keeps with no gap, and the lanes' widest masks
+    cases = [([], 0b1011), ([], full_mask(MAX_GROUND)), ([0b101, 0b111, 0], 0b111),
+             ([full_mask(MAX_GROUND), 1 << 63], full_mask(MAX_GROUND)),
+             ([1 << 63, 1 << 5], 1 << 63 | 1 << 5)]
+    for _ in range(400):
+        n = rng.randint(1, 64)
+        keep = rng.getrandbits(n)
+        masks = [rng.getrandbits(n) & keep for _ in range(rng.randint(0, 30))]
+        cases.append((masks, keep))
+    for masks, keep in cases:
+        assert matroid._squeeze(iter(masks), keep) == \
+            oracles.reference_squeeze(masks, keep), (masks, bin(keep))
+
+
 def test_fano_flats():
     f = fano_matroid()
     assert f.flats_at(0) == ((),)

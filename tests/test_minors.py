@@ -253,14 +253,18 @@ def test_pinned_witnesses_and_budgets(name):
 def test_search_matches_the_combinations_loop(name, spy):
     m = fresh(name)
     screened = spy(minors, "are_isomorphic")
+    built = spy(minors, "_restriction")
     for tname, target in TARGETS.items():
         expected, nodes = oracles.reference_find_minor(name, target)
         reference_screened = screened[:]
         screened.clear()
+        built.clear()
         assert witness_literal(find_minor(m, target)) == \
             witness_literal(expected), (name, tname)
-        # the walk hands are_isomorphic the very kept sets the loop did
+        # the walk hands are_isomorphic the very kept sets the loop did, and
+        # builds no restriction that the rank test turns away
         assert screened == reference_screened, (name, tname)
+        assert len(built) == len(screened), (name, tname)
         assert witness_literal(find_minor(m, target, budget=nodes)) == \
             witness_literal(expected), (name, tname)
         if nodes:
