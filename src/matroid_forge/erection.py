@@ -18,12 +18,16 @@ find it.  A listed family picks its member with the most bases, and
 :func:`free_erection` merges closed hulls (Crapo 1970, Knuth 1975) with no
 enumeration.  They meet only in ``properties.erection_family_failures``,
 which also builds the weak order.
+
+Both paths take k-closed hulls, and a hull never looks at k-subsets: a
+flat F is the closure of a k-subset of x exactly when F meets x in at
+least k elements and in rank r(F) <= k, so the hull fires flats read from
+the flat lattice, with no closure query.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations
 from operator import and_, or_
 
 from .bitsets import (
@@ -84,36 +88,48 @@ class ErectionFamily(Record):
         return max(self.erections, key=lambda e: (e.rank, len(e.basis_masks)))
 
 
-def _closure_index(m: Matroid, k: int) -> list[list[tuple[int, int]]]:
-    """For each element e, the (S, cl(S)) over the k-subsets S through e
-    whose closure gains elements."""
+def _closure_index(m: Matroid, k: int) -> tuple:
+    """The hull's index: rank oracle, k, and per element e the pairs
+    (F, r(F)) over the flats F through e with r(F) <= k < |F|.
+
+    A k-subset S of x has cl(S) = F exactly when F meets x in at least k
+    elements and in rank r(F) <= k: S lies in F & x and spans F, and
+    conversely a basis of F & x, padded inside F & x to k elements, spans
+    F.  A flat with at most k elements can only be the closure of a subset
+    of x when it lies inside x, so it never grows x and is left out.  The
+    index is one pass over the flat lattice, Σ|F| entries.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     index: list[list[tuple[int, int]]] = [[] for _ in range(m.n)]
-    for s in map(mask_of, combinations(range(m.n), k)):
-        cl = m.closure_mask(s)
-        if cl != s:
-            for e in iter_elements(s):
-                index[e].append((s, cl))
-    return index
+    for rank, level in enumerate(m.flat_lattice()[:k + 1]):
+        for f in level:
+            if f.bit_count() > k:
+                for e in iter_elements(f):
+                    index[e].append((f, rank))
+    return m.rank_of_mask, k, index
 
 
-def _k_closed_hull(index: list[list[tuple[int, int]]], x: int, forbid: int = 0
-                   ) -> int | None:
+def _k_closed_hull(index: tuple, x: int, forbid: int = 0) -> int | None:
     """Least k-closed superset of x, or None once it would meet ``forbid``.
 
-    LinClosure (Beeri & Bernstein 1979): each element of the growing set
-    is processed once, against only the tabled subsets S that contain it.
-    When the last element of S is processed, S lies inside the set, so
-    every pair fires whose subset the hull comes to contain.
+    LinClosure (Beeri & Bernstein 1979) over flats: each element of the
+    growing set is processed once, against only the indexed flats F that
+    contain it, and F fires (x takes all of F) when F & x has k elements
+    and rank r(F), that is, when F is the closure of a k-subset of x.
+    That test only turns true as x grows, and x grows by elements of F,
+    which are processed afterwards, so every flat the hull comes to need
+    fires.
     """
+    rank_of, k, flats_through = index
     todo = x
     while todo:
         low = todo & -todo
         todo ^= low
-        for s, cl in index[low.bit_length() - 1]:
-            if s | x == x and cl | x != x:  # S lies inside x, cl(S) does not
-                gained = cl & ~x
+        for f, rank in flats_through[low.bit_length() - 1]:
+            meet = f & x
+            if meet != f and meet.bit_count() >= k and rank_of(meet) == rank:
+                gained = f ^ meet
                 if gained & forbid:
                     return None
                 x |= gained

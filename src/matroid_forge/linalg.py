@@ -23,7 +23,9 @@ rows.  Matrices and relation spaces are immutable, so each keeps these
 derived values, and its orthogonal complement, once computed: asking
 again, as formality and formalization do, costs nothing.  A relation
 space's basis is its own reduced row-echelon form, so its matrix, such as
-the formalization G, starts with that forward elimination known.
+the formalization G, starts with that forward elimination known, and a
+kernel found after A's forward elimination keeps those rows as its
+orthogonal complement.
 """
 
 from __future__ import annotations
@@ -316,6 +318,11 @@ def kernel_basis(a: ExactMatrix) -> RelationSpace:
     e_f - sum R[i][f] e_(b_i) is nonzero only at f and at elements of B
     above f, so these vectors, in order of f, are already the unique
     reduced-echelon basis of the kernel.
+
+    The kernel's orthogonal complement is the row space of A, whose unique
+    reduced-echelon basis is A's forward elimination.  When that is known
+    it seeds the kernel's ``perp``, so the formalization of a formal A is
+    read, not eliminated; it is never computed just to seed.
     """
     f, n = a.field, a.cols
     reduced, pivots = _rref(f, [row[::-1] for row in a.entries], n)
@@ -334,7 +341,12 @@ def kernel_basis(a: ExactMatrix) -> RelationSpace:
             if row[fc]:
                 v[b] = -row[fc] % p if p else -row[fc]
         vectors.append(tuple(v))
-    return RelationSpace(f, n, tuple(vectors), free)
+    space = RelationSpace(f, n, tuple(vectors), free)
+    if _forward.__name__ in a._memo:
+        rows_a, pivots_a = _forward(a)
+        space._memo[RelationSpace.perp.__name__] = RelationSpace(
+            f, n, tuple(map(tuple, rows_a)), tuple(pivots_a))
+    return space
 
 
 @_memoized
@@ -396,7 +408,8 @@ def weight3_subspace(a: ExactMatrix) -> RelationSpace:
     """Span of the kernel vectors with at most three nonzero entries.
 
     Such a relation lives on a line (rank-2 flat) of the columns, so this is
-    the sum of the lines' relation spaces, or the whole kernel if rank A <= 2.
+    the sum of the lines' relation spaces, or the whole kernel if rank A <= 2
+    or the kernel is 0.
     A is eliminated once, and every line is found on its r echelon rows,
     scaled to integers.  For a pair i, j not yet on a found line, rows s, t
     with a nonzero 2x2 minor d are picked (there are none when i, j are
@@ -410,7 +423,7 @@ def weight3_subspace(a: ExactMatrix) -> RelationSpace:
     f, n = a.field, a.cols
     reduced, pivots = _forward(a)
     rank = len(pivots)
-    if rank <= 2:
+    if rank <= 2 or rank == n:
         return kernel_basis(a)
     rows, scales, p = _integer_rows(f, reduced, n)
     cols = list(zip(*rows))

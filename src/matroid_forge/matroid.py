@@ -45,9 +45,9 @@ from __future__ import annotations
 import sys
 from array import array
 from collections.abc import KeysView
-from itertools import combinations, compress
+from itertools import combinations, compress, islice
 from math import comb
-from operator import and_, neg, xor
+from operator import and_, attrgetter, neg, xor
 from typing import Iterable, Sequence
 
 from .bitsets import (
@@ -128,26 +128,32 @@ class Record:
     the fields, and any assignment or deletion raises AttributeError.
     Pickling and copying rebuild an object through its class's
     ``__init__``, checks included.  Slots that are not fields, such as a
-    memo, stay out of equality, hash and repr.
+    memo, stay out of equality, hash and repr.  Each subclass reads its
+    field tuple, ``_values``, with one ``attrgetter`` call in C.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _values: tuple
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        # attrgetter of a single name returns the bare value
+        cls._values = property(get if len(cls._fields) > 1
+                               else lambda self: (get(self),))
 
     def __init__(self, *values):
         for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values == other._values
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -160,7 +166,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values
 
 
 class PointedMap(Record):
@@ -342,14 +348,18 @@ class Matroid(Record):
         the independent sets of each size.
 
         An independent set is its own greedy basis, so its closure is read
-        straight from the extension table in one pass.
+        straight from the extension table in one pass.  The table starts
+        with the bases, each with ext 0, so the rank-r level is (E,) and
+        the pass skips them.
         """
         if self._lattice is None:
             full = self.full
-            by_rank: list[set[int]] = [set() for _ in range(self.rank + 1)]
-            for i, grow in self._extensions().items():
+            by_rank: list[set[int]] = [set() for _ in range(self.rank)]
+            for i, grow in islice(self._extensions().items(),
+                                  len(self.basis_masks), None):
                 by_rank[i.bit_count()].add(full & ~grow)
-            object.__setattr__(self, "_lattice", tuple(map(sort_masks, by_rank)))
+            object.__setattr__(self, "_lattice",
+                               (*map(sort_masks, by_rank), (full,)))
         return self._lattice
 
     def flats_at(self, k: int, *, min_size: int = 0) -> tuple[tuple[int, ...], ...]:

@@ -86,18 +86,24 @@ def pg25_point_set(n, seed):
     return matroid_from_flats(n, 3, [(2, line) for line in lines if len(line) > 2])
 
 
-def ladder_instances(seeds):
-    """The instances of the benchmark's ladder workload (PG(2,5) point sets
-    of 16 and 17 points) for the given seeds, from perfbench/generators.py."""
+def benchmark_instances(workload, seeds):
+    """The instances of a generated benchmark workload (``ladder`` or
+    ``arrangements``) for the given seeds, from perfbench/generators.py."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
-    spec = importlib.util.spec_from_file_location("ladder_generators", path)
+    spec = importlib.util.spec_from_file_location("benchmark_generators", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     try:
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return [instance for seed in seeds for instance in module.ladder(seed)]
+    generate = module.GENERATORS[workload]
+    return [instance for seed in seeds for instance in generate(seed)]
+
+
+def ladder_instances(seeds):
+    """The ladder workload's instances: PG(2,5) point sets of 16 and 17 points."""
+    return benchmark_instances("ladder", seeds)
 
 
 def linear_space(n, seed):

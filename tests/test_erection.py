@@ -1,6 +1,7 @@
 """Erections: block conditions, exact covers, the free erection by merging hulls."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -24,7 +25,14 @@ from matroid_forge.errors import (
     SearchBudgetExceeded,
     ValidationError,
 )
-from matroid_forge.matroid import PointedMap, delete, relabel, simplify, truncation
+from matroid_forge.matroid import (
+    Matroid,
+    PointedMap,
+    delete,
+    relabel,
+    simplify,
+    truncation,
+)
 from matroid_forge.formats import bundled_data_dir, load_sets, parse_matroid_text
 from matroid_forge.minors import fano_matroid
 
@@ -136,6 +144,37 @@ def test_hull_fixes_exactly_the_k_closed_sets(name):
             forbid = rng.getrandbits(m.n) & ~x
             stopped = _k_closed_hull(index, x, forbid)
             assert stopped == (None if hull & forbid else hull)
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_HOSTS)
+def test_flat_hull_matches_the_subset_table(name):
+    # the index fires flats; the reference sweeps every k-subset's closure
+    m = host(name)
+    rng = random.Random(f"flat hull:{name}")
+    starts = [0, m.basis_masks[0], m.full]
+    starts += [rng.getrandbits(m.n) & rng.getrandbits(m.n) for _ in range(20)]
+    starts += [rng.getrandbits(m.n) for _ in range(10)]
+    for k in range(1, m.rank + 1):
+        table = oracles.closure_table(m, k)
+        index = _closure_index(m, k)
+        for x in starts:
+            hull = oracles.reference_k_closed_hull(table, x)
+            assert _k_closed_hull(index, x) == hull, (k, x)
+            forbid = rng.getrandbits(m.n) & ~x
+            assert _k_closed_hull(index, x, forbid) == (
+                None if hull & forbid else hull), (k, x, forbid)
+
+
+def test_the_hull_index_reads_the_flat_lattice(spy):
+    # an 18-point line and 6 coloops: rank 8 on 24 elements, past the census
+    # cap; the subset index made C(24, 7) = 346 104 closure queries
+    coloops = mask_of(range(18, 24))
+    m = Matroid(24, 8, [mask_of(pair) | coloops for pair in combinations(range(18), 2)])
+    assert len(m.basis_masks) == 153
+    calls = spy(Matroid, "closure_mask")
+    assert enumerate_erections(m).erections == (m,)
+    assert free_erection(m) is m
+    assert len(calls) < 1000
 
 
 @pytest.mark.parametrize("n", [16, 17, 20])

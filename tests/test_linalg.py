@@ -40,7 +40,14 @@ from matroid_forge.matroid import delete
 from matroid_forge.minors import fano_matroid, non_fano_matroid
 from matroid_forge.reproduce import run_reproduce
 
-from hosts import LATTICE_HOSTS, host, ladder_instances, pg_plane, uniform
+from hosts import (
+    LATTICE_HOSTS,
+    benchmark_instances,
+    host,
+    ladder_instances,
+    pg_plane,
+    uniform,
+)
 import oracles
 
 
@@ -684,8 +691,62 @@ def test_a_relation_space_matrix_starts_with_its_elimination(data_dir):
 def test_reproduce_eliminations(spy):
     calls = spy(linalg, "_rref")
     assert run_reproduce().overall
-    # 27 while each formalization G was eliminated again, 6 of them
-    assert len(calls) == 21
+    # 27 while each formalization G was eliminated again, 6 of them; 21
+    # while a formal A's G was eliminated as the perp of its kernel, 4 of them
+    assert len(calls) == 17
+
+
+def perp_matrices(data_dir):
+    """Bundled, ladder, arrangement and seeded GF(p) and rational matrices."""
+    matrices = [load_matrix(path) for path in sorted(data_dir.glob("*.matrix"))]
+    matrices += ladder_matrices()
+    matrices += [parse_matrix_text(instance.texts["matrix"])
+                 for instance in benchmark_instances("arrangements", (1, 2))]
+    matrices += [seeded_matrix(seed) for seed in range(300)]
+    matrices += [seeded_wide_matrix(seed) for seed in range(40)]
+    return matrices
+
+
+def rebuilt(a):
+    return ExactMatrix(a.field, a.rows, a.cols, a.entries)
+
+
+def test_a_kernel_seeds_its_perp_only_from_a_known_elimination(data_dir):
+    for a in perp_matrices(data_dir):
+        unknown = rebuilt(a)
+        ker = kernel_basis(unknown)
+        # seeding never eliminates A
+        assert "perp" not in ker._memo and "_forward" not in unknown._memo, a
+        known = rebuilt(a)
+        known.rank()
+        ker = kernel_basis(known)
+        got = ker._memo["perp"]
+        # (ker A)^perp is the row space, eliminated afresh from the kernel
+        want = kernel_basis(ker.matrix())
+        assert (got.vectors, got.pivots) == (want.vectors, want.pivots), a
+        assert got == kernel_basis(unknown).perp(), a
+        entry = Fraction if a.field == Rationals() else int
+        assert all(type(v) is entry for vec in got.vectors for v in vec), a
+
+
+def test_a_formal_arrangement_is_formalized_without_elimination(data_dir, spy):
+    calls = spy(linalg, "_rref")
+    formal = informal = 0
+    for a in perp_matrices(data_dir):
+        if a.zero_columns():
+            continue
+        a = rebuilt(a)
+        w = weight3_subspace(a)
+        calls.clear()
+        g = formalization(a)
+        assert g.entries == oracles.reference_kernel_basis(w.matrix()).vectors, a
+        if is_formal(a):
+            assert calls == [] and g.entries == a.rref()[0].entries, a
+            formal += 1
+        else:
+            assert len(calls) == 1 and g.rank() > a.rank(), a
+            informal += 1
+    assert formal >= 100 and informal >= 20
 
 
 def test_elimination_entries_stay_bounded_on_dense_rows():

@@ -218,6 +218,15 @@ def test_flat_lattice_matches_definitions_on_every_mask(name):
         assert rank_of_flat.get(x) == (rank if closure == x else None), x
 
 
+@pytest.mark.parametrize("name", LATTICE_HOSTS)
+def test_flat_lattice_tops_out_at_the_ground_set(name):
+    # the top level is written down, not read from the bases' entries
+    m = fresh(name)
+    levels = m.flat_lattice()
+    assert len(levels) == m.rank + 1
+    assert levels[-1] == (m.full,)
+
+
 def assert_delete_matches_definition(m, indep, x):
     d = delete(m, x)
     keep = m.full & ~x
